@@ -7,10 +7,11 @@ memory failure.  Failure means leaving the original codeword's decoding
 class, the class being defined operationally by the reliable parallel
 bit-flipping decoder under a round cap.
 
-Monte Carlo trials are independent; the batched engine vectorizes the
-state updates across trials while drawing every trial's fault plans from
-its own (root_seed, trial, cycle) stream, so each trial reproduces the
-sequential run exactly.
+Monte Carlo trials are independent; the batched engine draws one
+cycle's fault plans for all alive trials in one keyed-hash call and
+vectorizes the state updates across trials.  Every trial's plans are a
+pure function of its (root_seed, trial, cycle) key, so each trial
+reproduces the sequential run exactly.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from .decoders import (GateFaultPlan, TkState, algorithm_a_round_many,
                        parallel_bitflip_decode, tk_round)
 from .exceptions import AccountingError, ConfigError
 from .expansion import ExpansionProfile
-from .faults import (AdversarialModel, IndependentModel,
-                     draw_adversarial_greedy_many)
+from .faults import AdversarialModel, IndependentModel, trial_keys
 from .tanner import TannerGraph, Word, as_word, zero_word
 
 DECODERS = ("algorithm_a", "tk", "none")
@@ -188,7 +188,6 @@ def run_memory(g: TannerGraph, decoder: str, fault_model, cycles: int, seed,
                                  and isinstance(fault_model, AdversarialModel)):
         raise ConfigError("accounting checks need a profile and an adversarial model")
 
-    adversarial = isinstance(fault_model, AdversarialModel)
     threshold = profile.correctable_fraction if profile is not None else None
     cap = detect_cap(profile, g.n, detect_max_rounds)
     contraction = profile.contraction if profile is not None else None
@@ -212,8 +211,6 @@ def run_memory(g: TannerGraph, decoder: str, fault_model, cycles: int, seed,
     for cycle in range(1, cycles + 1):
         observed = readout_prev if tk_mode else registers
         reg_plan, gate_plan = fault_model.draw(g, seed, cycle, observed, original)
-        if adversarial:
-            fault_model.budget.check_plans(g, reg_plan, gate_plan)
 
         if reg_plan.flips:
             if tk_mode:
@@ -402,10 +399,10 @@ def _monte_carlo_batched(config: RunConfig, trials: int, root_seed,
                          confidence: float):
     """Vectorized engine for decoders without per-edge copies.
 
-    Fault plans are still drawn per (root_seed, trial, cycle) through the
-    public draw functions, so every trial matches its sequential run bit
-    for bit; only the round, observation, and detection steps are
-    batched across alive trials.
+    Each cycle draws the plans of all alive trials in one call from their
+    (root_seed, trial) keys, so every trial matches its sequential run bit
+    for bit; plans of cycle-independent models are drawn once and reused.
+    Decay, accounting, the round and observation run on (T, n) arrays.
     """
     g = config.graph
     L = config.cycles
@@ -419,7 +416,6 @@ def _monte_carlo_batched(config: RunConfig, trials: int, root_seed,
                                         and isinstance(model, AdversarialModel)):
         raise ConfigError("accounting checks need a profile and an adversarial model")
 
-    adversarial = isinstance(model, AdversarialModel)
     cap = detect_cap(config.profile, g.n, config.detect_max_rounds)
     threshold_count = (config.profile.correctable_fraction * g.n
                        if config.profile is not None else None)
@@ -427,6 +423,7 @@ def _monte_carlo_batched(config: RunConfig, trials: int, root_seed,
     rhs_budget = (_accounting_rhs(model, g, config.profile)
                   if config.check_accounting else None)
 
+    keys = trial_keys(root_seed, np.arange(trials))
     states = np.tile(original, (trials, 1))
     alive = np.ones(trials, dtype=bool)
     failed = np.zeros(trials, dtype=bool)
@@ -434,67 +431,41 @@ def _monte_carlo_batched(config: RunConfig, trials: int, root_seed,
     pre_mat = np.full((trials, L), np.nan)
     post_mat = np.full((trials, L), np.nan)
     prev_pre = np.full(trials, -1, dtype=np.int64)
-
-    reuse_plans = not model.cycle_dependent
-    plan_cache: list = [None] * trials
-    greedy_batch = adversarial and model.strategy == "greedy"
+    cached = None
 
     for cycle in range(1, L + 1):
         idx = np.flatnonzero(alive)
         if idx.size == 0:
             break
-        gate_plans = {}
-        if greedy_batch:
-            seeds = [(root_seed, int(t)) for t in idx]
-            drawn = draw_adversarial_greedy_many(model.budget, g, seeds, cycle,
-                                                 states[idx], original)
-        for pos, t in enumerate(idx):
-            t = int(t)
-            if greedy_batch:
-                reg_plan, gate_plan = drawn[pos]
-            elif reuse_plans and plan_cache[t] is not None:
-                reg_plan, gate_plan = plan_cache[t]
-            else:
-                reg_plan, gate_plan = model.draw(g, (root_seed, t), cycle,
-                                                 states[t], original)
-                if adversarial:
-                    model.budget.check_plans(g, reg_plan, gate_plan)
-                if reuse_plans:
-                    plan_cache[t] = (reg_plan, gate_plan)
-            if reg_plan.flips:
-                states[t, reg_plan.indices()] ^= 1
-            if not gate_plan.is_empty():
-                gate_plans[t] = gate_plan
+        work = states[idx]
+        if model.cycle_dependent:
+            plans = model.draw_batch(g, keys[idx], cycle, work, original)
+        else:
+            if cached is None:
+                cached = model.draw_batch(g, keys, cycle, states, original)
+            plans = cached if idx.size == trials else cached.take(idx)
+        plans.flip_registers(work)
 
-        pre_counts = (states[idx] != original).sum(axis=1)
+        pre_counts = (work != original).sum(axis=1)
         pre_mat[idx, cycle - 1] = pre_counts / g.n
 
         if config.check_accounting:
-            for pos, t in enumerate(idx):
-                p = int(prev_pre[t])
-                if p >= 0 and p < threshold_count:
-                    _check_accounting(p, int(pre_counts[pos]), contraction,
-                                      rhs_budget, cycle, trial=int(t))
+            prev = prev_pre[idx]
+            bound = prev * contraction + rhs_budget
+            broken = (prev >= 0) & (prev < threshold_count) & ~(pre_counts < bound)
+            if broken.any():
+                pos = int(np.argmax(broken))
+                _check_accounting(int(prev[pos]), int(pre_counts[pos]),
+                                  contraction, rhs_budget, cycle,
+                                  trial=int(idx[pos]))
         prev_pre[idx] = pre_counts
 
         if config.decoder == "algorithm_a":
-            xor_par = None
-            maj = None
-            if gate_plans:
-                xor_par = np.zeros((idx.size, g.m, g.rho), dtype=np.uint8)
-                maj = np.zeros((idx.size, g.n), dtype=np.uint8)
-                for pos, t in enumerate(idx):
-                    plan = gate_plans.get(int(t))
-                    if plan is None:
-                        continue
-                    xp = plan.xor_parity(g)
-                    if xp is not None:
-                        xor_par[pos] = xp
-                    if plan.maj_flips:
-                        maj[pos, plan.maj_indices()] = 1
-            states[idx] = algorithm_a_round_many(g, states[idx], xor_par, maj)
+            work = algorithm_a_round_many(g, work, plans.xor_parity(g),
+                                          plans.maj_mask(g.n))
+        states[idx] = work
 
-        post_counts = (states[idx] != original).sum(axis=1)
+        post_counts = (work != original).sum(axis=1)
         post_mat[idx, cycle - 1] = post_counts / g.n
 
         suspect = idx[post_counts > 0]

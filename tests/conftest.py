@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import faultmem as fm
+
+# Property tests draw their examples from a fixed derandomized stream, so
+# every run of the suite checks the same cases.
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None, print_blob=True)
+settings.load_profile("deterministic")
 
 # Frozen certified-expander instances: (n, gamma, rho, seed, alpha, epsilon).
 # All are girth-6 constructions; the (4,5) pair certifies pair expansion at

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -251,3 +253,25 @@ def test_sim_report_json(i1):
     assert obj["cycles_executed"] == 5
     assert len(obj["alpha_pre"]) == 5
     assert obj["guarantee_threshold"] == pytest.approx(prof.correctable_fraction)
+
+
+def test_batched_accounting_violation_matches_run_memory(i1):
+    # the batched engine must raise at the first cycle any trial violates
+    # the accounting, naming the lowest such trial, exactly as that
+    # trial's sequential run reports it
+    g, prof = i1
+    model = adversarial(alpha_m=1.5 / 36, strategy="random")
+    cfg = RunConfig(g, "none", model, 200, profile=prof, check_accounting=True)
+    trials = 30
+    for root in (1, 4):
+        first = {}
+        for t in range(trials):
+            try:
+                fm.run_memory(g, "none", model, 200, (root, t), prof,
+                              check_accounting=True)
+            except AccountingError as exc:
+                first[t] = (int(re.match(r"cycle (\d+): ", str(exc))[1]), t)
+        cycle, trial = min(first.values())
+        with pytest.raises(AccountingError,
+                           match=rf"^cycle {cycle}, trial {trial}: corrupt count"):
+            fm.monte_carlo(cfg, trials, root, engine="batched")
