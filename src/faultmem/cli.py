@@ -159,10 +159,6 @@ def load_experiment_config(path: Path) -> ExperimentConfig:
         output_json = rel(out["json"]) if "json" in out else None
         output_traces = rel(out["traces_csv"]) if "traces_csv" in out else None
         check_accounting = bool(doc.get("check_accounting", False))
-        if check_accounting and (profile is None or kind != "adversarial"):
-            raise ConfigError(
-                "check_accounting needs a profile and an adversarial model")
-
         cfg = ExperimentConfig(graph, decoder, model, cycles, trials,
                                int(doc.get("root_seed", 0)), profile,
                                output_json, output_traces, check_accounting)
@@ -171,9 +167,10 @@ def load_experiment_config(path: Path) -> ExperimentConfig:
     except (ValueError, AlistFormatError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    # surface decoder/fault-model inconsistencies now, not mid-run
-    memsim._validate_run_args(cfg.graph, cfg.decoder, cfg.fault_model,
-                              cfg.cycles, 1)
+    # surface decoder/fault-model/accounting inconsistencies now, not mid-run
+    memsim._validate_run_args(memsim.RunConfig(
+        cfg.graph, cfg.decoder, cfg.fault_model, cfg.cycles,
+        profile=cfg.profile, check_accounting=cfg.check_accounting))
     return cfg
 
 
@@ -217,15 +214,22 @@ def cmd_certify(args) -> int:
     return 0
 
 
+def _trace_cells(rep: memsim.SimReport, c: int) -> tuple:
+    """(alpha_v_pre, alpha_v_post, failed) of cycle c+1 of a trial, or
+    three empty cells when the trial did not run that cycle."""
+    if c >= rep.cycles_executed:
+        return ("", "", "")
+    return (rep.alpha_pre[c], rep.alpha_post[c],
+            int(rep.failed and rep.failure_cycle == c + 1))
+
+
 def cmd_simulate(args) -> int:
     cfg = load_experiment_config(Path(args.config))
     run = memsim.RunConfig(cfg.graph, cfg.decoder, cfg.fault_model, cfg.cycles,
                            profile=cfg.profile,
                            check_accounting=cfg.check_accounting)
-    keep = cfg.output_traces is not None
     result = memsim.monte_carlo(run, cfg.trials, cfg.root_seed,
-                                keep_reports=keep,
-                                engine="sequential" if keep else "auto")
+                                keep_reports=cfg.output_traces is not None)
     obj = result.to_json_obj()
     obj["config"] = {
         "decoder": cfg.decoder,
@@ -243,8 +247,7 @@ def cmd_simulate(args) -> int:
             w.writerow(["trial", "cycle", "alpha_v_pre", "alpha_v_post", "failed"])
             for t, rep in enumerate(result.reports):
                 for c in range(rep.cycles_executed):
-                    w.writerow([t, c + 1, rep.alpha_pre[c], rep.alpha_post[c],
-                                int(rep.failed and rep.failure_cycle == c + 1)])
+                    w.writerow([t, c + 1, *_trace_cells(rep, c)])
     print(f"failure_rate={result.failure_rate:.6g} "
           f"[{result.ci_low:.6g}, {result.ci_high:.6g}] "
           f"({result.failures}/{result.trials} trials)")
@@ -301,39 +304,30 @@ def cmd_compare_tk(args) -> int:
         raise ConfigError(
             "compare-tk needs state-independent fault streams; the greedy "
             "strategy adapts to the decoder and cannot be shared")
-    rows = []
-    summary = {}
-    for decoder in ("algorithm_a", "tk"):
-        run = memsim.RunConfig(cfg.graph, decoder, cfg.fault_model, cfg.cycles,
-                               profile=cfg.profile)
-        result = memsim.monte_carlo(run, cfg.trials, cfg.root_seed,
-                                    keep_reports=True, engine="sequential")
-        summary[decoder] = {
-            "failure_rate": result.failure_rate,
-            "failures": result.failures,
-        }
-        for t, rep in enumerate(result.reports):
-            for c in range(rep.cycles_executed):
-                rows.append((t, c + 1, decoder, rep.alpha_pre[c],
-                             rep.alpha_post[c],
-                             int(rep.failed and rep.failure_cycle == c + 1)))
+    results = {
+        decoder: memsim.monte_carlo(
+            memsim.RunConfig(cfg.graph, decoder, cfg.fault_model, cfg.cycles,
+                             profile=cfg.profile),
+            cfg.trials, cfg.root_seed, keep_reports=True)
+        for decoder in ("algorithm_a", "tk")
+    }
     out = _out_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    paired: dict[tuple[int, int], dict] = {}
-    for t, c, decoder, pre, post, fail in rows:
-        cell = paired.setdefault((t, c), {})
-        cell[decoder] = (pre, post, fail)
     with out.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["trial", "cycle",
                     "alpha_v_pre_algorithm_a", "alpha_v_post_algorithm_a",
                     "failed_algorithm_a",
                     "alpha_v_pre_tk", "alpha_v_post_tk", "failed_tk"])
-        for (t, c) in sorted(paired):
-            cell = paired[(t, c)]
-            a = cell.get("algorithm_a", ("", "", ""))
-            b = cell.get("tk", ("", "", ""))
-            w.writerow([t, c, *a, *b])
+        # a decoder whose trial already failed leaves its cells empty
+        for t, pair in enumerate(zip(results["algorithm_a"].reports,
+                                     results["tk"].reports)):
+            for c in range(max(rep.cycles_executed for rep in pair)):
+                w.writerow([t, c + 1, *(cell for rep in pair
+                                        for cell in _trace_cells(rep, c))])
+    summary = {decoder: {"failure_rate": result.failure_rate,
+                         "failures": result.failures}
+               for decoder, result in results.items()}
     if args.summary:
         _write_json(_out_path(args.summary), summary)
     print(f"wrote {out}; failure rates: "

@@ -67,9 +67,13 @@ class GateFaultPlan:
             arr[c, k] ^= 1
         return arr
 
-    def maj_indices(self) -> np.ndarray:
-        return np.fromiter(sorted(self.maj_flips), dtype=np.int64,
-                           count=len(self.maj_flips))
+    def maj_mask(self, g: TannerGraph) -> np.ndarray | None:
+        """(n,) 0/1 complement mask of failed majority gates, or None."""
+        if not self.maj_flips:
+            return None
+        mask = np.zeros(g.n, dtype=np.uint8)
+        mask[list(self.maj_flips)] = 1
+        return mask
 
 
 _EMPTY_PLAN = GateFaultPlan()
@@ -80,11 +84,11 @@ _EMPTY_PLAN = GateFaultPlan()
 # ---------------------------------------------------------------------------
 
 
-def _check_estimates(g: TannerGraph, states: np.ndarray,
+def _check_estimates(v2c: np.ndarray,
                      xor_parity: np.ndarray | None) -> np.ndarray:
-    """Extrinsic mod-2 estimates, shape (..., m, rho): entry (c, k) is the
-    sum of check c's neighbors other than slot k, plus any chain fault."""
-    v2c = states[..., g.check_nbrs]
+    """Extrinsic mod-2 estimates from the bits ``v2c`` that check c reads
+    on each of its edges, shape (..., m, rho): entry (c, k) is the sum of
+    the bits on c's edges other than slot k, plus any chain fault."""
     total = np.bitwise_xor.reduce(v2c, axis=-1)
     est = total[..., None] ^ v2c
     if xor_parity is not None:
@@ -101,7 +105,7 @@ def algorithm_a_round_many(g: TannerGraph, states: np.ndarray,
     (n,) or (T, n) 0/1 complement mask applied to the updated values.
     """
     gamma = g.gamma
-    est = _check_estimates(g, states, xor_parity)
+    est = _check_estimates(states[..., g.check_nbrs], xor_parity)
     recv = est[..., g.var_nbrs, g.var_edge_pos]
     ones = recv.sum(axis=-1, dtype=np.int16)
     new = np.where(ones > gamma // 2, 1,
@@ -119,11 +123,8 @@ def algorithm_a_round(g: TannerGraph, state, faults: GateFaultPlan | None = None
     if faults is None:
         faults = GateFaultPlan.empty()
     faults.validate(g)
-    maj = None
-    if faults.maj_flips:
-        maj = np.zeros(g.n, dtype=np.uint8)
-        maj[faults.maj_indices()] = 1
-    return algorithm_a_round_many(g, w[None, :], faults.xor_parity(g), maj)[0]
+    return algorithm_a_round_many(g, w[None, :], faults.xor_parity(g),
+                                  faults.maj_mask(g))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +145,33 @@ def parallel_bitflip_round(g: TannerGraph, state) -> Word:
     return parallel_bitflip_round_many(g, w[None, :])[0]
 
 
+def parallel_bitflip_decode_many(g: TannerGraph, states: np.ndarray,
+                                 max_rounds: int):
+    """Iterate the flip rule to a fixpoint on each row of (T, n) ``states``.
+
+    Returns (words, rounds_used, converged) arrays of shape (T, n), (T,)
+    and (T,); row t is parallel_bitflip_decode of row t.  A row stops
+    once a round confirms its fixpoint, the others keep going.
+    """
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
+    cur = np.array(states, dtype=np.uint8)
+    rounds = np.full(cur.shape[0], max_rounds, dtype=np.int64)
+    converged = np.zeros(cur.shape[0], dtype=bool)
+    active = np.arange(cur.shape[0])
+    for r in range(1, max_rounds + 1):
+        if active.size == 0:
+            break
+        work = cur[active]
+        nxt = parallel_bitflip_round_many(g, work)
+        fixed = (nxt == work).all(axis=1)
+        rounds[active[fixed]] = r
+        converged[active[fixed]] = True
+        active = active[~fixed]
+        cur[active] = nxt[~fixed]
+    return cur, rounds, converged
+
+
 def parallel_bitflip_decode(g: TannerGraph, state, max_rounds: int):
     """Iterate the flip rule to a fixpoint.
 
@@ -151,15 +179,9 @@ def parallel_bitflip_decode(g: TannerGraph, state, max_rounds: int):
     confirmed the fixpoint within the allowance, and rounds_used counts
     that confirming round.
     """
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
-    cur = as_word(state, g.n)
-    for r in range(1, max_rounds + 1):
-        nxt = parallel_bitflip_round(g, cur)
-        if np.array_equal(nxt, cur):
-            return cur, r, True
-        cur = nxt
-    return cur, max_rounds, False
+    words, rounds, converged = parallel_bitflip_decode_many(
+        g, as_word(state, g.n)[None, :], max_rounds)
+    return words[0], int(rounds[0]), bool(converged[0])
 
 
 # ---------------------------------------------------------------------------
@@ -173,21 +195,18 @@ class TkState:
     of i's (sorted) edge list, the edge to the check excluded when that
     copy is re-estimated."""
 
-    copies: np.ndarray  # (n, gamma) uint8
+    copies: np.ndarray  # (n, gamma) uint8, or (T, n, gamma) for T trials
 
     @classmethod
     def from_word(cls, g: TannerGraph, word) -> "TkState":
         w = as_word(word, g.n)
         return cls(np.repeat(w[:, None], g.gamma, axis=1))
 
-    def copy(self) -> "TkState":
-        return TkState(self.copies.copy())
-
     def readout(self, prev: Word | None = None) -> Word:
         """Per-variable majority over the copies; a tie (even copy counts
         only) resolves to the previous readout, which must then be given."""
-        gamma = self.copies.shape[1]
-        ones = self.copies.sum(axis=1, dtype=np.int64)
+        gamma = self.copies.shape[-1]
+        ones = self.copies.sum(axis=-1, dtype=np.int64)
         out = (2 * ones > gamma).astype(np.uint8)
         ties = 2 * ones == gamma
         if ties.any():
@@ -197,37 +216,42 @@ class TkState:
         return out
 
 
-def tk_round(g: TannerGraph, state: TkState, faults: GateFaultPlan | None = None) -> TkState:
-    """Re-estimate every bit-copy from its gamma-1 non-excluded checks and
+def tk_round_many(g: TannerGraph, copies: np.ndarray,
+                  xor_parity: np.ndarray | None = None,
+                  maj_flip: np.ndarray | None = None) -> np.ndarray:
+    """Bit-copy round on a batch of copy sets, shape (T, n, gamma).
+
+    Re-estimate every bit-copy from its gamma-1 non-excluded checks and
     flip it when at least half of them are unsatisfied (ties flip).
-
     Check c reads, from each neighbor variable, the copy riding that
-    edge; gate faults enter exactly as in the estimate-majority refresh.
+    edge; xor_parity and maj_flip broadcast as in algorithm_a_round_many,
+    a failed majority gate complementing all of its variable's copies.
     """
-    if faults is None:
-        faults = GateFaultPlan.empty()
-    faults.validate(g)
-    copies = state.copies
     gamma = g.gamma
-
-    # (m, rho): the copy riding each of check c's edges
-    v2c = copies[g.check_nbrs, g.check_edge_pos]
-    total = v2c.sum(axis=1, dtype=np.int64) & 1
-    est = (total[:, None] ^ v2c).astype(np.uint8)
-    xp = faults.xor_parity(g)
-    if xp is not None:
-        est ^= xp
-    est_v = est[g.var_nbrs, g.var_edge_pos]  # (n, gamma)
+    est = _check_estimates(copies[..., g.check_nbrs, g.check_edge_pos],
+                           xor_parity)
+    est_v = est[..., g.var_nbrs, g.var_edge_pos]  # (..., n, gamma)
 
     # copy (i,j) counts disagreements among estimates j' != j
-    s = est_v.sum(axis=1, dtype=np.int64)
-    s_ex = s[:, None] - est_v
+    s = est_v.sum(axis=-1, dtype=np.int16)
+    s_ex = s[..., None] - est_v
     disagree = np.where(copies == 1, (gamma - 1) - s_ex, s_ex)
     flip_threshold = gamma // 2  # ceil((gamma-1)/2): "half or more"
     new = (copies ^ (disagree >= flip_threshold)).astype(np.uint8)
-    if faults.maj_flips:
-        new[faults.maj_indices(), :] ^= 1
-    return TkState(new)
+    if maj_flip is not None:
+        new ^= maj_flip[..., None]
+    return new
+
+
+def tk_round(g: TannerGraph, state: TkState, faults: GateFaultPlan | None = None) -> TkState:
+    """One faulty bit-copy round on one copy set: the one-state case of
+    tk_round_many, gate faults entering exactly as in the
+    estimate-majority refresh."""
+    if faults is None:
+        faults = GateFaultPlan.empty()
+    faults.validate(g)
+    return TkState(tk_round_many(g, state.copies[None], faults.xor_parity(g),
+                                 faults.maj_mask(g))[0])
 
 
 # ---------------------------------------------------------------------------

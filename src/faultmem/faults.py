@@ -268,13 +268,10 @@ class RegisterFaultPlan:
     def empty(cls) -> "RegisterFaultPlan":
         return _EMPTY_REG
 
-    def indices(self) -> np.ndarray:
-        return np.fromiter(sorted(self.flips), dtype=np.int64, count=len(self.flips))
-
     def apply(self, word: Word) -> Word:
         out = word.copy()
         if self.flips:
-            out[self.indices()] ^= 1
+            out[list(self.flips)] ^= 1
         return out
 
 
@@ -304,11 +301,12 @@ class PlanBatch:
                            for a in (self.reg, self.xor, self.maj)), self.dense)
 
     def flip_registers(self, states: np.ndarray) -> None:
-        """Complement the planned registers of (T, n) ``states`` in place."""
+        """Complement the planned registers of (T, n) ``states`` in place;
+        with (T, n, gamma) bit-copy states, all copies of a register."""
         if self.reg is None:
             return
         if self.dense:
-            states ^= self.reg
+            states ^= self.reg.reshape(self.reg.shape + (1,) * (states.ndim - 2))
         else:
             states[np.arange(states.shape[0])[:, None], self.reg] ^= 1
 
@@ -527,20 +525,6 @@ def draw_adversarial(budget: AdversarialBudget, g: TannerGraph, strategy: str,
                                   pool_size).plan(0, g)
 
 
-def draw_adversarial_greedy_many(budget: AdversarialBudget, g: TannerGraph,
-                                 seeds, cycle, observed_mat, original,
-                                 pool_size: int = GREEDY_POOL_SIZE):
-    """Greedy plan pairs for many trials at once: entry i equals
-    draw_adversarial(budget, g, 'greedy', seeds[i], cycle, observed_mat[i],
-    original)."""
-    keys = np.array([seed_key(s) for s in seeds], dtype=np.uint64)
-    original = None if original is None else _word_view(original, g.n)
-    batch = draw_adversarial_batch(budget, g, "greedy", keys, cycle,
-                                   np.asarray(observed_mat, dtype=np.uint8),
-                                   original, pool_size)
-    return [batch.plan(i, g) for i in range(len(seeds))]
-
-
 # ---------------------------------------------------------------------------
 # Model wrappers consumed by the simulator
 # ---------------------------------------------------------------------------
@@ -569,10 +553,6 @@ class AdversarialModel:
     def cycle_dependent(self) -> bool:
         return self.strategy in ("random", "greedy")
 
-    def draw(self, g, seed, cycle, observed, original):
-        return draw_adversarial(self.budget, g, self.strategy, seed, cycle,
-                                observed, original)
-
     def draw_batch(self, g, keys, cycle, observed, original) -> PlanBatch:
         return draw_adversarial_batch(self.budget, g, self.strategy, keys,
                                       cycle, observed, original)
@@ -593,9 +573,6 @@ class IndependentModel:
     @property
     def cycle_dependent(self) -> bool:
         return True
-
-    def draw(self, g, seed, cycle, observed, original):
-        return draw_independent(self.rates, g, seed, cycle)
 
     def draw_batch(self, g, keys, cycle, observed, original) -> PlanBatch:
         return draw_independent_batch(self.rates, g, keys, cycle)

@@ -7,11 +7,14 @@ memory failure.  Failure means leaving the original codeword's decoding
 class, the class being defined operationally by the reliable parallel
 bit-flipping decoder under a round cap.
 
-Monte Carlo trials are independent; the batched engine draws one
-cycle's fault plans for all alive trials in one keyed-hash call and
-vectorizes the state updates across trials.  Every trial's plans are a
-pure function of its (root_seed, trial, cycle) key, so each trial
-reproduces the sequential run exactly.
+One cycle loop serves every run.  It draws one cycle's fault plans for
+all alive trials in one keyed-hash call and updates their (T, n)
+register states, or (T, n, gamma) bit-copies for the 'tk' decoder, in
+a few array operations, with one batched decode testing every suspect
+word for failure.  Every trial's plans are a pure function of its
+(root_seed, trial, cycle) key, so a single run (``run_memory``) is the
+one-trial case of the same loop and reproduces trial t of
+``monte_carlo`` exactly.
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .decoders import (GateFaultPlan, TkState, algorithm_a_round_many,
-                       parallel_bitflip_decode, tk_round)
+from .decoders import (TkState, algorithm_a_round_many,
+                       parallel_bitflip_decode_many, tk_round_many)
 from .exceptions import AccountingError, ConfigError
 from .expansion import ExpansionProfile
-from .faults import AdversarialModel, IndependentModel, trial_keys
+from .faults import AdversarialModel, IndependentModel, seed_key, trial_keys
 from .tanner import TannerGraph, Word, as_word, zero_word
 
 DECODERS = ("algorithm_a", "tk", "none")
@@ -108,12 +111,19 @@ def detect_cap(profile: ExpansionProfile | None, n: int, default_cap: int = 100)
     return int(math.ceil(math.log(n) / math.log(1.0 / shrink))) + 10
 
 
+def _decode_fails(g: TannerGraph, words: np.ndarray, original: Word,
+                  cap: int) -> np.ndarray:
+    """Row mask of the (T, n) ``words`` whose reliable decoding does not
+    converge back to the original, all rows in one batched decode."""
+    decoded, _rounds, converged = parallel_bitflip_decode_many(g, words, cap)
+    return ~converged | (decoded != original).any(axis=1)
+
+
 def _detect_word(g: TannerGraph, word: Word, original: Word, cap: int) -> bool:
     """True iff ``word`` lies outside the original's decoding class."""
     if np.array_equal(word, original):
         return False
-    decoded, _rounds, converged = parallel_bitflip_decode(g, word, cap)
-    return (not converged) or (not np.array_equal(decoded, original))
+    return bool(_decode_fails(g, word[None, :], original, cap)[0])
 
 
 def detect_failure(g: TannerGraph, state: MemoryState,
@@ -125,32 +135,34 @@ def detect_failure(g: TannerGraph, state: MemoryState,
                         detect_cap(profile, g.n, max_rounds))
 
 
-def _accounting_rhs(model: AdversarialModel, g: TannerGraph,
-                    profile: ExpansionProfile) -> float:
-    b = model.budget
-    return (g.gamma * (g.rho - 2) * b.alpha_xor + b.alpha_maj + b.alpha_m) * g.n
+@dataclass(frozen=True)
+class RunConfig:
+    """Everything monte_carlo needs apart from trial count and seed."""
+
+    graph: TannerGraph
+    decoder: str
+    fault_model: object
+    cycles: int
+    profile: ExpansionProfile | None = None
+    rounds_per_cycle: int = 1
+    check_accounting: bool = False
+    detect_max_rounds: int = 100
+    initial_word: object = None
 
 
-def _check_accounting(prev_count: int, cur_count: int, contraction: float,
-                      rhs_budget: float, cycle: int, trial=None) -> None:
-    rhs = prev_count * contraction + rhs_budget
-    if not cur_count < rhs:
-        where = f"cycle {cycle}" + (f", trial {trial}" if trial is not None else "")
-        raise AccountingError(
-            f"{where}: corrupt count {cur_count} not below bound {rhs:.6g} "
-            f"(previous count {prev_count})"
-        )
-
-
-def _validate_run_args(g, decoder, fault_model, cycles, rounds_per_cycle):
+def _validate_run_args(config: RunConfig) -> None:
+    g, decoder, fault_model = config.graph, config.decoder, config.fault_model
     if decoder not in DECODERS:
         raise ConfigError(f"unknown decoder {decoder!r}; expected one of {DECODERS}")
-    if cycles < 1:
-        raise ConfigError(f"cycles must be at least 1, got {cycles}")
-    if rounds_per_cycle < 1:
+    if config.cycles < 1:
+        raise ConfigError(f"cycles must be at least 1, got {config.cycles}")
+    if config.rounds_per_cycle < 1:
         raise ConfigError("rounds_per_cycle must be at least 1")
     if not isinstance(fault_model, (AdversarialModel, IndependentModel)):
         raise ConfigError("fault_model must be AdversarialModel or IndependentModel")
+    if config.check_accounting and not (config.profile is not None
+                                        and isinstance(fault_model, AdversarialModel)):
+        raise ConfigError("check_accounting needs a profile and an adversarial model")
     if decoder == "none":
         gates_active = (
             isinstance(fault_model, AdversarialModel)
@@ -166,6 +178,121 @@ def _validate_run_args(g, decoder, fault_model, cycles, rounds_per_cycle):
             )
 
 
+def _simulate(config: RunConfig, keys: np.ndarray, *,
+              record_states: bool = False, name_trials: bool = True):
+    """The cycle loop, run for the trials with the given keys: a uint64
+    array, or one trial's int key (which the draw kernels hash in Python).
+
+    Per cycle, for every trial still alive: draw its (register, gate)
+    plans for (key, cycle), apply register decay, observe the
+    pre-correction word, run the faulty correction rounds (none for
+    decoder 'none'), observe again, then test for failure and retire the
+    trials that failed.  The state is (T, n) registers, or (T, n, gamma)
+    bit-copies plus their (T, n) readouts for 'tk'; plans of
+    cycle-independent models are drawn once and reused.
+
+    Returns (corrupt, failure_cycle, recorded): (2, T, L) pre/post-correction
+    corrupt counts, -1 where a cycle did not run; (T,) failure cycles, -1
+    for survivors; and the (2, T, L, n) observed words when
+    ``record_states`` is set, else None.  An accounting violation raises
+    for the lowest violating trial of the first violating cycle, naming
+    that trial when ``name_trials`` is set.
+    """
+    _validate_run_args(config)
+    g, model, L = config.graph, config.fault_model, config.cycles
+    original = zero_word(g.n) if config.initial_word is None \
+        else as_word(config.initial_word, g.n)
+    if not g.is_codeword(original):
+        raise ConfigError("the stored word must be a codeword")
+    cap = detect_cap(config.profile, g.n, config.detect_max_rounds)
+    if config.check_accounting:
+        b, contraction = model.budget, config.profile.contraction
+        threshold = config.profile.correctable_fraction * g.n
+        spend = (g.gamma * (g.rho - 2) * b.alpha_xor + b.alpha_maj + b.alpha_m) * g.n
+
+    trials = np.size(keys)
+    tk = config.decoder == "tk"
+    words = np.tile(original, (trials, 1))
+    state = np.repeat(words[:, :, None], g.gamma, axis=2) if tk else words
+    alive = np.ones(trials, dtype=bool)
+    failure_cycle = np.full(trials, -1, dtype=np.int64)
+    corrupt = np.full((2, trials, L), -1, dtype=np.int64)
+    recorded = np.zeros((2, trials, L, g.n), dtype=np.uint8) if record_states else None
+    cached = None
+
+    for cycle in range(1, L + 1):
+        idx = np.flatnonzero(alive)
+        if idx.size == 0:
+            break
+        work = state[idx]
+        seen = words[idx] if tk else work  # the words left by the last cycle
+        if model.cycle_dependent:
+            plans = model.draw_batch(g, keys if idx.size == trials else keys[idx],
+                                     cycle, seen, original)
+        else:
+            if cached is None:
+                cached = model.draw_batch(g, keys, cycle, words, original)
+            plans = cached if idx.size == trials else cached.take(idx)
+        plans.flip_registers(work)
+        pre = TkState(work).readout(prev=seen) if tk else work
+        pre_counts = (pre != original).sum(axis=1)
+
+        if config.check_accounting and cycle > 1:
+            prev = corrupt[0, idx, cycle - 2]
+            bound = prev * contraction + spend
+            broken = (prev < threshold) & ~(pre_counts < bound)
+            if broken.any():
+                pos = int(np.argmax(broken))
+                where = f"cycle {cycle}" + (f", trial {idx[pos]}" if name_trials else "")
+                raise AccountingError(
+                    f"{where}: corrupt count {pre_counts[pos]} not below bound "
+                    f"{bound[pos]:.6g} (previous count {prev[pos]})")
+
+        if config.decoder != "none":
+            step = tk_round_many if tk else algorithm_a_round_many
+            xor_parity, maj_flip = plans.xor_parity(g), plans.maj_mask(g.n)
+            for _ in range(config.rounds_per_cycle):
+                work = step(g, work, xor_parity, maj_flip)
+        post = TkState(work).readout(prev=pre) if tk else work
+        if tk:
+            state[idx] = work
+        words[idx] = post
+
+        post_counts = (post != original).sum(axis=1)
+        corrupt[0, idx, cycle - 1] = pre_counts
+        corrupt[1, idx, cycle - 1] = post_counts
+        if record_states:
+            recorded[0, idx, cycle - 1] = pre
+            recorded[1, idx, cycle - 1] = post
+        suspect = post_counts > 0
+        if suspect.any():
+            out = idx[suspect][_decode_fails(g, post[suspect], original, cap)]
+            failure_cycle[out] = cycle
+            alive[out] = False
+
+    return corrupt, failure_cycle, recorded
+
+
+def _report(config: RunConfig, corrupt: np.ndarray, failure_cycle: int,
+            recorded: np.ndarray | None = None) -> SimReport:
+    """One trial's SimReport from its (2, L) row of _simulate's output."""
+    n = config.graph.n
+    executed = int((corrupt[0] >= 0).sum())
+    pre, post = corrupt[:, :executed].tolist()
+    return SimReport(
+        decoder=config.decoder, n=n, cycles_requested=config.cycles,
+        cycles_executed=executed, failed=bool(failure_cycle >= 0),
+        failure_cycle=int(failure_cycle) if failure_cycle >= 0 else None,
+        alpha_pre=[c / n for c in pre], alpha_post=[c / n for c in post],
+        corrupt_pre=pre, corrupt_post=post,
+        guarantee_threshold=(config.profile.correctable_fraction
+                             if config.profile is not None else None),
+        accounting_checked=config.check_accounting,
+        states_pre=None if recorded is None else list(recorded[0, :executed]),
+        states_post=None if recorded is None else list(recorded[1, :executed]),
+    )
+
+
 def run_memory(g: TannerGraph, decoder: str, fault_model, cycles: int, seed,
                profile: ExpansionProfile | None = None, *,
                rounds_per_cycle: int = 1,
@@ -178,105 +305,17 @@ def run_memory(g: TannerGraph, decoder: str, fault_model, cycles: int, seed,
     Per cycle: draw the (register, gate) plans for this (seed, cycle),
     apply register decay, record the pre-correction corrupt fraction, run
     the faulty correction (none for decoder 'none'), record again, then
-    test for failure and stop early if it occurred.
+    test for failure and stop early if it occurred.  This is the one-trial
+    case of the Monte Carlo cycle loop: trial t of monte_carlo equals
+    run_memory with seed (root_seed, t).
     """
-    _validate_run_args(g, decoder, fault_model, cycles, rounds_per_cycle)
-    original = zero_word(g.n) if initial_word is None else as_word(initial_word, g.n)
-    if not g.is_codeword(original):
-        raise ConfigError("the stored word must be a codeword")
-    if check_accounting and not (profile is not None
-                                 and isinstance(fault_model, AdversarialModel)):
-        raise ConfigError("accounting checks need a profile and an adversarial model")
-
-    threshold = profile.correctable_fraction if profile is not None else None
-    cap = detect_cap(profile, g.n, detect_max_rounds)
-    contraction = profile.contraction if profile is not None else None
-    rhs_budget = _accounting_rhs(fault_model, g, profile) if check_accounting else None
-
-    tk_mode = decoder == "tk"
-    if tk_mode:
-        tk_state = TkState.from_word(g, original)
-        readout_prev = original.copy()
-    registers = original.copy()
-
-    alpha_pre, alpha_post = [], []
-    corrupt_pre, corrupt_post = [], []
-    states_pre = [] if record_states else None
-    states_post = [] if record_states else None
-    failed = False
-    failure_cycle = None
-    executed = 0
-    prev_pre_count = None
-
-    for cycle in range(1, cycles + 1):
-        observed = readout_prev if tk_mode else registers
-        reg_plan, gate_plan = fault_model.draw(g, seed, cycle, observed, original)
-
-        if reg_plan.flips:
-            if tk_mode:
-                tk_state.copies[reg_plan.indices(), :] ^= 1
-            else:
-                registers[reg_plan.indices()] ^= 1
-
-        if tk_mode:
-            pre_word = tk_state.readout(prev=readout_prev)
-            readout_prev = pre_word
-        else:
-            pre_word = registers
-        pre_count = int((pre_word != original).sum())
-        alpha_pre.append(pre_count / g.n)
-        corrupt_pre.append(pre_count)
-        if record_states:
-            states_pre.append(pre_word.copy())
-
-        if check_accounting and prev_pre_count is not None \
-                and prev_pre_count < threshold * g.n:
-            _check_accounting(prev_pre_count, pre_count, contraction,
-                              rhs_budget, cycle)
-        prev_pre_count = pre_count
-
-        if decoder == "algorithm_a":
-            for _ in range(rounds_per_cycle):
-                registers = algorithm_a_round_many(
-                    g, registers[None, :], gate_plan.xor_parity(g),
-                    _maj_mask(g, gate_plan))[0]
-            post_word = registers
-        elif tk_mode:
-            for _ in range(rounds_per_cycle):
-                tk_state = tk_round(g, tk_state, gate_plan)
-            post_word = tk_state.readout(prev=readout_prev)
-            readout_prev = post_word
-        else:
-            post_word = registers
-
-        post_count = int((post_word != original).sum())
-        alpha_post.append(post_count / g.n)
-        corrupt_post.append(post_count)
-        if record_states:
-            states_post.append(post_word.copy())
-
-        executed = cycle
-        if _detect_word(g, post_word, original, cap):
-            failed = True
-            failure_cycle = cycle
-            break
-
-    return SimReport(
-        decoder=decoder, n=g.n, cycles_requested=cycles, cycles_executed=executed,
-        failed=failed, failure_cycle=failure_cycle,
-        alpha_pre=alpha_pre, alpha_post=alpha_post,
-        corrupt_pre=corrupt_pre, corrupt_post=corrupt_post,
-        guarantee_threshold=threshold, accounting_checked=check_accounting,
-        states_pre=states_pre, states_post=states_post,
-    )
-
-
-def _maj_mask(g: TannerGraph, plan: GateFaultPlan):
-    if not plan.maj_flips:
-        return None
-    mask = np.zeros(g.n, dtype=np.uint8)
-    mask[plan.maj_indices()] = 1
-    return mask
+    config = RunConfig(g, decoder, fault_model, cycles, profile,
+                       rounds_per_cycle, check_accounting, detect_max_rounds,
+                       initial_word)
+    corrupt, failure_cycle, recorded = _simulate(
+        config, seed_key(seed), record_states=record_states, name_trials=False)
+    return _report(config, corrupt[:, 0], failure_cycle[0],
+                   None if recorded is None else recorded[:, 0])
 
 
 def wilson_interval(successes: int, total: int, confidence: float = 0.95):
@@ -293,21 +332,6 @@ def wilson_interval(successes: int, total: int, confidence: float = 0.95):
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == total else min(1.0, center + half)
     return lo, hi
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything monte_carlo needs apart from trial count and seed."""
-
-    graph: TannerGraph
-    decoder: str
-    fault_model: object
-    cycles: int
-    profile: ExpansionProfile | None = None
-    rounds_per_cycle: int = 1
-    check_accounting: bool = False
-    detect_max_rounds: int = 100
-    initial_word: object = None
 
 
 @dataclass
@@ -343,159 +367,35 @@ class MonteCarloResult:
         }
 
 
-def _aggregate(trials, confidence, failed, failure_cycle, pre_mat, post_mat,
-               reports=None):
-    failures = int(np.count_nonzero(failed))
-    rate = failures / trials
-    lo, hi = wilson_interval(failures, trials, confidence)
-    recorded = (~np.isnan(pre_mat)).sum(axis=0)
-    last = int(np.max(np.nonzero(recorded)[0])) + 1 if recorded.any() else 0
-    with np.errstate(invalid="ignore"):
-        mean_pre = np.nanmean(pre_mat[:, :last], axis=0) if last else np.array([])
-        max_pre = np.nanmax(pre_mat[:, :last], axis=0) if last else np.array([])
-        mean_post = np.nanmean(post_mat[:, :last], axis=0) if last else np.array([])
-        max_post = np.nanmax(post_mat[:, :last], axis=0) if last else np.array([])
-    return MonteCarloResult(
-        trials=trials, failures=failures, failure_rate=rate,
-        ci_low=lo, ci_high=hi, confidence=confidence,
-        failed_by_trial=[bool(x) for x in failed],
-        failure_cycle_by_trial=[int(c) if c >= 0 else None for c in failure_cycle],
-        mean_alpha_pre=mean_pre.tolist(), max_alpha_pre=max_pre.tolist(),
-        mean_alpha_post=mean_post.tolist(), max_alpha_post=max_post.tolist(),
-        recorded=recorded[:last].astype(int).tolist(),
-        reports=reports,
-    )
-
-
-def _monte_carlo_sequential(config: RunConfig, trials: int, root_seed,
-                            confidence: float, keep_reports: bool):
-    L = config.cycles
-    failed = np.zeros(trials, dtype=bool)
-    failure_cycle = np.full(trials, -1, dtype=np.int64)
-    pre_mat = np.full((trials, L), np.nan)
-    post_mat = np.full((trials, L), np.nan)
-    reports = [] if keep_reports else None
-    for t in range(trials):
-        rep = run_memory(
-            config.graph, config.decoder, config.fault_model, L,
-            (root_seed, t), config.profile,
-            rounds_per_cycle=config.rounds_per_cycle,
-            check_accounting=config.check_accounting,
-            detect_max_rounds=config.detect_max_rounds,
-            initial_word=config.initial_word,
-        )
-        failed[t] = rep.failed
-        failure_cycle[t] = rep.failure_cycle if rep.failure_cycle is not None else -1
-        k = rep.cycles_executed
-        pre_mat[t, :k] = rep.alpha_pre
-        post_mat[t, :k] = rep.alpha_post
-        if keep_reports:
-            reports.append(rep)
-    return _aggregate(trials, confidence, failed, failure_cycle, pre_mat,
-                      post_mat, reports)
-
-
-def _monte_carlo_batched(config: RunConfig, trials: int, root_seed,
-                         confidence: float):
-    """Vectorized engine for decoders without per-edge copies.
-
-    Each cycle draws the plans of all alive trials in one call from their
-    (root_seed, trial) keys, so every trial matches its sequential run bit
-    for bit; plans of cycle-independent models are drawn once and reused.
-    Decay, accounting, the round and observation run on (T, n) arrays.
-    """
-    g = config.graph
-    L = config.cycles
-    model = config.fault_model
-    _validate_run_args(g, config.decoder, model, L, config.rounds_per_cycle)
-    original = zero_word(g.n) if config.initial_word is None \
-        else as_word(config.initial_word, g.n)
-    if not g.is_codeword(original):
-        raise ConfigError("the stored word must be a codeword")
-    if config.check_accounting and not (config.profile is not None
-                                        and isinstance(model, AdversarialModel)):
-        raise ConfigError("accounting checks need a profile and an adversarial model")
-
-    cap = detect_cap(config.profile, g.n, config.detect_max_rounds)
-    threshold_count = (config.profile.correctable_fraction * g.n
-                       if config.profile is not None else None)
-    contraction = config.profile.contraction if config.profile is not None else None
-    rhs_budget = (_accounting_rhs(model, g, config.profile)
-                  if config.check_accounting else None)
-
-    keys = trial_keys(root_seed, np.arange(trials))
-    states = np.tile(original, (trials, 1))
-    alive = np.ones(trials, dtype=bool)
-    failed = np.zeros(trials, dtype=bool)
-    failure_cycle = np.full(trials, -1, dtype=np.int64)
-    pre_mat = np.full((trials, L), np.nan)
-    post_mat = np.full((trials, L), np.nan)
-    prev_pre = np.full(trials, -1, dtype=np.int64)
-    cached = None
-
-    for cycle in range(1, L + 1):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
-        work = states[idx]
-        if model.cycle_dependent:
-            plans = model.draw_batch(g, keys[idx], cycle, work, original)
-        else:
-            if cached is None:
-                cached = model.draw_batch(g, keys, cycle, states, original)
-            plans = cached if idx.size == trials else cached.take(idx)
-        plans.flip_registers(work)
-
-        pre_counts = (work != original).sum(axis=1)
-        pre_mat[idx, cycle - 1] = pre_counts / g.n
-
-        if config.check_accounting:
-            prev = prev_pre[idx]
-            bound = prev * contraction + rhs_budget
-            broken = (prev >= 0) & (prev < threshold_count) & ~(pre_counts < bound)
-            if broken.any():
-                pos = int(np.argmax(broken))
-                _check_accounting(int(prev[pos]), int(pre_counts[pos]),
-                                  contraction, rhs_budget, cycle,
-                                  trial=int(idx[pos]))
-        prev_pre[idx] = pre_counts
-
-        if config.decoder == "algorithm_a":
-            work = algorithm_a_round_many(g, work, plans.xor_parity(g),
-                                          plans.maj_mask(g.n))
-        states[idx] = work
-
-        post_counts = (work != original).sum(axis=1)
-        post_mat[idx, cycle - 1] = post_counts / g.n
-
-        suspect = idx[post_counts > 0]
-        for t in suspect:
-            if _detect_word(g, states[t], original, cap):
-                failed[t] = True
-                failure_cycle[t] = cycle
-                alive[t] = False
-
-    return _aggregate(trials, confidence, failed, failure_cycle, pre_mat, post_mat)
-
-
 def monte_carlo(config: RunConfig, trials: int, root_seed, *,
-                confidence: float = 0.95, keep_reports: bool = False,
-                engine: str = "auto") -> MonteCarloResult:
+                confidence: float = 0.95,
+                keep_reports: bool = False) -> MonteCarloResult:
     """Aggregate independent seeded trials: failure rate with a Wilson
-    interval plus mean/max corrupt-fraction trajectories."""
+    interval plus mean/max corrupt-fraction trajectories.  Trial t runs
+    under the seed (root_seed, t); with ``keep_reports`` each trial's
+    SimReport is kept as well."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if engine not in ("auto", "sequential", "batched"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "auto":
-        engine = ("batched"
-                  if config.decoder != "tk" and config.rounds_per_cycle == 1
-                  and not keep_reports else "sequential")
-    if engine == "batched":
-        if config.decoder == "tk" or config.rounds_per_cycle != 1:
-            raise ValueError("batched engine supports single-round non-tk runs")
-        if keep_reports:
-            raise ValueError("keep_reports needs the sequential engine")
-        return _monte_carlo_batched(config, trials, root_seed, confidence)
-    return _monte_carlo_sequential(config, trials, root_seed, confidence,
-                                   keep_reports)
+    corrupt, failure_cycle, _ = _simulate(
+        config, trial_keys(root_seed, np.arange(trials)))
+    failures = int(np.count_nonzero(failure_cycle >= 0))
+    lo, hi = wilson_interval(failures, trials, confidence)
+    # trials only ever drop out, so every recorded column precedes the
+    # first empty one and holds at least one value
+    recorded = (corrupt[0] >= 0).sum(axis=0)
+    last = int(np.count_nonzero(recorded))
+    pre, post = np.where(corrupt >= 0, corrupt / config.graph.n,
+                         np.nan)[:, :, :last]
+    return MonteCarloResult(
+        trials=trials, failures=failures, failure_rate=failures / trials,
+        ci_low=lo, ci_high=hi, confidence=confidence,
+        failed_by_trial=(failure_cycle >= 0).tolist(),
+        failure_cycle_by_trial=[int(c) if c >= 0 else None for c in failure_cycle],
+        mean_alpha_pre=np.nanmean(pre, axis=0).tolist(),
+        max_alpha_pre=np.nanmax(pre, axis=0).tolist(),
+        mean_alpha_post=np.nanmean(post, axis=0).tolist(),
+        max_alpha_post=np.nanmax(post, axis=0).tolist(),
+        recorded=recorded[:last].tolist(),
+        reports=([_report(config, corrupt[:, t], failure_cycle[t])
+                  for t in range(trials)] if keep_reports else None),
+    )

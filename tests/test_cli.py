@@ -159,6 +159,19 @@ def test_simulate_validation_failures(tmp_path, capsys):
     assert run_cli(["simulate", "--config", cfg]) == 2
 
 
+def test_simulate_accounting_needs_profile_and_adversary(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    message = "check_accounting needs a profile and an adversarial model"
+    write_config(cfg, check_accounting=True,
+                 fault_model={"type": "independent", "p_m": 0.01})
+    assert run_cli(["simulate", "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+    write_config(cfg, check_accounting=True, profile=None)
+    assert run_cli(["simulate", "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "result.json").exists()
+
+
 def test_simulate_alist_config_and_relative_paths(tmp_path):
     sub = tmp_path / "sub"
     sub.mkdir()

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import faultmem as fm
 from faultmem.decoders import (EdgeMessages, GateFaultPlan, TkState,
                                algorithm_a_round, gallager_b_round,
-                               parallel_bitflip_decode, parallel_bitflip_round,
-                               parallel_bitflip_round_many, tk_round)
+                               parallel_bitflip_decode,
+                               parallel_bitflip_decode_many,
+                               parallel_bitflip_round,
+                               parallel_bitflip_round_many, tk_round,
+                               tk_round_many)
+
+# (n, gamma, rho) of small random graphs, odd and even gamma
+GRAPH_PARAMS = ((12, 3, 6), (12, 4, 6), (20, 4, 5), (12, 5, 6), (16, 6, 8))
 
 
 def reference_refresh(g, state, xor_flips=(), maj_flips=()):
@@ -48,6 +56,18 @@ def reference_bitflip(g, state):
         if u > g.gamma - u:
             new[v] ^= 1
     return new
+
+
+def reference_decode(g, state, max_rounds):
+    """Flip rounds one word at a time until a round confirms a fixpoint:
+    (word, rounds_used, converged)."""
+    cur = np.array(state, dtype=np.uint8)
+    for r in range(1, max_rounds + 1):
+        nxt = reference_bitflip(g, cur)
+        if np.array_equal(nxt, cur):
+            return cur, r, True
+        cur = nxt
+    return cur, max_rounds, False
 
 
 def random_codeword(g, rng):
@@ -205,6 +225,31 @@ def test_decode_beyond_guarantee_reports_honestly(seed7_graph):
         assert np.array_equal(parallel_bitflip_round(g, out), out)
 
 
+@settings(max_examples=60)
+@given(params=st.sampled_from(GRAPH_PARAMS), seed=st.integers(0, 2**32),
+       rows=st.integers(1, 8), max_rounds=st.integers(1, 6))
+@example(params=(12, 3, 6), seed=0, rows=6, max_rounds=1)
+def test_decode_many_rows_equal_reference_decode(params, seed, rows,
+                                                 max_rounds):
+    # rows with few errors converge, dense random rows mostly do not
+    g = fm.build_random_regular(fm.CodeParams(*params), seed % 50)
+    rng = np.random.default_rng(seed)
+    states = np.zeros((rows, g.n), np.uint8)
+    for t in range(rows):
+        flips = rng.integers(0, g.n + 1) if t % 2 else rng.integers(0, 3)
+        states[t, rng.choice(g.n, flips, replace=False)] = 1
+    before = states.copy()
+    words, rounds, converged = parallel_bitflip_decode_many(g, states,
+                                                            max_rounds)
+    assert np.array_equal(states, before)
+    for t in range(rows):
+        word, used, conv = reference_decode(g, states[t], max_rounds)
+        assert np.array_equal(words[t], word)
+        assert (rounds[t], converged[t]) == (used, conv)
+        single = parallel_bitflip_decode(g, states[t], max_rounds)
+        assert np.array_equal(single[0], word) and single[1:] == (used, conv)
+
+
 def test_batched_round_equals_loop(seed7_graph):
     g = seed7_graph
     rng = np.random.default_rng(10)
@@ -278,6 +323,39 @@ def test_tk_equals_gallager_b_with_faults():
             tk = tk_round(g, tk, plan)
             em = gallager_b_round(g, em, plan)
             assert np.array_equal(tk.copies.reshape(-1), em.var_to_check)
+
+
+@settings(max_examples=60)
+@given(params=st.sampled_from(GRAPH_PARAMS), seed=st.integers(0, 2**32),
+       rows=st.integers(1, 5), xor_max=st.integers(0, 4),
+       maj_max=st.integers(0, 3))
+def test_tk_round_many_rows_equal_gallager_b(params, seed, rows, xor_max,
+                                             maj_max):
+    g = fm.build_random_regular(fm.CodeParams(*params), seed % 50)
+    rng = np.random.default_rng(seed)
+    copies = rng.integers(0, 2, size=(rows, g.n, g.gamma)).astype(np.uint8)
+    plans = [GateFaultPlan(
+        frozenset((int(rng.integers(0, g.m)), int(rng.integers(0, g.rho)),
+                   int(rng.integers(0, g.rho - 2)))
+                  for _ in range(int(rng.integers(0, xor_max + 1)))),
+        frozenset(int(v) for v in
+                  rng.choice(g.n, int(rng.integers(0, maj_max + 1)),
+                             replace=False)))
+        for _ in range(rows)]
+    xor_parity = maj_flip = None
+    if any(p.xor_flips for p in plans):
+        xor_parity = np.stack([p.xor_parity(g) if p.xor_flips
+                               else np.zeros((g.m, g.rho), np.uint8)
+                               for p in plans])
+    if any(p.maj_flips for p in plans):
+        maj_flip = np.stack([p.maj_mask(g) if p.maj_flips
+                             else np.zeros(g.n, np.uint8) for p in plans])
+    new = tk_round_many(g, copies, xor_parity, maj_flip)
+    for t, plan in enumerate(plans):
+        em = gallager_b_round(g, EdgeMessages(copies[t].reshape(-1).copy(),
+                                              np.zeros(g.n * g.gamma, np.uint8)),
+                              plan)
+        assert np.array_equal(new[t].reshape(-1), em.var_to_check)
 
 
 def test_tk_initialization_equal_copies(seed7_graph):

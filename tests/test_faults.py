@@ -8,8 +8,8 @@ import faultmem as fm
 from faultmem.decoders import parallel_bitflip_round
 from faultmem.exceptions import BudgetViolationError
 from faultmem.faults import (GREEDY_POOL_SIZE, draw_adversarial,
-                             draw_adversarial_greedy_many, draw_independent,
-                             exceedance_frequency, rng_for)
+                             draw_independent, exceedance_frequency, rng_for,
+                             seed_key)
 
 
 @pytest.fixture(scope="module")
@@ -210,20 +210,6 @@ def test_greedy_beats_random_on_average(small_graph):
     assert np.mean(diffs) > 0.1  # strictly better on average, paired
 
 
-def test_greedy_many_matches_single(small_graph):
-    g = small_graph
-    b = fm.AdversarialBudget(alpha_m=0.08, alpha_xor=0.01, alpha_maj=0.03)
-    rng = np.random.default_rng(1)
-    observed = rng.integers(0, 2, size=(6, g.n)).astype(np.uint8)
-    seeds = [(9, t) for t in range(6)]
-    many = draw_adversarial_greedy_many(b, g, seeds, 4, observed, None)
-    for t in range(6):
-        reg, gate = draw_adversarial(b, g, "greedy", seeds[t], 4, observed[t])
-        assert many[t][0].flips == reg.flips
-        assert many[t][1].xor_flips == gate.xor_flips
-        assert many[t][1].maj_flips == gate.maj_flips
-
-
 # -- model wrappers / margin -------------------------------------------------
 
 
@@ -235,9 +221,9 @@ def test_model_wrappers(small_graph):
     assert ind.kind == "independent" and ind.cycle_dependent
     with pytest.raises(ValueError):
         fm.AdversarialModel(fm.AdversarialBudget(), "nope")
-    r1 = adv.draw(g, 1, 1, zeros(g), zeros(g))
-    r2 = adv.draw(g, 1, 2, zeros(g), zeros(g))
-    assert r1[0].flips == r2[0].flips
+    r1 = adv.draw_batch(g, seed_key(1), 1, zeros(g)[None], zeros(g))
+    r2 = adv.draw_batch(g, seed_key(1), 2, zeros(g)[None], zeros(g))
+    assert np.array_equal(r1.reg, r2.reg)
 
 
 def test_theorem2_margin_values():

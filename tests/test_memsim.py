@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import faultmem as fm
 from faultmem.exceptions import AccountingError, ConfigError
@@ -150,7 +152,7 @@ def test_monte_carlo_zero_failure_exact(i1):
     assert res.ci_low == 0.0 and res.ci_high < 0.2
 
 
-def test_monte_carlo_engines_agree(i1):
+def test_monte_carlo_rows_match_run_memory(i1):
     g, prof = i1
     models = [adversarial(alpha_m=1.5 / 36, strategy=s)
               for s in fm.faults.STRATEGIES]
@@ -166,12 +168,65 @@ def test_monte_carlo_engines_agree(i1):
             else:
                 model_n = model
             cfg = RunConfig(g, decoder, model_n, 40, profile=prof)
-            rb = fm.monte_carlo(cfg, 15, 77, engine="batched")
-            rs = fm.monte_carlo(cfg, 15, 77, engine="sequential")
-            assert rb.failed_by_trial == rs.failed_by_trial
-            assert rb.failure_cycle_by_trial == rs.failure_cycle_by_trial
-            assert rb.mean_alpha_pre == rs.mean_alpha_pre
-            assert rb.max_alpha_post == rs.max_alpha_post
+            rb = fm.monte_carlo(cfg, 15, 77)
+            reps = [fm.run_memory(g, decoder, model_n, 40, (77, t), prof)
+                    for t in range(15)]
+            assert rb.failed_by_trial == [r.failed for r in reps]
+            assert rb.failure_cycle_by_trial == [r.failure_cycle for r in reps]
+            for c, (mean, peak) in enumerate(zip(rb.mean_alpha_pre,
+                                                 rb.max_alpha_post)):
+                ran = [r for r in reps if c < r.cycles_executed]
+                assert mean == pytest.approx(
+                    sum(r.alpha_pre[c] for r in ran) / len(ran), rel=1e-12)
+                assert peak == max(r.alpha_post[c] for r in ran)
+            assert rb.recorded == [sum(c < r.cycles_executed for r in reps)
+                                   for c in range(len(rb.recorded))]
+
+
+_GRAPHS = {}
+
+
+def small_graph(params, seed):
+    if (params, seed) not in _GRAPHS:
+        _GRAPHS[params, seed] = fm.build_random_regular(fm.CodeParams(*params),
+                                                        seed)
+    return _GRAPHS[params, seed]
+
+
+@st.composite
+def fault_models(draw, g, kind, gates):
+    """A fault model of the given kind (a strategy name or 'independent')
+    with small budgets; gate faults only when ``gates``."""
+    if kind == "independent":
+        return independent(draw(st.floats(0.0, 0.06)),
+                           draw(st.floats(0.0, 0.004)) if gates else 0.0,
+                           draw(st.floats(0.0, 0.01)) if gates else 0.0)
+    total_xor = g.n * g.gamma * (g.rho - 2)
+    return adversarial((draw(st.integers(0, 2)) + 0.5) / g.n,
+                       (draw(st.integers(0, 2)) + 0.5) / total_xor if gates else 0.0,
+                       (draw(st.integers(0, 1)) + 0.5) / g.n if gates else 0.0,
+                       strategy=kind)
+
+
+@pytest.mark.parametrize("kind", fm.faults.STRATEGIES + ("independent",))
+@pytest.mark.parametrize("rounds", (1, 2))
+@pytest.mark.parametrize("decoder", ("algorithm_a", "tk", "none"))
+@settings(max_examples=8)
+@given(data=st.data(), trials=st.integers(1, 6), root=st.integers(0, 2**40),
+       cycles=st.integers(1, 12),
+       params=st.sampled_from(((24, 3, 6), (20, 4, 5), (24, 4, 6))),
+       graph_seed=st.integers(0, 4))
+def test_monte_carlo_row_equals_run_memory(decoder, rounds, kind, data, trials,
+                                           root, cycles, params, graph_seed):
+    g = small_graph(params, graph_seed)
+    model = data.draw(fault_models(g, kind, decoder != "none"))
+    cfg = RunConfig(g, decoder, model, cycles, rounds_per_cycle=rounds)
+    res = fm.monte_carlo(cfg, trials, root, keep_reports=True)
+    for t in range(trials):
+        rep = fm.run_memory(g, decoder, model, cycles, (root, t),
+                            rounds_per_cycle=rounds)
+        assert res.reports[t] == rep
+        assert res.failure_cycle_by_trial[t] == rep.failure_cycle
 
 
 def test_monotone_degradation(i1):
@@ -256,9 +311,9 @@ def test_sim_report_json(i1):
 
 
 def test_batched_accounting_violation_matches_run_memory(i1):
-    # the batched engine must raise at the first cycle any trial violates
-    # the accounting, naming the lowest such trial, exactly as that
-    # trial's sequential run reports it
+    # monte_carlo must raise at the first cycle any trial violates the
+    # accounting, naming the lowest such trial, exactly as that trial's
+    # run_memory reports it
     g, prof = i1
     model = adversarial(alpha_m=1.5 / 36, strategy="random")
     cfg = RunConfig(g, "none", model, 200, profile=prof, check_accounting=True)
@@ -274,4 +329,4 @@ def test_batched_accounting_violation_matches_run_memory(i1):
         cycle, trial = min(first.values())
         with pytest.raises(AccountingError,
                            match=rf"^cycle {cycle}, trial {trial}: corrupt count"):
-            fm.monte_carlo(cfg, trials, root, engine="batched")
+            fm.monte_carlo(cfg, trials, root)
