@@ -9,7 +9,10 @@ messages of a round being computed from the pre-round state:
   value on a tie;
 * parallel bit flipping: flip every variable that sits in more
   unsatisfied than satisfied checks (the reliable-decoder reference
-  rule, no fault machinery);
+  rule, no fault machinery).  ``parallel_bitflip_round_packed`` runs it
+  bit-sliced (Biham, FSE 1997) on uint64 words holding 64 states each,
+  the check XOR and the at-least-k threshold done as word operations;
+  the uint8 ``parallel_bitflip_round_many`` is its test oracle;
 * the bit-copy scheme (``tk``) and its per-edge reformulation as
   hard-decision message passing (Gallager B), kept as two independent
   implementations so their equivalence is testable bit by bit.
@@ -138,6 +141,31 @@ def parallel_bitflip_round_many(g: TannerGraph, states: np.ndarray) -> np.ndarra
     unsat = np.bitwise_xor.reduce(states[..., g.check_nbrs], axis=-1)
     per_var = unsat[..., g.var_nbrs].sum(axis=-1, dtype=np.int16)
     return (states ^ (2 * per_var > g.gamma)).astype(np.uint8)
+
+
+def parallel_bitflip_round_packed(g: TannerGraph, words: np.ndarray) -> np.ndarray:
+    """The flip rule bit-sliced over 64 states per word: ``words`` is a
+    (..., n) uint64 array in which bit b of every entry belongs to state
+    b, and bit b of the result is parallel_bitflip_round of state b.
+
+    Each check's parity is an XOR over its rho gathered words; a variable
+    flips where at least gamma//2 + 1 of its gamma check planes are
+    unsatisfied, which a bit-sliced at-least-k count decides with ANDs
+    and ORs, plane by plane.
+    """
+    gamma, need = g.gamma, g.gamma // 2 + 1
+    unsat = np.bitwise_xor.reduce(words[..., g.check_nbrs.T], axis=-2)
+    planes = unsat[..., g.var_nbrs.T]  # (..., gamma, n)
+    # at_least[j]: states with at least j unsatisfied planes so far; j runs
+    # down so each plane adds to a count once, and a count that the planes
+    # left cannot lift to ``need`` is no longer updated
+    at_least = [None] * (need + 1)
+    for i in range(gamma):
+        x = planes[..., i, :]
+        for j in range(min(i + 1, need), max(1, need - (gamma - 1 - i)) - 1, -1):
+            carry = x if j == 1 else at_least[j - 1] & x
+            at_least[j] = carry if at_least[j] is None else at_least[j] | carry
+    return words ^ at_least[need]
 
 
 def parallel_bitflip_round(g: TannerGraph, state) -> Word:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoders import GateFaultPlan, parallel_bitflip_round_many
+from .decoders import GateFaultPlan, parallel_bitflip_round_packed
 from .exceptions import BudgetViolationError
 from .expansion import ExpansionProfile
 from .tanner import TannerGraph, Word, as_word, zero_word
@@ -312,8 +312,8 @@ class PlanBatch:
 
     def xor_parity(self, g: TannerGraph) -> np.ndarray | None:
         """(T, m, rho) net message flips: parity of each chain's failed
-        gates.  None without XOR faults."""
-        if self.xor is None:
+        gates.  None when no XOR gate of the batch failed."""
+        if self.xor is None or (self.dense and not self.xor.any()):
             return None
         rows = self.xor.shape[0]
         if self.dense:
@@ -325,8 +325,9 @@ class PlanBatch:
         return parity.reshape(rows, g.m, g.rho)
 
     def maj_mask(self, n: int) -> np.ndarray | None:
-        """(T, n) 0/1 complement mask of failed majority gates, or None."""
-        if self.maj is None:
+        """(T, n) 0/1 complement mask of failed majority gates; None when
+        no majority gate of the batch failed."""
+        if self.maj is None or (self.dense and not self.maj.any()):
             return None
         if self.dense:
             return self.maj.view(np.uint8)
@@ -435,13 +436,19 @@ def _cluster_rows(g: TannerGraph, keys, reg_count: int, xor_count: int,
 GREEDY_POOL_SIZE = 64
 
 
+def _broadcast_bits(word: np.ndarray) -> np.ndarray:
+    """uint64 words with every bit equal to the matching 0/1 entry."""
+    return np.uint64(0) - word.astype(np.uint64)
+
+
 def _greedy_rows(g: TannerGraph, keys, count: int, observed: np.ndarray,
                  original: np.ndarray, pool_size: int) -> np.ndarray:
     """One-step lookahead per trial over a pool of register-flip sets:
     candidate 0 targets fresh registers first, the rest are uniform
     subsets.  The score is the post-correction corrupt count after one
     reliable flip round, then the pre-correction count; the first argmax
-    wins.  One lookahead round covers every trial's pool."""
+    wins.  One bit-sliced round covers every trial's pool: candidate p of
+    a trial is bit p % 64 of word p // 64 of that trial's states."""
     rows = observed.shape[0]
     corrupt = observed != original
     first = np.sort(np.argsort(corrupt, axis=1, kind="stable")[:, :count], axis=1)
@@ -454,12 +461,28 @@ def _greedy_rows(g: TannerGraph, keys, count: int, observed: np.ndarray,
     # flipping a fresh register adds one corrupt bit, a stale one removes it
     stale = corrupt[row_ids, cands].sum(axis=2)
     pre = corrupt.sum(axis=1)[:, None] + count - 2 * stale
-    states = np.repeat(observed, pool_size, axis=0)
-    states[np.arange(rows * pool_size)[:, None],
-           cands.reshape(rows * pool_size, count)] ^= 1
-    corrected = parallel_bitflip_round_many(g, states)
-    post = np.einsum("ij->i", (corrected != original).view(np.uint8),
-                     dtype=np.int64).reshape(rows, pool_size)
+    # scatter-OR of each candidate's bit into the words of its registers;
+    # a candidate's registers are distinct and no two candidates share a
+    # bit, so no bit is set twice and np.add.at (which has a fast path)
+    # ORs exactly
+    words = -(-pool_size // 64)
+    slot = np.arange(pool_size)
+    at = (row_ids * words + (slot // 64)[:, None]) * g.n + cands
+    bit = np.uint64(1) << (slot % 64).astype(np.uint64)
+    flips = np.zeros((rows, words, g.n), dtype=np.uint64)
+    np.add.at(flips.reshape(-1), at.ravel(),
+              np.broadcast_to(bit[:, None], cands.shape).ravel())
+    states = flips ^ _broadcast_bits(observed)[:, None, :]
+    wrong = parallel_bitflip_round_packed(g, states) ^ _broadcast_bits(original)
+    # vertical popcount: variable-major words unpacked low bit first put
+    # candidate p of trial t in column t*64*words + p; a uint8 sum over at
+    # most 255 variables cannot overflow, and int64 holds the total
+    bits = np.unpackbits(np.ascontiguousarray(wrong.transpose(2, 0, 1), dtype="<u8")
+                         .view(np.uint8), bitorder="little").reshape(g.n, -1)
+    post = np.zeros(bits.shape[1], dtype=np.int64)
+    for lo in range(0, g.n, 255):
+        post += bits[lo:lo + 255].sum(axis=0, dtype=np.uint8)
+    post = post.reshape(rows, -1)[:, :pool_size]
     best = np.argmax(post * (g.n + 1) + pre, axis=1)
     return cands[np.arange(rows), best]
 
@@ -484,6 +507,8 @@ def draw_adversarial_batch(budget: AdversarialBudget, g: TannerGraph,
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    if pool_size < 1:
+        raise ValueError(f"pool_size must be at least 1, got {pool_size}")
     rc, xc, mc = budget.register_count(g), budget.xor_count(g), budget.maj_count(g)
     if strategy == "cluster":
         reg, xor, maj = _cluster_rows(g, keys, rc, xc, mc)

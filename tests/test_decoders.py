@@ -9,7 +9,8 @@ from faultmem.decoders import (EdgeMessages, GateFaultPlan, TkState,
                                parallel_bitflip_decode,
                                parallel_bitflip_decode_many,
                                parallel_bitflip_round,
-                               parallel_bitflip_round_many, tk_round,
+                               parallel_bitflip_round_many,
+                               parallel_bitflip_round_packed, tk_round,
                                tk_round_many)
 
 # (n, gamma, rho) of small random graphs, odd and even gamma
@@ -257,6 +258,46 @@ def test_batched_round_equals_loop(seed7_graph):
     batch = parallel_bitflip_round_many(g, states)
     for i in range(40):
         assert np.array_equal(batch[i], parallel_bitflip_round(g, states[i]))
+
+
+# (n, gamma, rho) with gamma 2..7, for the bit-sliced round
+PACKED_GRAPH_PARAMS = ((12, 2, 4), (12, 3, 6), (20, 4, 5), (12, 5, 6),
+                       (16, 6, 8), (16, 7, 8), (30, 7, 10))
+
+
+def pack_states(states):
+    """(S, n) 0/1 states as (ceil(S/64), n) uint64 words, state s in bit
+    s % 64 of word s // 64; the unused high bits are zero."""
+    words = np.zeros((-(-states.shape[0] // 64), states.shape[1]), np.uint64)
+    for s, state in enumerate(states):
+        words[s // 64] |= state.astype(np.uint64) << np.uint64(s % 64)
+    return words
+
+
+def unpack_states(words, count):
+    return np.array([(words[s // 64] >> np.uint64(s % 64)) & np.uint64(1)
+                     for s in range(count)], dtype=np.uint8)
+
+
+@settings(max_examples=80)
+@given(params=st.sampled_from(PACKED_GRAPH_PARAMS), seed=st.integers(0, 2**32),
+       count=st.integers(1, 200), density=st.floats(0.0, 1.0))
+@example(params=(16, 7, 8), seed=3, count=130, density=0.5)
+@example(params=(20, 4, 5), seed=4, count=65, density=0.2)
+def test_packed_round_equals_uint8_round(params, seed, count, density):
+    g = fm.build_random_regular(fm.CodeParams(*params), seed % 50)
+    rng = np.random.default_rng(seed)
+    states = (rng.random((count, g.n)) < density).astype(np.uint8)
+    words = pack_states(states)
+    expected = parallel_bitflip_round_many(g, states)
+    out = parallel_bitflip_round_packed(g, words)
+    assert out.dtype == np.uint64 and out.shape == words.shape
+    assert np.array_equal(unpack_states(out, count), expected)
+    # leading axes are batch axes
+    stacked = parallel_bitflip_round_packed(g, np.stack([words, ~words]))
+    assert np.array_equal(stacked[0], out)
+    assert np.array_equal(unpack_states(stacked[1], count),
+                          parallel_bitflip_round_many(g, 1 - states))
 
 
 # -- refresh / bit-flipping agreement ----------------------------------------

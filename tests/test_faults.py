@@ -5,11 +5,13 @@ import pytest
 from scipy import stats
 
 import faultmem as fm
-from faultmem.decoders import parallel_bitflip_round
+from faultmem import faults
+from faultmem.decoders import parallel_bitflip_round, parallel_bitflip_round_many
 from faultmem.exceptions import BudgetViolationError
 from faultmem.faults import (GREEDY_POOL_SIZE, draw_adversarial,
-                             draw_independent, exceedance_frequency, rng_for,
-                             seed_key)
+                             draw_adversarial_batch, draw_independent,
+                             exceedance_frequency, rng_for, seed_key,
+                             trial_keys)
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +210,99 @@ def test_greedy_beats_random_on_average(small_graph):
         diffs.append(post["greedy"] - post["random"])
     assert np.mean(diffs) >= 0
     assert np.mean(diffs) > 0.1  # strictly better on average, paired
+
+
+def reference_lookahead(g, keys, count, observed, original, pool_size):
+    """The greedy lookahead on uint8 states: every candidate's state
+    materialized, one parallel_bitflip_round_many over all of them, and a
+    per-state corrupt count.  Returns the (T, P, count) candidates of
+    faults._greedy_rows with their (T, P) pre- and post-correction
+    corrupt counts."""
+    rows = observed.shape[0]
+    corrupt = observed != original
+    first = np.sort(np.argsort(corrupt, axis=1, kind="stable")[:, :count], axis=1)
+    pool_keys = faults._absorb(keys[:, None],
+                               np.arange(1, pool_size, dtype=np.uint64))
+    rand = faults._floyd(pool_keys.ravel(), faults._POOL, g.n, count)
+    cands = np.concatenate(
+        [first[:, None, :], rand.reshape(rows, pool_size - 1, count)], axis=1)
+    stale = corrupt[np.arange(rows)[:, None, None], cands].sum(axis=2)
+    pre = corrupt.sum(axis=1)[:, None] + count - 2 * stale
+    states = np.repeat(observed, pool_size, axis=0)
+    states[np.arange(rows * pool_size)[:, None],
+           cands.reshape(rows * pool_size, count)] ^= 1
+    corrected = parallel_bitflip_round_many(g, states)
+    post = np.einsum("ij->i", (corrected != original).view(np.uint8),
+                     dtype=np.int64).reshape(rows, pool_size)
+    return cands, pre, post
+
+
+def reference_greedy_rows(g, keys, count, observed, original, pool_size):
+    """Per trial, the candidate with the most corrupt bits after the
+    round, then before it; the first such candidate wins."""
+    cands, pre, post = reference_lookahead(g, keys, count, observed, original,
+                                           pool_size)
+    best = np.argmax(post * (g.n + 1) + pre, axis=1)
+    return cands[np.arange(observed.shape[0]), best]
+
+
+@pytest.mark.parametrize("nonzero_original", (False, True))
+@pytest.mark.parametrize("pool_size", (1, 63, 64, 65, 130))
+@pytest.mark.parametrize("count", (1, 2, 3, 4, 5))
+def test_greedy_rows_match_uint8_lookahead(count, pool_size, nonzero_original):
+    rng = np.random.default_rng(1000 * count + 2 * pool_size + nonzero_original)
+    for params, seed in (((36, 3, 6), 7), ((20, 4, 5), 3), ((16, 7, 8), 5)):
+        g = fm.build_random_regular(fm.CodeParams(*params), seed)
+        original = zeros(g)
+        if nonzero_original:
+            message = np.ones(fm.code_dimension(g), np.uint8)
+            original = fm.encode(g, message)
+            assert original.any()
+        rows = 7
+        observed = np.repeat(original[None], rows, axis=0)
+        for t in range(1, rows):  # row 0 holds the stored word itself
+            hits = rng.choice(g.n, int(rng.integers(1, g.n // 2)), replace=False)
+            observed[t, hits] ^= 1
+        keys = trial_keys(int(rng.integers(2**31)), np.arange(rows))
+        got = faults._greedy_rows(g, keys, count, observed, original, pool_size)
+        want = reference_greedy_rows(g, keys, count, observed, original,
+                                     pool_size)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("corrupt", (6, 40, 284))
+def test_greedy_rows_match_uint8_lookahead_past_255_variables(corrupt):
+    # n = 300 takes two uint8 partial sums per count; with 284 corrupt
+    # bits each pool holds candidates left with fewer and with more than
+    # 255, so a count kept modulo 256 would misrank them
+    g = fm.build_random_regular(fm.CodeParams(300, 3, 6), 1)
+    rng = np.random.default_rng(5)
+    observed = np.zeros((3, g.n), np.uint8)
+    for row in observed:
+        row[rng.choice(g.n, corrupt, replace=False)] = 1
+    original = zeros(g)
+    keys = trial_keys(3, np.arange(3))
+    for count, pool_size in ((5, 64), (4, 100)):
+        _cands, _pre, post = reference_lookahead(g, keys, count, observed,
+                                                 original, pool_size)
+        if corrupt == 284:
+            assert ((post.min(axis=1) < 256) & (post.max(axis=1) >= 256)).all()
+        assert np.array_equal(
+            faults._greedy_rows(g, keys, count, observed, original, pool_size),
+            reference_greedy_rows(g, keys, count, observed, original, pool_size))
+
+
+def test_greedy_pool_size_must_be_positive(small_graph):
+    g = small_graph
+    budget = fm.AdversarialBudget(alpha_m=2.5 / 36)
+    for pool_size in (0, -3):
+        with pytest.raises(ValueError, match="pool_size must be at least 1"):
+            draw_adversarial(budget, g, "greedy", 1, 1, zeros(g),
+                             pool_size=pool_size)
+        with pytest.raises(ValueError, match="pool_size must be at least 1"):
+            draw_adversarial_batch(budget, g, "greedy", trial_keys(1, [0, 1]),
+                                   1, np.zeros((2, g.n), np.uint8),
+                                   pool_size=pool_size)
 
 
 # -- model wrappers / margin -------------------------------------------------

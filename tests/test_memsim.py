@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import faultmem as fm
 from faultmem.exceptions import AccountingError, ConfigError
+from faultmem.faults import PlanBatch
 from faultmem.memsim import MemoryState, RunConfig, detect_cap, wilson_interval
 
 
@@ -330,3 +331,52 @@ def test_batched_accounting_violation_matches_run_memory(i1):
         with pytest.raises(AccountingError,
                            match=rf"^cycle {cycle}, trial {trial}: corrupt count"):
             fm.monte_carlo(cfg, trials, root)
+
+
+def test_dense_batch_without_gate_faults_gives_no_masks(i1):
+    g, _prof = i1
+    total_xor = g.n * g.gamma * (g.rho - 2)
+    quiet = PlanBatch(None, np.zeros((3, total_xor), bool),
+                      np.zeros((3, g.n), bool), dense=True)
+    assert quiet.xor_parity(g) is None and quiet.maj_mask(g.n) is None
+    xor, maj = quiet.xor.copy(), quiet.maj.copy()
+    xor[1, 5], maj[2, 7] = True, True
+    loud = PlanBatch(None, xor, maj, dense=True)
+    parity, mask = loud.xor_parity(g), loud.maj_mask(g.n)
+    assert parity.shape == (3, g.m, g.rho) and parity.sum() == 1
+    assert parity[1].reshape(-1)[5 // (g.rho - 2)] == 1
+    assert mask.shape == (3, g.n) and mask.sum() == 1 and mask[2, 7] == 1
+
+
+def test_run_memory_unchanged_by_skipped_gate_masks(i1, monkeypatch):
+    # a dense batch with no failed gate of a class passes None to the
+    # round; the reports must equal those of rounds fed all-zero masks
+    g, prof = i1
+    model = independent(p_m=0.004, p_xor=2e-4, p_maj=1e-3)
+    cases = [(decoder, seed) for decoder in ("algorithm_a", "tk")
+             for seed in range(4)]
+    skipped = [fm.run_memory(g, decoder, model, 200, seed, prof)
+               for decoder, seed in cases]
+
+    xor_parity, maj_mask = PlanBatch.xor_parity, PlanBatch.maj_mask
+    seen = {"none": 0, "some": 0}
+
+    def zero_xor_parity(self, gr):
+        out = xor_parity(self, gr)
+        seen["none" if out is None else "some"] += 1
+        if out is None and self.xor is not None:
+            out = np.zeros((self.xor.shape[0], gr.m, gr.rho), np.uint8)
+        return out
+
+    def zero_maj_mask(self, n):
+        out = maj_mask(self, n)
+        if out is None and self.maj is not None:
+            out = np.zeros((self.maj.shape[0], n), np.uint8)
+        return out
+
+    monkeypatch.setattr(PlanBatch, "xor_parity", zero_xor_parity)
+    monkeypatch.setattr(PlanBatch, "maj_mask", zero_maj_mask)
+    fed = [fm.run_memory(g, decoder, model, 200, seed, prof)
+           for decoder, seed in cases]
+    assert seen["none"] > 0 and seen["some"] > 0
+    assert fed == skipped
