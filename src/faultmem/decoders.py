@@ -6,13 +6,19 @@ messages of a round being computed from the pre-round state:
 * the estimate-majority refresh (decoder name ``algorithm_a``): every
   check sends each neighbor the mod-2 sum of its other neighbors, and
   every variable adopts the majority of its gamma estimates, keeping its
-  value on a tie;
+  value on a tie.  ``algorithm_a_round_packed`` runs it as the circuit
+  it is, bit-sliced (Biham, FSE 1997) on uint64 words holding 64 states
+  each: check estimates are XORs of gathered words, gate faults XOR
+  masks, and the majority a bit-sliced at-least-k count.
+  ``pack_rows`` / ``unpack_rows`` convert (T, ...) 0/1 arrays to and from
+  that layout, and ``algorithm_a_round_many`` is the packed round on a
+  uint8 batch;
 * parallel bit flipping: flip every variable that sits in more
   unsatisfied than satisfied checks (the reliable-decoder reference
   rule, no fault machinery).  ``parallel_bitflip_round_packed`` runs it
-  bit-sliced (Biham, FSE 1997) on uint64 words holding 64 states each,
-  the check XOR and the at-least-k threshold done as word operations;
-  the uint8 ``parallel_bitflip_round_many`` is its test oracle;
+  bit-sliced with the same at-least-k count; the uint8
+  ``parallel_bitflip_round_many`` is its test oracle and the failure
+  detector's round;
 * the bit-copy scheme (``tk``) and its per-edge reformulation as
   hard-decision message passing (Gallager B), kept as two independent
   implementations so their equivalence is testable bit by bit.
@@ -27,6 +33,7 @@ copies).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +98,8 @@ def _check_estimates(v2c: np.ndarray,
                      xor_parity: np.ndarray | None) -> np.ndarray:
     """Extrinsic mod-2 estimates from the bits ``v2c`` that check c reads
     on each of its edges, shape (..., m, rho): entry (c, k) is the sum of
-    the bits on c's edges other than slot k, plus any chain fault."""
+    the bits on c's edges other than slot k, plus any chain fault.  The
+    bits may be 0/1 bytes or packed words, the sums being XORs."""
     total = np.bitwise_xor.reduce(v2c, axis=-1)
     est = total[..., None] ^ v2c
     if xor_parity is not None:
@@ -99,23 +107,90 @@ def _check_estimates(v2c: np.ndarray,
     return est
 
 
+def pack_rows(states: np.ndarray) -> np.ndarray:
+    """(T, ...) 0/1 array as (ceil(T/64), ...) uint64 words: row t is bit
+    t % 64 of word t // 64, and the unused high bits are zero."""
+    rows = states.shape[0]
+    if rows == 1:  # one state is its own bit 0
+        return states.astype(np.uint64)
+    flat = np.ascontiguousarray(states.reshape(rows, math.prod(states.shape[1:])).T)
+    packed = np.packbits(flat, axis=-1, bitorder="little")
+    buf = np.zeros((packed.shape[0], -(-rows // 64) * 8), dtype=np.uint8)
+    buf[:, :packed.shape[1]] = packed
+    return np.ascontiguousarray(buf.view("<u8").T, dtype=np.uint64) \
+        .reshape((-1,) + states.shape[1:])
+
+
+def unpack_rows(words: np.ndarray, rows: int) -> np.ndarray:
+    """The first ``rows`` rows of the 0/1 array packed in ``words``: the
+    inverse of pack_rows, as uint8."""
+    if rows == 1:
+        return (words[:1] & np.uint64(1)).astype(np.uint8)
+    flat = np.ascontiguousarray(
+        words.reshape(words.shape[0], math.prod(words.shape[1:])).T, dtype="<u8")
+    bits = np.unpackbits(flat.view(np.uint8), axis=-1, count=rows,
+                         bitorder="little")
+    return bits.T.reshape((rows,) + words.shape[1:])
+
+
+def _at_least(planes: np.ndarray, lo: int, hi: int) -> list:
+    """Bit-sliced at-least-j counts over the planes ``planes[..., i, :]``
+    for j in lo..hi (1 <= lo <= hi <= plane count): entry j - lo has a bit
+    set where at least j planes do.  ANDs and ORs plane by plane; j runs
+    down so each plane adds to a count once, and a count that the planes
+    left cannot lift to ``lo`` is no longer updated."""
+    count = planes.shape[-2]
+    at_least = [None] * (hi + 1)
+    for i in range(count):
+        x = planes[..., i, :]
+        for j in range(min(i + 1, hi), max(1, lo - (count - 1 - i)) - 1, -1):
+            carry = x if j == 1 else at_least[j - 1] & x
+            at_least[j] = carry if at_least[j] is None else at_least[j] | carry
+    return at_least[lo:]
+
+
+def algorithm_a_round_packed(g: TannerGraph, words: np.ndarray,
+                             xor_words: np.ndarray | None = None,
+                             maj_words: np.ndarray | None = None) -> np.ndarray:
+    """The refresh bit-sliced over 64 states per word: ``words`` is a
+    (..., n) uint64 array in which bit b of every entry belongs to state
+    b, and bit b of the result is the refresh of state b.
+
+    xor_words (..., m, rho) and maj_words (..., n) hold, bit for bit, the
+    chain parities and majority complements of those states.  Each check
+    estimate is an XOR of gathered words; a variable takes the value of
+    at least gamma//2 + 1 of its gamma received planes, and for even
+    gamma keeps its old value where exactly gamma/2 of them are set.
+    """
+    half, odd = divmod(g.gamma, 2)
+    est = _check_estimates(words.take(g.check_nbrs, axis=-1), xor_words)
+    edges = est.reshape(est.shape[:-2] + (est.shape[-2] * est.shape[-1],))
+    planes = edges.take(g.var_edge_ids, axis=-1)  # (..., gamma, n)
+    if odd:
+        new = _at_least(planes, half + 1, half + 1)[0]
+    else:
+        tie, more = _at_least(planes, half, half + 1)
+        new = more | (words & tie)
+    if maj_words is not None:
+        new ^= maj_words
+    return new
+
+
 def algorithm_a_round_many(g: TannerGraph, states: np.ndarray,
                            xor_parity: np.ndarray | None = None,
                            maj_flip: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized refresh of a batch of states, shape (T, n).
+    """Refresh of a batch of states, shape (T, n), through the packed round.
 
     xor_parity broadcasts over (m, rho) or (T, m, rho); maj_flip is a
     (n,) or (T, n) 0/1 complement mask applied to the updated values.
     """
-    gamma = g.gamma
-    est = _check_estimates(states[..., g.check_nbrs], xor_parity)
-    recv = est[..., g.var_nbrs, g.var_edge_pos]
-    ones = recv.sum(axis=-1, dtype=np.int16)
-    new = np.where(ones > gamma // 2, 1,
-                   np.where(gamma - ones > gamma // 2, 0, states)).astype(np.uint8)
+    rows = states.shape[0]
+    if xor_parity is not None:
+        xor_parity = pack_rows(np.broadcast_to(xor_parity, (rows, g.m, g.rho)))
     if maj_flip is not None:
-        new ^= maj_flip
-    return new
+        maj_flip = pack_rows(np.broadcast_to(maj_flip, (rows, g.n)))
+    return unpack_rows(algorithm_a_round_packed(g, pack_rows(states), xor_parity,
+                                                maj_flip), rows)
 
 
 def algorithm_a_round(g: TannerGraph, state, faults: GateFaultPlan | None = None) -> Word:
@@ -153,19 +228,9 @@ def parallel_bitflip_round_packed(g: TannerGraph, words: np.ndarray) -> np.ndarr
     unsatisfied, which a bit-sliced at-least-k count decides with ANDs
     and ORs, plane by plane.
     """
-    gamma, need = g.gamma, g.gamma // 2 + 1
     unsat = np.bitwise_xor.reduce(words[..., g.check_nbrs.T], axis=-2)
-    planes = unsat[..., g.var_nbrs.T]  # (..., gamma, n)
-    # at_least[j]: states with at least j unsatisfied planes so far; j runs
-    # down so each plane adds to a count once, and a count that the planes
-    # left cannot lift to ``need`` is no longer updated
-    at_least = [None] * (need + 1)
-    for i in range(gamma):
-        x = planes[..., i, :]
-        for j in range(min(i + 1, need), max(1, need - (gamma - 1 - i)) - 1, -1):
-            carry = x if j == 1 else at_least[j - 1] & x
-            at_least[j] = carry if at_least[j] is None else at_least[j] | carry
-    return words ^ at_least[need]
+    need = g.gamma // 2 + 1
+    return words ^ _at_least(unsat[..., g.var_nbrs.T], need, need)[0]
 
 
 def parallel_bitflip_round(g: TannerGraph, state) -> Word:

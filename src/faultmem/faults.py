@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoders import GateFaultPlan, parallel_bitflip_round_packed
+from .decoders import GateFaultPlan, pack_rows, parallel_bitflip_round_packed
 from .exceptions import BudgetViolationError
 from .expansion import ExpansionProfile
 from .tanner import TannerGraph, Word, as_word, zero_word
@@ -335,6 +335,21 @@ class PlanBatch:
         mask[np.arange(self.maj.shape[0])[:, None], self.maj] = 1
         return mask
 
+    def gate_words(self, g: TannerGraph):
+        """(xor_words, maj_words): the chain parities and majority masks of
+        xor_parity / maj_mask packed as pack_rows packs them, (W, m, rho)
+        and (W, n) uint64 words with trial t in bit t % 64 of word t // 64;
+        None where xor_parity / maj_mask is None."""
+        if self.dense:
+            parity, mask = self.xor_parity(g), self.maj_mask(g.n)
+            return (None if parity is None else pack_rows(parity),
+                    None if mask is None else pack_rows(mask))
+        xor = None if self.xor is None else _scatter_bits(
+            self.xor // (g.rho - 2), g.m * g.rho, np.bitwise_xor)
+        # a row's majority ids are distinct, so adding its bit is an OR
+        maj = None if self.maj is None else _scatter_bits(self.maj, g.n, np.add)
+        return None if xor is None else xor.reshape(-1, g.m, g.rho), maj
+
     def _ids(self, arr, row) -> list[int]:
         if arr is None:
             return []
@@ -353,6 +368,19 @@ class PlanBatch:
             frozenset((idx // chain // g.rho, idx // chain % g.rho, idx % chain)
                       for idx in xor),
             frozenset(maj))
+
+
+def _scatter_bits(ids: np.ndarray, width: int, combine) -> np.ndarray:
+    """(ceil(T/64), width) uint64 words with the bit of trial t (bit t % 64
+    of word t // 64) combined by the ufunc ``combine`` into the columns
+    listed in row t of the (T, k) ``ids``."""
+    rows = ids.shape[0]
+    trial = np.arange(rows)
+    words = np.zeros(-(-rows // 64) * width, dtype=np.uint64)
+    bit = np.uint64(1) << (trial % 64).astype(np.uint64)
+    combine.at(words, (((trial // 64) * width)[:, None] + ids).ravel(),
+               np.repeat(bit, ids.shape[1]))
+    return words.reshape(-1, width)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ One cycle loop serves every run.  It draws one cycle's fault plans for
 all alive trials in one keyed-hash call and updates their (T, n)
 register states, or (T, n, gamma) bit-copies for the 'tk' decoder, in
 a few array operations, with one batched decode testing every suspect
-word for failure.  Every trial's plans are a pure function of its
-(root_seed, trial, cycle) key, so a single run (``run_memory``) is the
-one-trial case of the same loop and reproduces trial t of
-``monte_carlo`` exactly.
+word for failure.  The 'algorithm_a' rounds run bit-sliced, on the
+registers packed 64 trials per uint64 word.  Every trial's plans are a
+pure function of its (root_seed, trial, cycle) key, so a single run
+(``run_memory``) is the one-trial case of the same loop and reproduces
+trial t of ``monte_carlo`` exactly.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .decoders import (TkState, algorithm_a_round_many,
-                       parallel_bitflip_decode_many, tk_round_many)
+from .decoders import (TkState, algorithm_a_round_packed, pack_rows,
+                       parallel_bitflip_decode_many, tk_round_many, unpack_rows)
 from .exceptions import AccountingError, ConfigError
 from .expansion import ExpansionProfile
 from .faults import AdversarialModel, IndependentModel, seed_key, trial_keys
@@ -189,7 +190,9 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
     decoder 'none'), observe again, then test for failure and retire the
     trials that failed.  The state is (T, n) registers, or (T, n, gamma)
     bit-copies plus their (T, n) readouts for 'tk'; plans of
-    cycle-independent models are drawn once and reused.
+    cycle-independent models are drawn once and reused.  'algorithm_a'
+    packs the registers once per cycle (trial t in bit t % 64 of word
+    t // 64), runs its rounds on the words and unpacks the result.
 
     Returns (corrupt, failure_cycle, recorded): (2, T, L) pre/post-correction
     corrupt counts, -1 where a cycle did not run; (T,) failure cycles, -1
@@ -248,11 +251,16 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
                     f"{where}: corrupt count {pre_counts[pos]} not below bound "
                     f"{bound[pos]:.6g} (previous count {prev[pos]})")
 
-        if config.decoder != "none":
-            step = tk_round_many if tk else algorithm_a_round_many
+        if tk:
             xor_parity, maj_flip = plans.xor_parity(g), plans.maj_mask(g.n)
             for _ in range(config.rounds_per_cycle):
-                work = step(g, work, xor_parity, maj_flip)
+                work = tk_round_many(g, work, xor_parity, maj_flip)
+        elif config.decoder == "algorithm_a":
+            xor_words, maj_words = plans.gate_words(g)
+            packed = pack_rows(work)
+            for _ in range(config.rounds_per_cycle):
+                packed = algorithm_a_round_packed(g, packed, xor_words, maj_words)
+            work = unpack_rows(packed, idx.size)
         post = TkState(work).readout(prev=pre) if tk else work
         if tk:
             state[idx] = work

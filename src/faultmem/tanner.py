@@ -9,6 +9,7 @@ standard alist exchange format.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from collections import defaultdict
@@ -164,6 +165,14 @@ class TannerGraph:
     @property
     def num_edges(self) -> int:
         return self.n * self.gamma
+
+    @functools.cached_property
+    def var_edge_ids(self) -> np.ndarray:
+        """(gamma, n) flat edge ids check*rho + slot: row j holds every
+        variable's j-th edge, for gathering per-edge check messages."""
+        ids = np.ascontiguousarray((self.var_nbrs * self.rho + self.var_edge_pos).T)
+        ids.setflags(write=False)
+        return ids
 
     def edges(self) -> list[tuple[int, int]]:
         """Sorted list of (variable, check) pairs."""

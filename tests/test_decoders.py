@@ -5,13 +5,16 @@ from hypothesis import strategies as st
 
 import faultmem as fm
 from faultmem.decoders import (EdgeMessages, GateFaultPlan, TkState,
-                               algorithm_a_round, gallager_b_round,
-                               parallel_bitflip_decode,
+                               _check_estimates, algorithm_a_round,
+                               algorithm_a_round_many,
+                               algorithm_a_round_packed, gallager_b_round,
+                               pack_rows, parallel_bitflip_decode,
                                parallel_bitflip_decode_many,
                                parallel_bitflip_round,
                                parallel_bitflip_round_many,
                                parallel_bitflip_round_packed, tk_round,
-                               tk_round_many)
+                               tk_round_many, unpack_rows)
+from faultmem.faults import PlanBatch
 
 # (n, gamma, rho) of small random graphs, odd and even gamma
 GRAPH_PARAMS = ((12, 3, 6), (12, 4, 6), (20, 4, 5), (12, 5, 6), (16, 6, 8))
@@ -44,6 +47,21 @@ def reference_refresh(g, state, xor_flips=(), maj_flips=()):
         if v in maj_flips:
             val ^= 1
         new[v] = val
+    return new
+
+
+def reference_round_many(g, states, xor_parity=None, maj_flip=None):
+    """The uint8 refresh of a (T, n) batch, one byte per bit: count the
+    ones among each variable's gamma estimates, then take the majority,
+    keeping the old value on a tie.  The oracle for the packed round."""
+    gamma = g.gamma
+    est = _check_estimates(states[..., g.check_nbrs], xor_parity)
+    recv = est[..., g.var_nbrs, g.var_edge_pos]
+    ones = recv.sum(axis=-1, dtype=np.int16)
+    new = np.where(ones > gamma // 2, 1,
+                   np.where(gamma - ones > gamma // 2, 0, states)).astype(np.uint8)
+    if maj_flip is not None:
+        new ^= maj_flip
     return new
 
 
@@ -298,6 +316,114 @@ def test_packed_round_equals_uint8_round(params, seed, count, density):
     assert np.array_equal(stacked[0], out)
     assert np.array_equal(unpack_states(stacked[1], count),
                           parallel_bitflip_round_many(g, 1 - states))
+
+
+# (n, gamma, rho) with gamma 2..8, for the bit-sliced refresh
+REFRESH_GRAPH_PARAMS = ((12, 2, 4), (12, 3, 6), (20, 4, 5), (12, 5, 6),
+                        (16, 6, 8), (16, 7, 8), (18, 8, 9))
+
+
+@settings(max_examples=60)
+@given(count=st.integers(1, 200), trailing=st.sampled_from(((), (7,), (4, 5))),
+       seed=st.integers(0, 2**32))
+@example(count=64, trailing=(4, 5), seed=1)
+@example(count=65, trailing=(7,), seed=2)
+@example(count=130, trailing=(), seed=3)
+def test_pack_rows_equals_loop_packing(count, trailing, seed):
+    rng = np.random.default_rng(seed)
+    states = rng.integers(0, 2, size=(count,) + trailing).astype(np.uint8)
+    words = pack_rows(states)
+    width = -(-count // 64)
+    assert words.dtype == np.uint64 and words.shape == (width,) + trailing
+    flat = words.reshape(width, -1)
+    assert np.array_equal(flat, pack_states(states.reshape(count, -1)))
+    # the bits past the last row are zero
+    assert not unpack_states(flat, 64 * width)[count:].any()
+    assert np.array_equal(unpack_rows(words, count), states)
+    # unpacking reads the first rows only, whatever the bits past them hold
+    noisy = rng.integers(0, 2**63, size=words.shape, dtype=np.uint64) * np.uint64(2)
+    noisy |= rng.integers(0, 2, size=words.shape, dtype=np.uint64)
+    for rows in (1, int(rng.integers(1, 64 * width + 1))):
+        assert np.array_equal(unpack_rows(noisy, rows).reshape(rows, -1),
+                              unpack_states(noisy.reshape(width, -1), rows))
+
+
+def random_gate_batch(g, rng, rows, dense):
+    """A PlanBatch of random gate faults for ``rows`` trials: index form
+    with distinct ids per row, some rows holding two gates of one chain
+    (whose flips cancel), or dense masks that may be all zero."""
+    chain = g.rho - 2
+    total_xor = g.m * g.rho * chain
+    if dense:
+        xor = rng.random((rows, total_xor)) < rng.choice([0.0, 0.01, 0.2])
+        maj = rng.random((rows, g.n)) < rng.choice([0.0, 0.05, 0.3])
+        return PlanBatch(None, xor, maj, dense=True)
+    kx = int(rng.integers(0, 5))
+    km = int(rng.integers(0, 4))
+    xor = maj = None
+    if kx:
+        xor = np.stack([rng.choice(total_xor, kx, replace=False)
+                        for _ in range(rows)])
+        if chain >= 2 and kx >= 2:
+            # the first two gates of one chain in every other row
+            for row in xor[::2]:
+                pair = row[0] - row[0] % chain + np.arange(2)
+                row[:] = np.concatenate([pair, np.setdiff1d(row, pair)[:kx - 2]])
+        xor.sort(axis=1)
+        assert all(len(set(row)) == kx for row in xor.tolist())
+    if km:
+        maj = np.stack([rng.choice(g.n, km, replace=False) for _ in range(rows)])
+    return PlanBatch(None, xor, maj)
+
+
+@settings(max_examples=100)
+@given(params=st.sampled_from(REFRESH_GRAPH_PARAMS), seed=st.integers(0, 2**32),
+       count=st.integers(1, 200), density=st.floats(0.0, 1.0),
+       dense=st.booleans(), rounds=st.integers(1, 3))
+@example(params=(18, 8, 9), seed=5, count=130, density=0.5, dense=False, rounds=2)
+@example(params=(20, 4, 5), seed=6, count=65, density=0.3, dense=True, rounds=1)
+@example(params=(12, 2, 4), seed=7, count=64, density=0.5, dense=False, rounds=3)
+@example(params=(16, 7, 8), seed=8, count=1, density=0.2, dense=False, rounds=2)
+def test_packed_refresh_equals_uint8_round(params, seed, count, density, dense,
+                                           rounds):
+    g = fm.build_random_regular(fm.CodeParams(*params), seed % 50)
+    rng = np.random.default_rng(seed)
+    states = (rng.random((count, g.n)) < density).astype(np.uint8)
+    plans = random_gate_batch(g, rng, count, dense)
+    xor_parity, maj_flip = plans.xor_parity(g), plans.maj_mask(g.n)
+    xor_words, maj_words = plans.gate_words(g)
+
+    expected, words = states, pack_rows(states)
+    for _ in range(rounds):
+        expected = reference_round_many(g, expected, xor_parity, maj_flip)
+        words = algorithm_a_round_packed(g, words, xor_words, maj_words)
+        assert words.dtype == np.uint64 and words.shape == (-(-count // 64), g.n)
+        assert np.array_equal(unpack_rows(words, count), expected)
+
+    once = reference_round_many(g, states, xor_parity, maj_flip)
+    assert np.array_equal(algorithm_a_round_many(g, states, xor_parity, maj_flip),
+                          once)
+    # a leading batch axis, the masks broadcasting over it
+    packed = pack_rows(states)
+    stacked = algorithm_a_round_packed(g, np.stack([packed, ~packed]),
+                                       xor_words, maj_words)
+    assert np.array_equal(unpack_rows(stacked[0], count), once)
+    assert np.array_equal(unpack_rows(stacked[1], count),
+                          reference_round_many(g, 1 - states, xor_parity,
+                                               maj_flip))
+    # one mask shared by every row
+    shared_xor = rng.integers(0, 2, (g.m, g.rho)).astype(np.uint8)
+    shared_maj = rng.integers(0, 2, g.n).astype(np.uint8)
+    assert np.array_equal(
+        algorithm_a_round_many(g, states, shared_xor, shared_maj),
+        reference_round_many(g, states, shared_xor, shared_maj))
+    # the one-state round with the plan of row 0
+    _reg, plan = plans.plan(0, g)
+    assert np.array_equal(algorithm_a_round(g, states[0], plan),
+                          reference_round_many(
+                              g, states[:1],
+                              None if xor_parity is None else xor_parity[:1],
+                              None if maj_flip is None else maj_flip[:1])[0])
 
 
 # -- refresh / bit-flipping agreement ----------------------------------------

@@ -6,12 +6,13 @@ from scipy import stats
 
 import faultmem as fm
 from faultmem import faults
-from faultmem.decoders import parallel_bitflip_round, parallel_bitflip_round_many
+from faultmem.decoders import (pack_rows, parallel_bitflip_round,
+                               parallel_bitflip_round_many)
 from faultmem.exceptions import BudgetViolationError
-from faultmem.faults import (GREEDY_POOL_SIZE, draw_adversarial,
+from faultmem.faults import (GREEDY_POOL_SIZE, PlanBatch, draw_adversarial,
                              draw_adversarial_batch, draw_independent,
-                             exceedance_frequency, rng_for, seed_key,
-                             trial_keys)
+                             draw_independent_batch, exceedance_frequency,
+                             rng_for, seed_key, trial_keys)
 
 
 @pytest.fixture(scope="module")
@@ -331,6 +332,43 @@ def test_theorem2_margin_values():
     # exactly at threshold: margin 0, condition (strict) not satisfied
     at = fm.AdversarialBudget(alpha_m=prof.alpha_total)
     assert fm.theorem2_margin(at, 3, 6, prof) == pytest.approx(0.0, abs=1e-15)
+
+
+# -- packed gate masks ------------------------------------------------------
+
+
+@pytest.mark.parametrize("rows", (1, 63, 64, 65, 130))
+def test_gate_words_pack_the_gate_masks(small_graph, rows):
+    g = small_graph
+    chain = g.rho - 2
+    keys = trial_keys(9, np.arange(rows))
+    budget = fm.AdversarialBudget(alpha_m=0.03, alpha_xor=0.01, alpha_maj=0.05)
+    # rows with two failed gates of one chain, whose flips cancel
+    first = np.arange(rows)[:, None] % g.m * (g.rho * chain)
+    batches = [
+        draw_adversarial_batch(budget, g, "random", keys, 3,
+                               np.zeros((rows, g.n), np.uint8)),
+        draw_independent_batch(fm.IndependentRates(0.01, 0.05, 0.05), g, keys, 3),
+        PlanBatch(None, np.hstack([first, first + 1, first + chain]),
+                  np.arange(rows)[:, None] % g.n),
+    ]
+    for batch in batches:
+        xor_words, maj_words = batch.gate_words(g)
+        parity, mask = batch.xor_parity(g), batch.maj_mask(g.n)
+        assert parity is not None and mask is not None
+        assert xor_words.dtype == maj_words.dtype == np.uint64
+        assert np.array_equal(xor_words, pack_rows(parity))
+        assert np.array_equal(maj_words, pack_rows(mask))
+
+
+def test_gate_words_of_a_batch_without_gate_faults(small_graph):
+    g = small_graph
+    total_xor = g.n * g.gamma * (g.rho - 2)
+    quiet = PlanBatch(None, np.zeros((70, total_xor), bool),
+                      np.zeros((70, g.n), bool), dense=True)
+    assert quiet.gate_words(g) == (None, None)
+    assert PlanBatch(np.zeros((70, 2), np.int64), None, None).gate_words(g) \
+        == (None, None)
 
 
 # -- rng streams ------------------------------------------------------------
