@@ -20,8 +20,8 @@ from .expansion import (AlphaTotalBounds, ExpansionCertificate,
 from .faults import (AdversarialBudget, AdversarialModel, IndependentModel,
                      IndependentRates, RegisterFaultPlan, draw_adversarial,
                      draw_independent, theorem2_margin)
-from .memsim import (MemoryState, MonteCarloResult, RunConfig, SimReport,
-                     detect_failure, monte_carlo, run_memory, wilson_interval)
+from .memsim import (MonteCarloResult, RunConfig, SimReport, monte_carlo,
+                     run_memory, wilson_interval)
 from .metrics import (DEFAULT_COST, GateCostModel, chernoff_tail, complexity,
                       constant_cost, kl_divergence, optimal_rho, pf_bound,
                       redundancy, redundancy_tk)

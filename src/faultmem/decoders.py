@@ -11,14 +11,16 @@ messages of a round being computed from the pre-round state:
   each: check estimates are XORs of gathered words, gate faults XOR
   masks, and the majority a bit-sliced at-least-k count.
   ``pack_rows`` / ``unpack_rows`` convert (T, ...) 0/1 arrays to and from
-  that layout, and ``algorithm_a_round_many`` is the packed round on a
-  uint8 batch;
+  that layout, ``pack_bits`` / ``unpack_bits`` one flag per state, and
+  ``popcounts`` counts each state's set bits; ``algorithm_a_round_many``
+  is the packed round on a uint8 batch;
 * parallel bit flipping: flip every variable that sits in more
   unsatisfied than satisfied checks (the reliable-decoder reference
   rule, no fault machinery).  ``parallel_bitflip_round_packed`` runs it
-  bit-sliced with the same at-least-k count; the uint8
-  ``parallel_bitflip_round_many`` is its test oracle and the failure
-  detector's round;
+  bit-sliced with the same at-least-k count, and
+  ``parallel_bitflip_decode_packed`` iterates it to a fixpoint, the
+  failure detector's decode; the uint8 ``parallel_bitflip_round_many``
+  and ``parallel_bitflip_decode_many`` are their test oracles;
 * the bit-copy scheme (``tk``) and its per-edge reformulation as
   hard-decision message passing (Gallager B), kept as two independent
   implementations so their equivalence is testable bit by bit.
@@ -131,6 +133,48 @@ def unpack_rows(words: np.ndarray, rows: int) -> np.ndarray:
     bits = np.unpackbits(flat.view(np.uint8), axis=-1, count=rows,
                          bitorder="little")
     return bits.T.reshape((rows,) + words.shape[1:])
+
+
+def broadcast_bits(word: np.ndarray) -> np.ndarray:
+    """uint64 words with every bit equal to the matching 0/1 entry: one
+    word holding the same state in all 64 bits."""
+    return np.uint64(0) - word.astype(np.uint64)
+
+
+def pack_bits(flags: np.ndarray) -> np.ndarray:
+    """(S,) flags as (ceil(S/64),) uint64 words, flag s in bit s % 64 of
+    word s // 64 (the layout of pack_rows), the unused high bits zero."""
+    packed = np.packbits(flags, bitorder="little")
+    buf = np.zeros(-(-flags.size // 64) * 8, dtype=np.uint8)
+    buf[:packed.size] = packed
+    return buf.view("<u8").astype(np.uint64)
+
+
+def unpack_bits(words: np.ndarray) -> np.ndarray:
+    """(64*W,) bool flags of the (W,) uint64 words: the inverse of
+    pack_bits, every bit included."""
+    return np.unpackbits(np.ascontiguousarray(words, dtype="<u8").view(np.uint8),
+                         bitorder="little").view(bool)
+
+
+def popcounts(words: np.ndarray) -> np.ndarray:
+    """Vertical popcount of packed (..., n) words, the leading axes taken
+    as W rows of words: entry 64*w + b counts the variables at which bit b
+    of row w is set, i.e. the ones of state 64*w + b.  Sparse: only the
+    nonzero words are unpacked, so mostly-zero differences are cheap."""
+    n = words.shape[-1]
+    flat = words.reshape(-1)
+    nonzero = flat.nonzero()[0]
+    counts = np.zeros((flat.size // n, 64), dtype=np.int64)
+    if nonzero.size:
+        row = nonzero // n
+        first = np.ones(row.size, dtype=bool)
+        first[1:] = row[1:] != row[:-1]
+        starts = first.nonzero()[0]
+        counts[row[starts]] = np.add.reduceat(
+            unpack_bits(flat[nonzero]).reshape(-1, 64), starts, axis=0,
+            dtype=np.int64)
+    return counts.reshape(-1)
 
 
 def _at_least(planes: np.ndarray, lo: int, hi: int) -> list:
@@ -263,6 +307,42 @@ def parallel_bitflip_decode_many(g: TannerGraph, states: np.ndarray,
         active = active[~fixed]
         cur[active] = nxt[~fixed]
     return cur, rounds, converged
+
+
+def parallel_bitflip_decode_packed(g: TannerGraph, words: np.ndarray,
+                                   live: np.ndarray, max_rounds: int):
+    """parallel_bitflip_decode_many bit-sliced: iterate the flip rule on
+    the states packed in the (W, n) uint64 ``words`` (state 64*w + b in
+    bit b of row w), tracking the states whose bits are set in the (W,)
+    ``live`` words.
+
+    A round runs only on the rows that still hold a live state that has
+    not converged.  Its "still changing" word, the OR over n of what the
+    round flipped, is the fixpoint test: a live state whose bit in it is
+    clear has converged, and a fixpoint stays one, so converged states
+    need no freezing.  Bits of states that are not live are rounded along
+    with their row but never read.
+
+    Returns (words, converged): the (W, n) words after the rounds, and
+    the (W,) words with the bit of every converged live state set.  For
+    live state s these equal the words and converged flags of row s of
+    parallel_bitflip_decode_many.
+    """
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
+    cur = np.array(words, dtype=np.uint64)
+    pending = np.array(live, dtype=np.uint64)
+    rows = np.flatnonzero(pending)
+    for _ in range(max_rounds):
+        if rows.size == 0:
+            break
+        work = cur[rows]
+        nxt = parallel_bitflip_round_packed(g, work)
+        still = pending[rows] & np.bitwise_or.reduce(nxt ^ work, axis=-1)
+        pending[rows] = still
+        cur[rows] = nxt
+        rows = rows[still != 0]
+    return cur, live & ~pending
 
 
 def parallel_bitflip_decode(g: TannerGraph, state, max_rounds: int):

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoders import GateFaultPlan, pack_rows, parallel_bitflip_round_packed
+from .decoders import (GateFaultPlan, broadcast_bits, parallel_bitflip_round_packed,
+                       popcounts)
 from .exceptions import BudgetViolationError
 from .expansion import ExpansionProfile
 from .tanner import TannerGraph, Word, as_word, zero_word
@@ -335,20 +336,42 @@ class PlanBatch:
         mask[np.arange(self.maj.shape[0])[:, None], self.maj] = 1
         return mask
 
-    def gate_words(self, g: TannerGraph):
-        """(xor_words, maj_words): the chain parities and majority masks of
-        xor_parity / maj_mask packed as pack_rows packs them, (W, m, rho)
-        and (W, n) uint64 words with trial t in bit t % 64 of word t // 64;
-        None where xor_parity / maj_mask is None."""
-        if self.dense:
-            parity, mask = self.xor_parity(g), self.maj_mask(g.n)
-            return (None if parity is None else pack_rows(parity),
-                    None if mask is None else pack_rows(mask))
-        xor = None if self.xor is None else _scatter_bits(
-            self.xor // (g.rho - 2), g.m * g.rho, np.bitwise_xor)
-        # a row's majority ids are distinct, so adding its bit is an OR
-        maj = None if self.maj is None else _scatter_bits(self.maj, g.n, np.add)
-        return None if xor is None else xor.reshape(-1, g.m, g.rho), maj
+    def packed(self, g: TannerGraph, slots=None, count=None):
+        """(reg_words, xor_words, maj_words): the register flips, the chain
+        parities of xor_parity and the majority masks of maj_mask, row r
+        of the batch packed into bit slots[r] % 64 of word slots[r] // 64
+        (pack_rows' layout when the slots are the rows themselves, the
+        default): (W, n), (W, m, rho) and (W, n) uint64 words, W =
+        ceil(count / 64), count defaulting to the row count.  A class
+        without a fault in the batch is None.  One XOR scatter fills all
+        three: two failed gates of one chain cancel, and a row's register
+        and majority ids are distinct, so XOR sets their bits."""
+        width = 2 * g.n + g.m * g.rho
+        parts, at, bits, offset = [], [], [], 0
+        for arr, per, size in ((self.reg, 1, g.n), (self.xor, g.rho - 2, g.m * g.rho),
+                               (self.maj, 1, g.n)):
+            part = None
+            if arr is not None:
+                if self.dense:  # flat indices: 2-d nonzero is ~10x slower
+                    row, ids = np.divmod(np.flatnonzero(arr), arr.shape[1])
+                else:
+                    row = np.repeat(np.arange(arr.shape[0]), arr.shape[1])
+                    ids = arr.ravel()
+                if ids.size:
+                    slot = row if slots is None else slots[row]
+                    at.append(slot // 64 * width + offset + ids // per)
+                    bits.append(np.uint64(1) << (slot % 64).astype(np.uint64))
+                    part = slice(offset, offset + size)
+                if count is None:
+                    count = arr.shape[0]
+            parts.append(part)
+            offset += size
+        if not at:
+            return None, None, None
+        words = np.zeros((-(-count // 64), width), dtype=np.uint64)
+        np.bitwise_xor.at(words.reshape(-1), np.concatenate(at), np.concatenate(bits))
+        reg, xor, maj = (None if part is None else words[:, part] for part in parts)
+        return reg, None if xor is None else xor.reshape(-1, g.m, g.rho), maj
 
     def _ids(self, arr, row) -> list[int]:
         if arr is None:
@@ -368,19 +391,6 @@ class PlanBatch:
             frozenset((idx // chain // g.rho, idx // chain % g.rho, idx % chain)
                       for idx in xor),
             frozenset(maj))
-
-
-def _scatter_bits(ids: np.ndarray, width: int, combine) -> np.ndarray:
-    """(ceil(T/64), width) uint64 words with the bit of trial t (bit t % 64
-    of word t // 64) combined by the ufunc ``combine`` into the columns
-    listed in row t of the (T, k) ``ids``."""
-    rows = ids.shape[0]
-    trial = np.arange(rows)
-    words = np.zeros(-(-rows // 64) * width, dtype=np.uint64)
-    bit = np.uint64(1) << (trial % 64).astype(np.uint64)
-    combine.at(words, (((trial // 64) * width)[:, None] + ids).ravel(),
-               np.repeat(bit, ids.shape[1]))
-    return words.reshape(-1, width)
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +474,6 @@ def _cluster_rows(g: TannerGraph, keys, reg_count: int, xor_count: int,
 GREEDY_POOL_SIZE = 64
 
 
-def _broadcast_bits(word: np.ndarray) -> np.ndarray:
-    """uint64 words with every bit equal to the matching 0/1 entry."""
-    return np.uint64(0) - word.astype(np.uint64)
-
-
 def _greedy_rows(g: TannerGraph, keys, count: int, observed: np.ndarray,
                  original: np.ndarray, pool_size: int) -> np.ndarray:
     """One-step lookahead per trial over a pool of register-flip sets:
@@ -500,17 +505,9 @@ def _greedy_rows(g: TannerGraph, keys, count: int, observed: np.ndarray,
     flips = np.zeros((rows, words, g.n), dtype=np.uint64)
     np.add.at(flips.reshape(-1), at.ravel(),
               np.broadcast_to(bit[:, None], cands.shape).ravel())
-    states = flips ^ _broadcast_bits(observed)[:, None, :]
-    wrong = parallel_bitflip_round_packed(g, states) ^ _broadcast_bits(original)
-    # vertical popcount: variable-major words unpacked low bit first put
-    # candidate p of trial t in column t*64*words + p; a uint8 sum over at
-    # most 255 variables cannot overflow, and int64 holds the total
-    bits = np.unpackbits(np.ascontiguousarray(wrong.transpose(2, 0, 1), dtype="<u8")
-                         .view(np.uint8), bitorder="little").reshape(g.n, -1)
-    post = np.zeros(bits.shape[1], dtype=np.int64)
-    for lo in range(0, g.n, 255):
-        post += bits[lo:lo + 255].sum(axis=0, dtype=np.uint8)
-    post = post.reshape(rows, -1)[:, :pool_size]
+    states = flips ^ broadcast_bits(observed)[:, None, :]
+    wrong = parallel_bitflip_round_packed(g, states) ^ broadcast_bits(original)
+    post = popcounts(wrong).reshape(rows, -1)[:, :pool_size]
     best = np.argmax(post * (g.n + 1) + pre, axis=1)
     return cands[np.arange(rows), best]
 

@@ -8,14 +8,16 @@ class, the class being defined operationally by the reliable parallel
 bit-flipping decoder under a round cap.
 
 One cycle loop serves every run.  It draws one cycle's fault plans for
-all alive trials in one keyed-hash call and updates their (T, n)
-register states, or (T, n, gamma) bit-copies for the 'tk' decoder, in
-a few array operations, with one batched decode testing every suspect
-word for failure.  The 'algorithm_a' rounds run bit-sliced, on the
-registers packed 64 trials per uint64 word.  Every trial's plans are a
-pure function of its (root_seed, trial, cycle) key, so a single run
-(``run_memory``) is the one-trial case of the same loop and reproduces
-trial t of ``monte_carlo`` exactly.
+all alive trials in one keyed-hash call.  For 'algorithm_a' and 'none'
+the registers stay packed from the first cycle to the last, 64 trials
+per uint64 word: the plans are scattered into each trial's own bit, the
+rounds run bit-sliced, corrupt counts are popcounts of the difference to
+the original, and the failure test decodes the words holding a suspect
+trial bit-sliced as well.  The 'tk' decoder keeps (T, n, gamma) uint8
+bit-copies and packs only its suspect words for that test.  Every
+trial's plans are a pure function of its (root_seed, trial, cycle) key,
+so a single run (``run_memory``) is the one-trial case of the same loop
+and reproduces trial t of ``monte_carlo`` exactly.
 """
 
 from __future__ import annotations
@@ -26,30 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .decoders import (TkState, algorithm_a_round_packed, pack_rows,
-                       parallel_bitflip_decode_many, tk_round_many, unpack_rows)
+from .decoders import (TkState, algorithm_a_round_packed, broadcast_bits,
+                       pack_bits, pack_rows, parallel_bitflip_decode_packed,
+                       popcounts, tk_round_many, unpack_bits, unpack_rows)
 from .exceptions import AccountingError, ConfigError
 from .expansion import ExpansionProfile
 from .faults import AdversarialModel, IndependentModel, seed_key, trial_keys
 from .tanner import TannerGraph, Word, as_word, zero_word
 
 DECODERS = ("algorithm_a", "tk", "none")
-
-
-@dataclass
-class MemoryState:
-    """Registers plus corrupt-variable bookkeeping at one observation point."""
-
-    registers: Word
-    original: Word
-    cycle: int
-    corrupt_count: int
-    corrupt_frac: float
-
-    @classmethod
-    def observe(cls, registers: Word, original: Word, cycle: int) -> "MemoryState":
-        count = int((registers != original).sum())
-        return cls(registers, original, cycle, count, count / len(original))
 
 
 @dataclass
@@ -112,28 +99,29 @@ def detect_cap(profile: ExpansionProfile | None, n: int, default_cap: int = 100)
     return int(math.ceil(math.log(n) / math.log(1.0 / shrink))) + 10
 
 
-def _decode_fails(g: TannerGraph, words: np.ndarray, original: Word,
-                  cap: int) -> np.ndarray:
-    """Row mask of the (T, n) ``words`` whose reliable decoding does not
-    converge back to the original, all rows in one batched decode."""
-    decoded, _rounds, converged = parallel_bitflip_decode_many(g, words, cap)
-    return ~converged | (decoded != original).any(axis=1)
+def _failed_bits(g: TannerGraph, diff: np.ndarray, suspects: np.ndarray,
+                 cap: int) -> np.ndarray:
+    """The bits of the (W,) ``suspects`` words whose states lie outside
+    the original's decoding class, given their packed (W, n) differences
+    ``diff`` to the original.  The flip rule reads only the syndrome, so
+    decoding a word and decoding its difference to a codeword flip the
+    same bits: a state fails when reliable decoding of its difference does
+    not converge, or converges to a nonzero word.  Only the rows holding a
+    suspect are decoded, all of them in one bit-sliced call."""
+    rows = np.flatnonzero(suspects)
+    live = suspects[rows]
+    decoded, converged = parallel_bitflip_decode_packed(g, diff[rows], live, cap)
+    failed = np.zeros_like(suspects)
+    failed[rows] = live & (~converged | np.bitwise_or.reduce(decoded, axis=-1))
+    return failed
 
 
 def _detect_word(g: TannerGraph, word: Word, original: Word, cap: int) -> bool:
     """True iff ``word`` lies outside the original's decoding class."""
     if np.array_equal(word, original):
         return False
-    return bool(_decode_fails(g, word[None, :], original, cap)[0])
-
-
-def detect_failure(g: TannerGraph, state: MemoryState,
-                   profile: ExpansionProfile | None = None,
-                   max_rounds: int = 100) -> bool:
-    """Memory-failure test: reliable decoding must converge back to the
-    originally stored codeword."""
-    return _detect_word(g, state.registers, state.original,
-                        detect_cap(profile, g.n, max_rounds))
+    return bool(_failed_bits(g, pack_rows((word ^ original)[None, :]),
+                             np.ones(1, dtype=np.uint64), cap)[0])
 
 
 @dataclass(frozen=True)
@@ -188,11 +176,21 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
     plans for (key, cycle), apply register decay, observe the
     pre-correction word, run the faulty correction rounds (none for
     decoder 'none'), observe again, then test for failure and retire the
-    trials that failed.  The state is (T, n) registers, or (T, n, gamma)
-    bit-copies plus their (T, n) readouts for 'tk'; plans of
-    cycle-independent models are drawn once and reused.  'algorithm_a'
-    packs the registers once per cycle (trial t in bit t % 64 of word
-    t // 64), runs its rounds on the words and unpacks the result.
+    trials that failed.  Plans of cycle-independent models are drawn once
+    and reused.
+
+    For 'algorithm_a' and 'none' the state is (ceil(T/64), n) uint64
+    words for the whole run, trial t in bit t % 64 of word t // 64 (the
+    layout of pack_rows), and the alive trials are the bits of the alive
+    words.  Plans are scattered into their trials' bits (PlanBatch.packed),
+    corrupt counts are popcounts of ``words ^ original``, the suspects
+    are its OR over n masked by the alive words, and the failure test
+    decodes the words holding a suspect bit-sliced; a failed trial's bit
+    is cleared in the alive words.  Bits of retired trials keep being
+    refreshed but are never read.  The words are unpacked only for
+    ``record_states`` and for a state-dependent (greedy) adversary.  For
+    'tk' the state is (T, n, gamma) uint8 bit-copies plus their (T, n)
+    readouts, which only the failure test packs.
 
     Returns (corrupt, failure_cycle, recorded): (2, T, L) pre/post-correction
     corrupt counts, -1 where a cycle did not run; (T,) failure cycles, -1
@@ -215,68 +213,83 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
 
     trials = np.size(keys)
     tk = config.decoder == "tk"
-    words = np.tile(original, (trials, 1))
-    state = np.repeat(words[:, :, None], g.gamma, axis=2) if tk else words
-    alive = np.ones(trials, dtype=bool)
+    original_words = broadcast_bits(original)
+    alive = pack_bits(np.ones(trials, dtype=bool))
+    idx = np.arange(trials)
+    if tk:
+        words = np.tile(original, (trials, 1))
+        copies = np.repeat(words[:, :, None], g.gamma, axis=2)
+    else:
+        state = np.tile(original_words, (alive.size, 1))
     failure_cycle = np.full(trials, -1, dtype=np.int64)
     corrupt = np.full((2, trials, L), -1, dtype=np.int64)
     recorded = np.zeros((2, trials, L, g.n), dtype=np.uint8) if record_states else None
     cached = None
 
     for cycle in range(1, L + 1):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
-        work = state[idx]
-        seen = words[idx] if tk else work  # the words left by the last cycle
         if model.cycle_dependent:
+            seen = ((words if tk else unpack_rows(state, trials))[idx]
+                    if model.state_dependent else None)
             plans = model.draw_batch(g, keys if idx.size == trials else keys[idx],
                                      cycle, seen, original)
+        elif cached is None:
+            cached = model.draw_batch(g, keys, cycle, None, original)
+            if not tk:  # scattered once; retired trials' bits are never read
+                cached = cached.packed(g)
+
+        if tk:
+            if cached is not None:
+                plans = cached if idx.size == trials else cached.take(idx)
+            work = copies[idx]
+            plans.flip_registers(work)
+            pre = TkState(work).readout(prev=words[idx])
+            xor_parity, maj_flip = plans.xor_parity(g), plans.maj_mask(g.n)
+            for _ in range(config.rounds_per_cycle):
+                work = tk_round_many(g, work, xor_parity, maj_flip)
+            post = TkState(work).readout(prev=pre)
+            copies[idx] = work
+            words[idx] = post
+            counts = (np.concatenate((pre, post)) != original).sum(axis=1).reshape(2, -1)
+            diff = pack_rows(words) ^ original_words if counts[1].any() else None
         else:
-            if cached is None:
-                cached = model.draw_batch(g, keys, cycle, words, original)
-            plans = cached if idx.size == trials else cached.take(idx)
-        plans.flip_registers(work)
-        pre = TkState(work).readout(prev=seen) if tk else work
-        pre_counts = (pre != original).sum(axis=1)
+            reg_words, xor_words, maj_words = \
+                cached if cached is not None else plans.packed(g, idx, trials)
+            if reg_words is not None:
+                state ^= reg_words
+            pre = state
+            if config.decoder == "algorithm_a":
+                for _ in range(config.rounds_per_cycle):
+                    state = algorithm_a_round_packed(g, state, xor_words, maj_words)
+            diff = state ^ original_words
+            counts = popcounts(np.concatenate((pre ^ original_words, diff))) \
+                .reshape(2, -1)[:, idx]
 
         if config.check_accounting and cycle > 1:
             prev = corrupt[0, idx, cycle - 2]
             bound = prev * contraction + spend
-            broken = (prev < threshold) & ~(pre_counts < bound)
+            broken = (prev < threshold) & ~(counts[0] < bound)
             if broken.any():
                 pos = int(np.argmax(broken))
                 where = f"cycle {cycle}" + (f", trial {idx[pos]}" if name_trials else "")
                 raise AccountingError(
-                    f"{where}: corrupt count {pre_counts[pos]} not below bound "
+                    f"{where}: corrupt count {counts[0, pos]} not below bound "
                     f"{bound[pos]:.6g} (previous count {prev[pos]})")
 
-        if tk:
-            xor_parity, maj_flip = plans.xor_parity(g), plans.maj_mask(g.n)
-            for _ in range(config.rounds_per_cycle):
-                work = tk_round_many(g, work, xor_parity, maj_flip)
-        elif config.decoder == "algorithm_a":
-            xor_words, maj_words = plans.gate_words(g)
-            packed = pack_rows(work)
-            for _ in range(config.rounds_per_cycle):
-                packed = algorithm_a_round_packed(g, packed, xor_words, maj_words)
-            work = unpack_rows(packed, idx.size)
-        post = TkState(work).readout(prev=pre) if tk else work
-        if tk:
-            state[idx] = work
-        words[idx] = post
-
-        post_counts = (post != original).sum(axis=1)
-        corrupt[0, idx, cycle - 1] = pre_counts
-        corrupt[1, idx, cycle - 1] = post_counts
+        corrupt[:, idx, cycle - 1] = counts
         if record_states:
-            recorded[0, idx, cycle - 1] = pre
-            recorded[1, idx, cycle - 1] = post
-        suspect = post_counts > 0
-        if suspect.any():
-            out = idx[suspect][_decode_fails(g, post[suspect], original, cap)]
-            failure_cycle[out] = cycle
-            alive[out] = False
+            recorded[0, idx, cycle - 1] = pre if tk else unpack_rows(pre, trials)[idx]
+            recorded[1, idx, cycle - 1] = post if tk else unpack_rows(state, trials)[idx]
+        if diff is None:
+            continue
+        suspects = np.bitwise_or.reduce(diff, axis=1) & alive
+        if suspects.any():
+            failed = _failed_bits(g, diff, suspects, cap)
+            if failed.any():
+                failure_cycle[unpack_bits(failed)[:trials]] = cycle
+                alive &= ~failed
+                idx = np.flatnonzero(unpack_bits(alive))
+                if idx.size == 0:
+                    break
 
     return corrupt, failure_cycle, recorded
 

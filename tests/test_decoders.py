@@ -8,12 +8,14 @@ from faultmem.decoders import (EdgeMessages, GateFaultPlan, TkState,
                                _check_estimates, algorithm_a_round,
                                algorithm_a_round_many,
                                algorithm_a_round_packed, gallager_b_round,
-                               pack_rows, parallel_bitflip_decode,
+                               pack_bits, pack_rows, parallel_bitflip_decode,
                                parallel_bitflip_decode_many,
+                               parallel_bitflip_decode_packed,
                                parallel_bitflip_round,
                                parallel_bitflip_round_many,
-                               parallel_bitflip_round_packed, tk_round,
-                               tk_round_many, unpack_rows)
+                               parallel_bitflip_round_packed, popcounts,
+                               tk_round, tk_round_many, unpack_bits,
+                               unpack_rows)
 from faultmem.faults import PlanBatch
 
 # (n, gamma, rho) of small random graphs, odd and even gamma
@@ -318,6 +320,64 @@ def test_packed_round_equals_uint8_round(params, seed, count, density):
                           parallel_bitflip_round_many(g, 1 - states))
 
 
+@settings(max_examples=60)
+@given(params=st.sampled_from(GRAPH_PARAMS), seed=st.integers(0, 2**32),
+       count=st.sampled_from((1, 63, 64, 65, 130)) | st.integers(1, 140),
+       max_rounds=st.integers(1, 6), live_share=st.floats(0.0, 1.0))
+@example(params=(12, 3, 6), seed=1, count=63, max_rounds=1, live_share=1.0)
+@example(params=(20, 4, 5), seed=2, count=65, max_rounds=2, live_share=0.7)
+@example(params=(16, 6, 8), seed=3, count=130, max_rounds=2, live_share=0.5)
+@example(params=(12, 5, 6), seed=4, count=1, max_rounds=1, live_share=1.0)
+def test_packed_decode_equals_decode_many(params, seed, count, max_rounds,
+                                          live_share):
+    # rows with few errors converge, dense random rows mostly do not; the
+    # rows that are not live and the bits past the last row hold garbage
+    g = fm.build_random_regular(fm.CodeParams(*params), seed % 50)
+    rng = np.random.default_rng(seed)
+    states = np.zeros((count, g.n), np.uint8)
+    for t in range(count):
+        flips = rng.integers(0, g.n + 1) if t % 2 else rng.integers(0, 3)
+        states[t, rng.choice(g.n, flips, replace=False)] = 1
+    expected, _rounds, converged = parallel_bitflip_decode_many(g, states,
+                                                                max_rounds)
+    if max_rounds == 1 and count >= 63:
+        assert not converged.all()
+    live_rows = rng.random(count) < live_share
+    live = pack_bits(live_rows)
+    assert np.array_equal(unpack_bits(live)[:count], live_rows)
+    garbage = rng.integers(0, 2**64, size=(live.size, g.n), dtype=np.uint64)
+    words = (pack_rows(states) & live[:, None]) | (garbage & ~live[:, None])
+    before = words.copy()
+    out, conv = parallel_bitflip_decode_packed(g, words, live, max_rounds)
+    assert np.array_equal(words, before)
+    assert out.dtype == conv.dtype == np.uint64
+    assert out.shape == words.shape and conv.shape == live.shape
+    conv_rows = unpack_bits(conv)
+    assert not conv_rows[count:].any()
+    assert np.array_equal(conv_rows[:count], converged & live_rows)
+    assert np.array_equal(unpack_rows(out, count)[live_rows], expected[live_rows])
+
+
+@settings(max_examples=40)
+@given(count=st.integers(1, 200), n=st.integers(1, 300), density=st.floats(0, 1),
+       seed=st.integers(0, 2**32))
+@example(count=130, n=300, density=1.0, seed=1)
+def test_popcounts_and_flag_words(count, n, density, seed):
+    rng = np.random.default_rng(seed)
+    states = (rng.random((count, n)) < density).astype(np.uint8)
+    counts = popcounts(pack_rows(states))
+    assert counts.dtype == np.int64 and counts.shape == (-(-count // 64) * 64,)
+    assert np.array_equal(counts[:count], states.sum(axis=1))
+    assert not counts[count:].any()
+    # leading axes are flattened into rows of words
+    stacked = popcounts(np.stack([pack_rows(states), pack_rows(1 - states)]))
+    assert np.array_equal(stacked.reshape(2, -1)[:, :count],
+                          [states.sum(axis=1), n - states.sum(axis=1)])
+    flags = states[:, 0].astype(bool)
+    assert np.array_equal(pack_bits(flags), pack_rows(states[:, :1])[:, 0])
+    assert np.array_equal(unpack_bits(pack_bits(flags))[:count], flags)
+
+
 # (n, gamma, rho) with gamma 2..8, for the bit-sliced refresh
 REFRESH_GRAPH_PARAMS = ((12, 2, 4), (12, 3, 6), (20, 4, 5), (12, 5, 6),
                         (16, 6, 8), (16, 7, 8), (18, 8, 9))
@@ -391,7 +451,7 @@ def test_packed_refresh_equals_uint8_round(params, seed, count, density, dense,
     states = (rng.random((count, g.n)) < density).astype(np.uint8)
     plans = random_gate_batch(g, rng, count, dense)
     xor_parity, maj_flip = plans.xor_parity(g), plans.maj_mask(g.n)
-    xor_words, maj_words = plans.gate_words(g)
+    _reg, xor_words, maj_words = plans.packed(g)
 
     expected, words = states, pack_rows(states)
     for _ in range(rounds):

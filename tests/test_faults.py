@@ -334,7 +334,7 @@ def test_theorem2_margin_values():
     assert fm.theorem2_margin(at, 3, 6, prof) == pytest.approx(0.0, abs=1e-15)
 
 
-# -- packed gate masks ------------------------------------------------------
+# -- packed plans -----------------------------------------------------------
 
 
 @pytest.mark.parametrize("rows", (1, 63, 64, 65, 130))
@@ -352,13 +352,26 @@ def test_gate_words_pack_the_gate_masks(small_graph, rows):
         PlanBatch(None, np.hstack([first, first + 1, first + chain]),
                   np.arange(rows)[:, None] % g.n),
     ]
+    # the rows scattered into slots of a wider batch, across word bounds
+    count = rows + 70
+    slots = np.sort(np.random.default_rng(rows).choice(count, rows, replace=False))
     for batch in batches:
-        xor_words, maj_words = batch.gate_words(g)
         parity, mask = batch.xor_parity(g), batch.maj_mask(g.n)
+        flips = np.zeros((rows, g.n), np.uint8)
+        batch.flip_registers(flips)
         assert parity is not None and mask is not None
-        assert xor_words.dtype == maj_words.dtype == np.uint64
-        assert np.array_equal(xor_words, pack_rows(parity))
-        assert np.array_equal(maj_words, pack_rows(mask))
+        for words, at, width in ((batch.packed(g), np.arange(rows), rows),
+                                 (batch.packed(g, slots, count), slots, count)):
+            reg_words, xor_words, maj_words = words
+            assert xor_words.dtype == maj_words.dtype == np.uint64
+            for got, rows_of in ((reg_words, flips), (xor_words, parity),
+                                 (maj_words, mask)):
+                if batch.reg is None and rows_of is flips:
+                    assert got is None
+                    continue
+                full = np.zeros((width,) + rows_of.shape[1:], np.uint8)
+                full[at] = rows_of
+                assert np.array_equal(got, pack_rows(full))
 
 
 def test_gate_words_of_a_batch_without_gate_faults(small_graph):
@@ -366,9 +379,12 @@ def test_gate_words_of_a_batch_without_gate_faults(small_graph):
     total_xor = g.n * g.gamma * (g.rho - 2)
     quiet = PlanBatch(None, np.zeros((70, total_xor), bool),
                       np.zeros((70, g.n), bool), dense=True)
-    assert quiet.gate_words(g) == (None, None)
-    assert PlanBatch(np.zeros((70, 2), np.int64), None, None).gate_words(g) \
-        == (None, None)
+    assert quiet.packed(g) == (None, None, None)
+    reg_only = PlanBatch(np.tile(np.arange(2), (70, 1)), None, None)
+    reg_words, xor_words, maj_words = reg_only.packed(g)
+    assert reg_words.shape == (2, g.n) and (xor_words, maj_words) == (None, None)
+    assert PlanBatch(None, None, None).packed(g, np.arange(3), 3) \
+        == (None, None, None)
 
 
 # -- rng streams ------------------------------------------------------------

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import faultmem as fm
+from faultmem import memsim
 from faultmem.exceptions import AccountingError, ConfigError
 from faultmem.faults import PlanBatch
-from faultmem.memsim import MemoryState, RunConfig, detect_cap, wilson_interval
+from faultmem.memsim import RunConfig, _detect_word, detect_cap, wilson_interval
 
 
 def adversarial(alpha_m=0.0, alpha_xor=0.0, alpha_maj=0.0, strategy="random"):
@@ -71,21 +72,21 @@ def test_stored_codeword_mode(i1):
 
 def test_detect_failure_cases(i1):
     g, prof = i1
+    cap = detect_cap(prof, g.n)
     zero = np.zeros(g.n, np.uint8)
-    state = MemoryState.observe(zero, zero, 0)
-    assert not fm.detect_failure(g, state, prof)
+    assert not _detect_word(g, zero, zero, cap)
 
     # a different codeword decodes, but not to the original: failure
     rng = np.random.default_rng(1)
     other = zero
     while not other.any():
         other = fm.encode(g, rng.integers(0, 2, fm.code_dimension(g)).astype(np.uint8))
-    assert fm.detect_failure(g, MemoryState.observe(other, zero, 0), prof)
+    assert _detect_word(g, other, zero, cap)
 
     # below the guarantee threshold on a certified expander: never a failure
     one = zero.copy()
     one[5] = 1
-    assert not fm.detect_failure(g, MemoryState.observe(one, zero, 0), prof)
+    assert not _detect_word(g, one, zero, cap)
 
 
 def test_detect_cap_formula():
@@ -182,6 +183,90 @@ def test_monte_carlo_rows_match_run_memory(i1):
                 assert peak == max(r.alpha_post[c] for r in ran)
             assert rb.recorded == [sum(c < r.cycles_executed for r in reps)
                                    for c in range(len(rb.recorded))]
+
+
+# rates on i1 at which trials fail in more than one word and, but for
+# 'repeat' under 'none' (whose word only toggles), at different cycles
+_ACROSS_WORDS = {
+    ("algorithm_a", "random"): adversarial(1.5 / 36, 1.5 / 432, strategy="random"),
+    ("algorithm_a", "repeat"): adversarial(0.5 / 36, 1.5 / 432, 1.5 / 36,
+                                           strategy="repeat"),
+    ("algorithm_a", "independent"): independent(0.003, 1e-3, 1e-3),
+    ("none", "random"): adversarial(1.5 / 36, strategy="random"),
+    ("none", "repeat"): adversarial(2.5 / 36, strategy="repeat"),
+    ("none", "independent"): independent(0.003),
+}
+
+
+@pytest.mark.parametrize("decoder, kind", sorted(_ACROSS_WORDS))
+def test_monte_carlo_rows_match_run_memory_across_words(i1, decoder, kind):
+    # 64, 65 and 130 trials fill one word, spill one trial into a second
+    # and reach into a third: failed trials retire from every word
+    g, prof = i1
+    model = _ACROSS_WORDS[decoder, kind]
+    cycles = 30
+    reps = [fm.run_memory(g, decoder, model, cycles, (5, t), prof)
+            for t in range(130)]
+    failed = [t for t, r in enumerate(reps) if r.failed]
+    assert {t // 64 for t in failed} >= {0, 1}
+    if kind != "repeat" or decoder != "none":
+        assert len({reps[t].failure_cycle for t in failed}) > 1
+    for trials in (64, 65, 130):
+        cfg = RunConfig(g, decoder, model, cycles, profile=prof)
+        res = fm.monte_carlo(cfg, trials, 5, keep_reports=True)
+        assert res.reports == reps[:trials]
+        assert res.failure_cycle_by_trial == [r.failure_cycle for r in reps[:trials]]
+
+
+def test_accounting_violation_in_second_word_names_lowest_trial(i1):
+    # the slots of the first word run a trial that passes cycle 2's
+    # accounting, the second word's violate it from its third slot on: the
+    # error must name slot 66, the lowest violating trial of that cycle
+    g, prof = i1
+    model = adversarial(alpha_m=1.5 / 36, strategy="random")
+
+    def violates(t):
+        try:
+            fm.run_memory(g, "none", model, 2, (3, t), prof, check_accounting=True)
+        except AccountingError:
+            return True
+        return False
+
+    quiet, loud = [], []
+    t = 0
+    while not quiet or len(loud) < 4:
+        (loud if violates(t) else quiet).append(t)
+        t += 1
+    keys = fm.faults.trial_keys(3, np.array(quiet[:1] * 66 + loud[:4]))
+    cfg = RunConfig(g, "none", model, 20, profile=prof, check_accounting=True)
+    with pytest.raises(AccountingError, match=r"^cycle 2, trial 66: corrupt count"):
+        memsim._simulate(cfg, keys)
+
+
+def test_packed_state_is_never_repacked(i1, monkeypatch):
+    # 'algorithm_a' keeps its registers packed from the first cycle to the
+    # last: without record_states nothing is packed or unpacked per cycle
+    g, prof = i1
+    calls = {"pack_rows": 0, "unpack_rows": 0}
+
+    def counted(name):
+        real = getattr(memsim, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(memsim, name, counted(name))
+    model = adversarial(1.5 / 36, 1.5 / 432, strategy="repeat")
+    res = fm.monte_carlo(RunConfig(g, "algorithm_a", model, 100, profile=prof),
+                         70, 2)
+    assert 0 < res.failures < 70 and len(res.recorded) == 100
+    assert calls == {"pack_rows": 0, "unpack_rows": 0}
+    # the patch is seen: recording the states unpacks them
+    fm.run_memory(g, "algorithm_a", model, 3, 1, prof, record_states=True)
+    assert calls["unpack_rows"] > 0
 
 
 _GRAPHS = {}
@@ -350,7 +435,8 @@ def test_dense_batch_without_gate_faults_gives_no_masks(i1):
 
 def test_run_memory_unchanged_by_skipped_gate_masks(i1, monkeypatch):
     # a dense batch with no failed gate of a class passes None to the
-    # round; the reports must equal those of rounds fed all-zero masks
+    # round (the uint8 masks of 'tk', the packed words of 'algorithm_a');
+    # the reports must equal those of rounds fed all-zero masks
     g, prof = i1
     model = independent(p_m=0.004, p_xor=2e-4, p_maj=1e-3)
     cases = [(decoder, seed) for decoder in ("algorithm_a", "tk")
@@ -359,6 +445,7 @@ def test_run_memory_unchanged_by_skipped_gate_masks(i1, monkeypatch):
                for decoder, seed in cases]
 
     xor_parity, maj_mask = PlanBatch.xor_parity, PlanBatch.maj_mask
+    packed = PlanBatch.packed
     seen = {"none": 0, "some": 0}
 
     def zero_xor_parity(self, gr):
@@ -374,8 +461,19 @@ def test_run_memory_unchanged_by_skipped_gate_masks(i1, monkeypatch):
             out = np.zeros((self.maj.shape[0], n), np.uint8)
         return out
 
+    def zero_packed(self, gr, slots=None, count=None):
+        reg, xor, maj = packed(self, gr, slots, count)
+        seen["none" if xor is None else "some"] += 1
+        words = -(-(self.maj.shape[0] if count is None else count) // 64)
+        if xor is None:
+            xor = np.zeros((words, gr.m, gr.rho), np.uint64)
+        if maj is None:
+            maj = np.zeros((words, gr.n), np.uint64)
+        return reg, xor, maj
+
     monkeypatch.setattr(PlanBatch, "xor_parity", zero_xor_parity)
     monkeypatch.setattr(PlanBatch, "maj_mask", zero_maj_mask)
+    monkeypatch.setattr(PlanBatch, "packed", zero_packed)
     fed = [fm.run_memory(g, decoder, model, 200, seed, prof)
            for decoder, seed in cases]
     assert seen["none"] > 0 and seen["some"] > 0
