@@ -24,6 +24,10 @@ messages of a round being computed from the pre-round state:
 * the bit-copy scheme (``tk``) and its per-edge reformulation as
   hard-decision message passing (Gallager B), kept as two independent
   implementations so their equivalence is testable bit by bit.
+  ``tk_round_packed`` runs the former bit-sliced on (..., gamma, n)
+  words, plane j holding every variable's j-th copy, and
+  ``majority_packed`` reads the copies out; the uint8 ``tk_round_many``
+  and ``TkState.readout`` are their oracles.
 
 Gate faults: the message a check sends on one edge is produced by a
 chain of rho-2 two-input XOR gates; a failed gate complements its own
@@ -35,6 +39,7 @@ copies).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -193,6 +198,24 @@ def _at_least(planes: np.ndarray, lo: int, hi: int) -> list:
     return at_least[lo:]
 
 
+def majority_packed(planes: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """Bit-sliced majority over the planes ``planes[..., i, :]``: a bit is
+    set where more than half of them are, and where exactly half are (an
+    even plane count only) it keeps its value in ``old``."""
+    half, odd = divmod(planes.shape[-2], 2)
+    if odd:
+        return _at_least(planes, half + 1, half + 1)[0]
+    tie, more = _at_least(planes, half, half + 1)
+    return more | (old & tie)
+
+
+def _var_planes(g: TannerGraph, est: np.ndarray) -> np.ndarray:
+    """The (..., gamma, n) planes of the (..., m, rho) check estimates as
+    the variables receive them: plane j holds every variable's j-th."""
+    edges = est.reshape(est.shape[:-2] + (est.shape[-2] * est.shape[-1],))
+    return edges.take(g.var_edge_ids, axis=-1)
+
+
 def algorithm_a_round_packed(g: TannerGraph, words: np.ndarray,
                              xor_words: np.ndarray | None = None,
                              maj_words: np.ndarray | None = None) -> np.ndarray:
@@ -206,15 +229,8 @@ def algorithm_a_round_packed(g: TannerGraph, words: np.ndarray,
     at least gamma//2 + 1 of its gamma received planes, and for even
     gamma keeps its old value where exactly gamma/2 of them are set.
     """
-    half, odd = divmod(g.gamma, 2)
     est = _check_estimates(words.take(g.check_nbrs, axis=-1), xor_words)
-    edges = est.reshape(est.shape[:-2] + (est.shape[-2] * est.shape[-1],))
-    planes = edges.take(g.var_edge_ids, axis=-1)  # (..., gamma, n)
-    if odd:
-        new = _at_least(planes, half + 1, half + 1)[0]
-    else:
-        tie, more = _at_least(planes, half, half + 1)
-        new = more | (words & tie)
+    new = majority_packed(_var_planes(g, est), words)
     if maj_words is not None:
         new ^= maj_words
     return new
@@ -413,6 +429,39 @@ def tk_round_many(g: TannerGraph, copies: np.ndarray,
     new = (copies ^ (disagree >= flip_threshold)).astype(np.uint8)
     if maj_flip is not None:
         new ^= maj_flip[..., None]
+    return new
+
+
+@functools.lru_cache(maxsize=None)
+def _exclusion(gamma: int) -> np.ndarray:
+    """(gamma-1, gamma) index whose column j lists the copies other than j."""
+    i = np.arange(gamma - 1)[:, None]
+    return i + (i >= np.arange(gamma))
+
+
+def tk_round_packed(g: TannerGraph, copies: np.ndarray,
+                    xor_words: np.ndarray | None = None,
+                    maj_words: np.ndarray | None = None) -> np.ndarray:
+    """tk_round_many bit-sliced over 64 states per word: ``copies`` is a
+    (..., gamma, n) uint64 array whose plane j holds every variable's
+    j-th copy, bit b of every entry belonging to state b; xor_words and
+    maj_words are as in algorithm_a_round_packed.
+
+    Check c reads the copy riding each edge through the flat ids
+    check_edge_pos * n + check_nbrs.  Copy j flips where at least
+    gamma//2 of the gamma-1 estimates other than its own disagree with
+    it: one at-least-k count over a (..., gamma, gamma-1, n) stack.
+    """
+    gamma = g.gamma
+    flat = copies.reshape(copies.shape[:-2] + (gamma * g.n,))
+    est = _check_estimates(flat.take(g.check_edge_pos * g.n + g.check_nbrs, axis=-1),
+                           xor_words)
+    # entry (i, j): copy j against the i-th estimate other than its own;
+    # the count reads the swapped view, whose planes are contiguous
+    disagree = _var_planes(g, est)[..., _exclusion(gamma), :] ^ copies[..., None, :, :]
+    new = copies ^ _at_least(disagree.swapaxes(-3, -2), gamma // 2, gamma // 2)[0]
+    if maj_words is not None:
+        new ^= maj_words[..., None, :]
     return new
 
 

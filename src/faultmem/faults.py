@@ -24,7 +24,6 @@ remain the return type of the one-trial draws.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -297,55 +296,17 @@ class PlanBatch:
     maj: np.ndarray | None
     dense: bool = False
 
-    def take(self, rows) -> "PlanBatch":
-        return PlanBatch(*(None if a is None else a[rows]
-                           for a in (self.reg, self.xor, self.maj)), self.dense)
-
-    def flip_registers(self, states: np.ndarray) -> None:
-        """Complement the planned registers of (T, n) ``states`` in place;
-        with (T, n, gamma) bit-copy states, all copies of a register."""
-        if self.reg is None:
-            return
-        if self.dense:
-            states ^= self.reg.reshape(self.reg.shape + (1,) * (states.ndim - 2))
-        else:
-            states[np.arange(states.shape[0])[:, None], self.reg] ^= 1
-
-    def xor_parity(self, g: TannerGraph) -> np.ndarray | None:
-        """(T, m, rho) net message flips: parity of each chain's failed
-        gates.  None when no XOR gate of the batch failed."""
-        if self.xor is None or (self.dense and not self.xor.any()):
-            return None
-        rows = self.xor.shape[0]
-        if self.dense:
-            chains = self.xor.view(np.uint8).reshape(rows, g.m, g.rho, g.rho - 2)
-            return np.bitwise_xor.reduce(chains, axis=-1)
-        chain = self.xor // (g.rho - 2) + (np.arange(rows) * (g.m * g.rho))[:, None]
-        parity = np.zeros(rows * g.m * g.rho, dtype=np.uint8)
-        np.bitwise_xor.at(parity, chain.ravel(), 1)
-        return parity.reshape(rows, g.m, g.rho)
-
-    def maj_mask(self, n: int) -> np.ndarray | None:
-        """(T, n) 0/1 complement mask of failed majority gates; None when
-        no majority gate of the batch failed."""
-        if self.maj is None or (self.dense and not self.maj.any()):
-            return None
-        if self.dense:
-            return self.maj.view(np.uint8)
-        mask = np.zeros((self.maj.shape[0], n), dtype=np.uint8)
-        mask[np.arange(self.maj.shape[0])[:, None], self.maj] = 1
-        return mask
-
     def packed(self, g: TannerGraph, slots=None, count=None):
-        """(reg_words, xor_words, maj_words): the register flips, the chain
-        parities of xor_parity and the majority masks of maj_mask, row r
-        of the batch packed into bit slots[r] % 64 of word slots[r] // 64
-        (pack_rows' layout when the slots are the rows themselves, the
-        default): (W, n), (W, m, rho) and (W, n) uint64 words, W =
-        ceil(count / 64), count defaulting to the row count.  A class
-        without a fault in the batch is None.  One XOR scatter fills all
-        three: two failed gates of one chain cancel, and a row's register
-        and majority ids are distinct, so XOR sets their bits."""
+        """(reg_words, xor_words, maj_words): the register flips, the net
+        message flips (the parity of each chain's failed gates) and the
+        majority complements, row r of the batch packed into bit
+        slots[r] % 64 of word slots[r] // 64 (pack_rows' layout when the
+        slots are the rows themselves, the default): (W, n), (W, m, rho)
+        and (W, n) uint64 words, W = ceil(count / 64), count defaulting to
+        the row count.  A class without a fault in the batch is None.  One
+        XOR scatter fills all three: two failed gates of one chain cancel,
+        and a row's register and majority ids are distinct, so XOR sets
+        their bits."""
         width = 2 * g.n + g.m * g.rho
         parts, at, bits, offset = [], [], [], 0
         for arr, per, size in ((self.reg, 1, g.n), (self.xor, g.rho - 2, g.m * g.rho),
@@ -639,20 +600,11 @@ def theorem2_margin(budget: AdversarialBudget, gamma: int, rho: int,
 
 def rng_for(seed, cycle=None) -> np.random.Generator:
     """A new generator keyed by (seed, cycle); seed may be an int or a
-    tuple of ints.  The PCG64 state is a blake2b hash of the key, so
+    tuple of ints.  The PCG64 is seeded with seed_key of the key, so
     distinct keys give independent streams and the same key always
     reproduces the same draws."""
     parts = _seed_parts(seed) + ([] if cycle is None else [int(cycle)])
-    digest = hashlib.blake2b(repr(tuple(parts)).encode(), digest_size=32).digest()
-    bit_generator = np.random.PCG64(0)
-    bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": int.from_bytes(digest[:16], "little"),
-                  "inc": int.from_bytes(digest[16:], "little") | 1},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return np.random.Generator(bit_generator)
+    return np.random.Generator(np.random.PCG64(seed_key(tuple(parts))))
 
 
 def exceedance_frequency(p: float, delta: float, n: int, draws: int,

@@ -8,16 +8,16 @@ class, the class being defined operationally by the reliable parallel
 bit-flipping decoder under a round cap.
 
 One cycle loop serves every run.  It draws one cycle's fault plans for
-all alive trials in one keyed-hash call.  For 'algorithm_a' and 'none'
-the registers stay packed from the first cycle to the last, 64 trials
-per uint64 word: the plans are scattered into each trial's own bit, the
-rounds run bit-sliced, corrupt counts are popcounts of the difference to
+all alive trials in one keyed-hash call.  For every decoder the state
+stays packed from the first cycle to the last, 64 trials per uint64
+word: the plans are scattered into each trial's own bit, the rounds run
+bit-sliced (the 'tk' bit-copies as gamma planes of words, read out by a
+bit-sliced majority), corrupt counts are popcounts of the difference to
 the original, and the failure test decodes the words holding a suspect
-trial bit-sliced as well.  The 'tk' decoder keeps (T, n, gamma) uint8
-bit-copies and packs only its suspect words for that test.  Every
-trial's plans are a pure function of its (root_seed, trial, cycle) key,
-so a single run (``run_memory``) is the one-trial case of the same loop
-and reproduces trial t of ``monte_carlo`` exactly.
+trial bit-sliced as well.  Every trial's plans are a pure function of
+its (root_seed, trial, cycle) key, so a single run (``run_memory``) is
+the one-trial case of the same loop and reproduces trial t of
+``monte_carlo`` exactly.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .decoders import (TkState, algorithm_a_round_packed, broadcast_bits,
-                       pack_bits, pack_rows, parallel_bitflip_decode_packed,
-                       popcounts, tk_round_many, unpack_bits, unpack_rows)
+from .decoders import (algorithm_a_round_packed, broadcast_bits,
+                       majority_packed, pack_bits, pack_rows,
+                       parallel_bitflip_decode_packed, popcounts,
+                       tk_round_packed, unpack_bits, unpack_rows)
 from .exceptions import AccountingError, ConfigError
 from .expansion import ExpansionProfile
 from .faults import AdversarialModel, IndependentModel, seed_key, trial_keys
@@ -179,18 +180,20 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
     trials that failed.  Plans of cycle-independent models are drawn once
     and reused.
 
-    For 'algorithm_a' and 'none' the state is (ceil(T/64), n) uint64
-    words for the whole run, trial t in bit t % 64 of word t // 64 (the
-    layout of pack_rows), and the alive trials are the bits of the alive
-    words.  Plans are scattered into their trials' bits (PlanBatch.packed),
-    corrupt counts are popcounts of ``words ^ original``, the suspects
-    are its OR over n masked by the alive words, and the failure test
-    decodes the words holding a suspect bit-sliced; a failed trial's bit
-    is cleared in the alive words.  Bits of retired trials keep being
-    refreshed but are never read.  The words are unpacked only for
-    ``record_states`` and for a state-dependent (greedy) adversary.  For
-    'tk' the state is (T, n, gamma) uint8 bit-copies plus their (T, n)
-    readouts, which only the failure test packs.
+    The state is (ceil(T/64), n) uint64 words for the whole run, trial t
+    in bit t % 64 of word t // 64 (the layout of pack_rows): the
+    registers, or for 'tk' the readouts of its (ceil(T/64), gamma, n)
+    bit-copy words, plane j holding every variable's j-th copy.  The
+    alive trials are the bits of the alive words.  Plans are scattered
+    into their trials' bits (PlanBatch.packed); a register flip
+    complements all copies of a 'tk' register, and a 'tk' readout is the
+    majority of the copies, a tie keeping the previous readout.  Corrupt
+    counts are popcounts of ``words ^ original``, the suspects are its OR
+    over n masked by the alive words, and the failure test decodes the
+    words holding a suspect bit-sliced; a failed trial's bit is cleared
+    in the alive words.  Bits of retired trials keep being refreshed but
+    are never read.  The words are unpacked only for ``record_states``
+    and for a state-dependent (greedy) adversary.
 
     Returns (corrupt, failure_cycle, recorded): (2, T, L) pre/post-correction
     corrupt counts, -1 where a cycle did not run; (T,) failure cycles, -1
@@ -212,15 +215,12 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
         spend = (g.gamma * (g.rho - 2) * b.alpha_xor + b.alpha_maj + b.alpha_m) * g.n
 
     trials = np.size(keys)
-    tk = config.decoder == "tk"
     original_words = broadcast_bits(original)
     alive = pack_bits(np.ones(trials, dtype=bool))
     idx = np.arange(trials)
-    if tk:
-        words = np.tile(original, (trials, 1))
-        copies = np.repeat(words[:, :, None], g.gamma, axis=2)
-    else:
-        state = np.tile(original_words, (alive.size, 1))
+    state = np.tile(original_words, (alive.size, 1))
+    if config.decoder == "tk":
+        copies = np.repeat(state[:, None], g.gamma, axis=1)
     failure_cycle = np.full(trials, -1, dtype=np.int64)
     corrupt = np.full((2, trials, L), -1, dtype=np.int64)
     recorded = np.zeros((2, trials, L, g.n), dtype=np.uint8) if record_states else None
@@ -228,41 +228,32 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
 
     for cycle in range(1, L + 1):
         if model.cycle_dependent:
-            seen = ((words if tk else unpack_rows(state, trials))[idx]
-                    if model.state_dependent else None)
+            seen = unpack_rows(state, trials)[idx] if model.state_dependent else None
             plans = model.draw_batch(g, keys if idx.size == trials else keys[idx],
                                      cycle, seen, original)
         elif cached is None:
-            cached = model.draw_batch(g, keys, cycle, None, original)
-            if not tk:  # scattered once; retired trials' bits are never read
-                cached = cached.packed(g)
+            # scattered once; retired trials' bits are never read
+            cached = model.draw_batch(g, keys, cycle, None, original).packed(g)
 
-        if tk:
-            if cached is not None:
-                plans = cached if idx.size == trials else cached.take(idx)
-            work = copies[idx]
-            plans.flip_registers(work)
-            pre = TkState(work).readout(prev=words[idx])
-            xor_parity, maj_flip = plans.xor_parity(g), plans.maj_mask(g.n)
+        reg_words, xor_words, maj_words = \
+            cached if cached is not None else plans.packed(g, idx, trials)
+        if config.decoder == "tk":
+            if reg_words is not None:
+                copies ^= reg_words[:, None]
+            pre = majority_packed(copies, state)
             for _ in range(config.rounds_per_cycle):
-                work = tk_round_many(g, work, xor_parity, maj_flip)
-            post = TkState(work).readout(prev=pre)
-            copies[idx] = work
-            words[idx] = post
-            counts = (np.concatenate((pre, post)) != original).sum(axis=1).reshape(2, -1)
-            diff = pack_rows(words) ^ original_words if counts[1].any() else None
+                copies = tk_round_packed(g, copies, xor_words, maj_words)
+            state = majority_packed(copies, pre)
         else:
-            reg_words, xor_words, maj_words = \
-                cached if cached is not None else plans.packed(g, idx, trials)
             if reg_words is not None:
                 state ^= reg_words
             pre = state
             if config.decoder == "algorithm_a":
                 for _ in range(config.rounds_per_cycle):
                     state = algorithm_a_round_packed(g, state, xor_words, maj_words)
-            diff = state ^ original_words
-            counts = popcounts(np.concatenate((pre ^ original_words, diff))) \
-                .reshape(2, -1)[:, idx]
+        diff = state ^ original_words
+        counts = popcounts(np.concatenate((pre ^ original_words, diff))) \
+            .reshape(2, -1)[:, idx]
 
         if config.check_accounting and cycle > 1:
             prev = corrupt[0, idx, cycle - 2]
@@ -277,10 +268,8 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
 
         corrupt[:, idx, cycle - 1] = counts
         if record_states:
-            recorded[0, idx, cycle - 1] = pre if tk else unpack_rows(pre, trials)[idx]
-            recorded[1, idx, cycle - 1] = post if tk else unpack_rows(state, trials)[idx]
-        if diff is None:
-            continue
+            recorded[0, idx, cycle - 1] = unpack_rows(pre, trials)[idx]
+            recorded[1, idx, cycle - 1] = unpack_rows(state, trials)[idx]
         suspects = np.bitwise_or.reduce(diff, axis=1) & alive
         if suspects.any():
             failed = _failed_bits(g, diff, suspects, cap)

@@ -29,6 +29,24 @@ def build_instance(inst):
     return g, fm.ExpansionProfile(alpha, gamma, eps)
 
 
+def plan_masks(batch, g, rows):
+    """The (rows, n) register flips, (rows, m, rho) chain parities and
+    (rows, n) majority complements of a PlanBatch as 0/1 uint8 arrays,
+    built row by row from its plan objects: the oracle for
+    PlanBatch.packed."""
+    flips = np.zeros((rows, g.n), np.uint8)
+    parity = np.zeros((rows, g.m, g.rho), np.uint8)
+    mask = np.zeros((rows, g.n), np.uint8)
+    for row in range(rows):
+        reg_plan, gate_plan = batch.plan(row, g)
+        flips[row] = reg_plan.apply(flips[row])
+        if gate_plan.xor_flips:
+            parity[row] = gate_plan.xor_parity(g)
+        if gate_plan.maj_flips:
+            mask[row] = gate_plan.maj_mask(g)
+    return flips, parity, mask
+
+
 @pytest.fixture(scope="session")
 def certified_instances():
     return [build_instance(inst) for inst in CERTIFIED_INSTANCES]

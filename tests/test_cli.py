@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -296,3 +297,41 @@ def test_compare_tk_rejects_greedy(tmp_path, capsys):
     rc = run_cli(["compare-tk", "--config", cfg, "--out", tmp_path / "x.csv"])
     assert rc == 2
     assert "greedy" in capsys.readouterr().err
+
+
+# -- pinned outputs ---------------------------------------------------------
+
+# sha256 of the simulate JSON (decoder 'tk') and of the compare-tk CSV and
+# summary on the certified (40,4,5) instance, 70 trials x 30 cycles (two
+# words of trials), under each fault model with gate faults: any change to
+# these bytes is a change of results
+_PINNED_MODELS = {
+    "adversarial": ({"type": "adversarial", "alpha_m": 1.2 / 40,
+                     "alpha_xor": 1.5 / 480, "alpha_maj": 1.5 / 40,
+                     "strategy": "repeat"},
+                    "867d02e5bd1bfee7e4b3a023889fa476acacdd4e5d0dfe69038784f54c8a5494",
+                    "dbaa67b7d77cc3e0535c24ace171d733b3321a669055e97606d23211477553c9",
+                    "856aeb5ee8909cfef4f288f57fe8e3bb014c6ae9900287b430fea243aec2a426"),
+    "independent": ({"type": "independent", "p_m": 0.004, "p_xor": 3e-4,
+                     "p_maj": 1e-3},
+                    "20b850cbf270b2af28624f57981e607e6e7d63e742fce7d046340b08615ee495",
+                    "330322c167f39d33d282e47d941b30f6050e7f01347cb3ba4cf1aa74c1847ce2",
+                    "e0eb04a28819d673a90ec8a265b2ccada0b05b852762c825400105b834e48c05"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PINNED_MODELS))
+def test_tk_outputs_are_pinned(tmp_path, kind):
+    model, result, paired, summary = _PINNED_MODELS[kind]
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, code={"n": 40, "gamma": 4, "rho": 5, "seed": 13,
+                            "reject_4cycles": True},
+                 profile={"alpha": 2.9 / 40, "epsilon": 0.12},
+                 decoder="tk", fault_model=model, cycles=30, trials=70,
+                 root_seed=3)
+    assert run_cli(["simulate", "--config", cfg]) == 0
+    assert run_cli(["compare-tk", "--config", cfg, "--out", tmp_path / "paired.csv",
+                    "--summary", tmp_path / "summary.json"]) == 0
+    digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("result.json", "paired.csv", "summary.json")]
+    assert digests == [result, paired, summary]

@@ -8,15 +8,18 @@ from faultmem.decoders import (EdgeMessages, GateFaultPlan, TkState,
                                _check_estimates, algorithm_a_round,
                                algorithm_a_round_many,
                                algorithm_a_round_packed, gallager_b_round,
-                               pack_bits, pack_rows, parallel_bitflip_decode,
+                               majority_packed, pack_bits, pack_rows,
+                               parallel_bitflip_decode,
                                parallel_bitflip_decode_many,
                                parallel_bitflip_decode_packed,
                                parallel_bitflip_round,
                                parallel_bitflip_round_many,
                                parallel_bitflip_round_packed, popcounts,
-                               tk_round, tk_round_many, unpack_bits,
-                               unpack_rows)
+                               tk_round, tk_round_many, tk_round_packed,
+                               unpack_bits, unpack_rows)
 from faultmem.faults import PlanBatch
+
+from conftest import plan_masks
 
 # (n, gamma, rho) of small random graphs, odd and even gamma
 GRAPH_PARAMS = ((12, 3, 6), (12, 4, 6), (20, 4, 5), (12, 5, 6), (16, 6, 8))
@@ -450,7 +453,7 @@ def test_packed_refresh_equals_uint8_round(params, seed, count, density, dense,
     rng = np.random.default_rng(seed)
     states = (rng.random((count, g.n)) < density).astype(np.uint8)
     plans = random_gate_batch(g, rng, count, dense)
-    xor_parity, maj_flip = plans.xor_parity(g), plans.maj_mask(g.n)
+    _flips, xor_parity, maj_flip = plan_masks(plans, g, count)
     _reg, xor_words, maj_words = plans.packed(g)
 
     expected, words = states, pack_rows(states)
@@ -482,8 +485,7 @@ def test_packed_refresh_equals_uint8_round(params, seed, count, density, dense,
     assert np.array_equal(algorithm_a_round(g, states[0], plan),
                           reference_round_many(
                               g, states[:1],
-                              None if xor_parity is None else xor_parity[:1],
-                              None if maj_flip is None else maj_flip[:1])[0])
+                              xor_parity[:1], maj_flip[:1])[0])
 
 
 # -- refresh / bit-flipping agreement ----------------------------------------
@@ -583,6 +585,40 @@ def test_tk_round_many_rows_equal_gallager_b(params, seed, rows, xor_max,
                                               np.zeros(g.n * g.gamma, np.uint8)),
                               plan)
         assert np.array_equal(new[t].reshape(-1), em.var_to_check)
+
+
+@settings(max_examples=80)
+@given(params=st.sampled_from(REFRESH_GRAPH_PARAMS[:-1]),  # gamma 2..7
+       seed=st.integers(0, 2**32), count=st.sampled_from((1, 63, 64, 65, 130)),
+       density=st.floats(0.0, 1.0), dense=st.booleans(), rounds=st.integers(1, 3))
+@example(params=(12, 2, 4), seed=1, count=130, density=0.5, dense=False, rounds=3)
+@example(params=(20, 4, 5), seed=2, count=65, density=0.5, dense=False, rounds=2)
+@example(params=(16, 6, 8), seed=3, count=64, density=0.5, dense=True, rounds=2)
+@example(params=(16, 7, 8), seed=4, count=1, density=0.3, dense=False, rounds=1)
+def test_packed_tk_round_equals_uint8_round(params, seed, count, density, dense,
+                                            rounds):
+    # copy j of every variable is plane j of the packed words; the packed
+    # readout keeps the previous readout on a tie, as TkState.readout does
+    g = fm.build_random_regular(fm.CodeParams(*params), seed % 50)
+    rng = np.random.default_rng(seed)
+    copies = (rng.random((count, g.n, g.gamma)) < density).astype(np.uint8)
+    prev = rng.integers(0, 2, (count, g.n)).astype(np.uint8)
+    plans = random_gate_batch(g, rng, count, dense)
+    _flips, xor_parity, maj_flip = plan_masks(plans, g, count)
+    _reg, xor_words, maj_words = plans.packed(g)
+
+    expected, words = copies, pack_rows(copies.transpose(0, 2, 1))
+    readout = pack_rows(prev)
+    for _ in range(rounds):
+        expected = tk_round_many(g, expected, xor_parity, maj_flip)
+        words = tk_round_packed(g, words, xor_words, maj_words)
+        assert words.dtype == np.uint64
+        assert words.shape == (-(-count // 64), g.gamma, g.n)
+        assert np.array_equal(unpack_rows(words, count),
+                              expected.transpose(0, 2, 1))
+        prev = TkState(expected).readout(prev=prev)
+        readout = majority_packed(words, readout)
+        assert np.array_equal(unpack_rows(readout, count), prev)
 
 
 def test_tk_initialization_equal_copies(seed7_graph):

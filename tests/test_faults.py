@@ -14,6 +14,8 @@ from faultmem.faults import (GREEDY_POOL_SIZE, PlanBatch, draw_adversarial,
                              draw_independent_batch, exceedance_frequency,
                              rng_for, seed_key, trial_keys)
 
+from conftest import plan_masks
+
 
 @pytest.fixture(scope="module")
 def small_graph():
@@ -356,10 +358,8 @@ def test_gate_words_pack_the_gate_masks(small_graph, rows):
     count = rows + 70
     slots = np.sort(np.random.default_rng(rows).choice(count, rows, replace=False))
     for batch in batches:
-        parity, mask = batch.xor_parity(g), batch.maj_mask(g.n)
-        flips = np.zeros((rows, g.n), np.uint8)
-        batch.flip_registers(flips)
-        assert parity is not None and mask is not None
+        flips, parity, mask = plan_masks(batch, g, rows)
+        assert parity.any() and mask.any()
         for words, at, width in ((batch.packed(g), np.arange(rows), rows),
                                  (batch.packed(g, slots, count), slots, count)):
             reg_words, xor_words, maj_words = words

@@ -67,6 +67,30 @@ def test_stored_codeword_mode(i1):
     assert max(rep.alpha_post) == 0.0
 
 
+def test_tk_stored_codeword_shifts_the_trajectory(i1):
+    # every 'tk' round commutes with adding a codeword, so a nonzero stored
+    # word gives the zero word's counts and failures, and its observed
+    # words shifted by that codeword
+    g, prof = i1
+    rng = np.random.default_rng(2)
+    cw = np.zeros(g.n, np.uint8)
+    while not cw.any():
+        cw = fm.encode(g, rng.integers(0, 2, fm.code_dimension(g)).astype(np.uint8))
+    model = independent(0.0003, 3e-5, 3e-4)
+    runs = [fm.monte_carlo(RunConfig(g, "tk", model, 60, profile=prof,
+                                     initial_word=word), 70, 3, keep_reports=True)
+            for word in (None, cw)]
+    assert 0 < runs[0].failures < 70
+    assert runs[1].reports == runs[0].reports
+    loud = independent(0.003, 3e-4, 1e-3)
+    base, moved = (fm.run_memory(g, "tk", loud, 20, 3, prof, record_states=True,
+                                 initial_word=word) for word in (None, cw))
+    assert moved.corrupt_pre == base.corrupt_pre and max(base.corrupt_pre) > 0
+    for a, b in zip(base.states_pre + base.states_post,
+                    moved.states_pre + moved.states_post):
+        assert np.array_equal(a ^ cw, b)
+
+
 # -- failure detection ------------------------------------------------------
 
 
@@ -186,7 +210,8 @@ def test_monte_carlo_rows_match_run_memory(i1):
 
 
 # rates on i1 at which trials fail in more than one word and, but for
-# 'repeat' under 'none' (whose word only toggles), at different cycles
+# 'repeat' under 'none' (whose word only toggles), at different cycles;
+# 'tk' (gamma 3) fails every trial at cycle 1 under any nonzero budget
 _ACROSS_WORDS = {
     ("algorithm_a", "random"): adversarial(1.5 / 36, 1.5 / 432, strategy="random"),
     ("algorithm_a", "repeat"): adversarial(0.5 / 36, 1.5 / 432, 1.5 / 36,
@@ -195,6 +220,7 @@ _ACROSS_WORDS = {
     ("none", "random"): adversarial(1.5 / 36, strategy="random"),
     ("none", "repeat"): adversarial(2.5 / 36, strategy="repeat"),
     ("none", "independent"): independent(0.003),
+    ("tk", "independent"): independent(0.0003, 3e-5, 3e-4),
 }
 
 
@@ -244,8 +270,9 @@ def test_accounting_violation_in_second_word_names_lowest_trial(i1):
 
 
 def test_packed_state_is_never_repacked(i1, monkeypatch):
-    # 'algorithm_a' keeps its registers packed from the first cycle to the
-    # last: without record_states nothing is packed or unpacked per cycle
+    # the registers ('tk': the bit-copies and their readouts) stay packed
+    # from the first cycle to the last: without record_states nothing is
+    # packed or unpacked per cycle
     g, prof = i1
     calls = {"pack_rows": 0, "unpack_rows": 0}
 
@@ -259,13 +286,15 @@ def test_packed_state_is_never_repacked(i1, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(memsim, name, counted(name))
-    model = adversarial(1.5 / 36, 1.5 / 432, strategy="repeat")
-    res = fm.monte_carlo(RunConfig(g, "algorithm_a", model, 100, profile=prof),
-                         70, 2)
-    assert 0 < res.failures < 70 and len(res.recorded) == 100
-    assert calls == {"pack_rows": 0, "unpack_rows": 0}
+    models = {"algorithm_a": adversarial(1.5 / 36, 1.5 / 432, strategy="repeat"),
+              "tk": independent(0.0003, 3e-5, 3e-4)}
+    for decoder, model in models.items():
+        res = fm.monte_carlo(RunConfig(g, decoder, model, 100, profile=prof),
+                             70, 2)
+        assert 0 < res.failures < 70 and len(res.recorded) == 100
+        assert calls == {"pack_rows": 0, "unpack_rows": 0}
     # the patch is seen: recording the states unpacks them
-    fm.run_memory(g, "algorithm_a", model, 3, 1, prof, record_states=True)
+    fm.run_memory(g, "tk", models["tk"], 3, 1, prof, record_states=True)
     assert calls["unpack_rows"] > 0
 
 
@@ -418,25 +447,9 @@ def test_batched_accounting_violation_matches_run_memory(i1):
             fm.monte_carlo(cfg, trials, root)
 
 
-def test_dense_batch_without_gate_faults_gives_no_masks(i1):
-    g, _prof = i1
-    total_xor = g.n * g.gamma * (g.rho - 2)
-    quiet = PlanBatch(None, np.zeros((3, total_xor), bool),
-                      np.zeros((3, g.n), bool), dense=True)
-    assert quiet.xor_parity(g) is None and quiet.maj_mask(g.n) is None
-    xor, maj = quiet.xor.copy(), quiet.maj.copy()
-    xor[1, 5], maj[2, 7] = True, True
-    loud = PlanBatch(None, xor, maj, dense=True)
-    parity, mask = loud.xor_parity(g), loud.maj_mask(g.n)
-    assert parity.shape == (3, g.m, g.rho) and parity.sum() == 1
-    assert parity[1].reshape(-1)[5 // (g.rho - 2)] == 1
-    assert mask.shape == (3, g.n) and mask.sum() == 1 and mask[2, 7] == 1
-
-
 def test_run_memory_unchanged_by_skipped_gate_masks(i1, monkeypatch):
     # a dense batch with no failed gate of a class passes None to the
-    # round (the uint8 masks of 'tk', the packed words of 'algorithm_a');
-    # the reports must equal those of rounds fed all-zero masks
+    # round; the reports must equal those of rounds fed all-zero words
     g, prof = i1
     model = independent(p_m=0.004, p_xor=2e-4, p_maj=1e-3)
     cases = [(decoder, seed) for decoder in ("algorithm_a", "tk")
@@ -444,22 +457,8 @@ def test_run_memory_unchanged_by_skipped_gate_masks(i1, monkeypatch):
     skipped = [fm.run_memory(g, decoder, model, 200, seed, prof)
                for decoder, seed in cases]
 
-    xor_parity, maj_mask = PlanBatch.xor_parity, PlanBatch.maj_mask
     packed = PlanBatch.packed
     seen = {"none": 0, "some": 0}
-
-    def zero_xor_parity(self, gr):
-        out = xor_parity(self, gr)
-        seen["none" if out is None else "some"] += 1
-        if out is None and self.xor is not None:
-            out = np.zeros((self.xor.shape[0], gr.m, gr.rho), np.uint8)
-        return out
-
-    def zero_maj_mask(self, n):
-        out = maj_mask(self, n)
-        if out is None and self.maj is not None:
-            out = np.zeros((self.maj.shape[0], n), np.uint8)
-        return out
 
     def zero_packed(self, gr, slots=None, count=None):
         reg, xor, maj = packed(self, gr, slots, count)
@@ -471,8 +470,6 @@ def test_run_memory_unchanged_by_skipped_gate_masks(i1, monkeypatch):
             maj = np.zeros((words, gr.n), np.uint64)
         return reg, xor, maj
 
-    monkeypatch.setattr(PlanBatch, "xor_parity", zero_xor_parity)
-    monkeypatch.setattr(PlanBatch, "maj_mask", zero_maj_mask)
     monkeypatch.setattr(PlanBatch, "packed", zero_packed)
     fed = [fm.run_memory(g, decoder, model, 200, seed, prof)
            for decoder, seed in cases]
