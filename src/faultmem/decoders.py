@@ -253,18 +253,6 @@ def algorithm_a_round_many(g: TannerGraph, states: np.ndarray,
                                                 maj_flip), rows)
 
 
-def algorithm_a_round(g: TannerGraph, state, faults: GateFaultPlan | None = None) -> Word:
-    """One faulty refresh: broadcast values, form check estimates through
-    the XOR chains, take per-variable majorities (ties keep the previous
-    value), then complement the outputs of failed majority gates."""
-    w = as_word(state, g.n)
-    if faults is None:
-        faults = GateFaultPlan.empty()
-    faults.validate(g)
-    return algorithm_a_round_many(g, w[None, :], faults.xor_parity(g),
-                                  faults.maj_mask(g))[0]
-
-
 # ---------------------------------------------------------------------------
 # Parallel bit flipping (reliable reference rule)
 # ---------------------------------------------------------------------------
@@ -281,7 +269,8 @@ def parallel_bitflip_round_many(g: TannerGraph, states: np.ndarray) -> np.ndarra
 def parallel_bitflip_round_packed(g: TannerGraph, words: np.ndarray) -> np.ndarray:
     """The flip rule bit-sliced over 64 states per word: ``words`` is a
     (..., n) uint64 array in which bit b of every entry belongs to state
-    b, and bit b of the result is parallel_bitflip_round of state b.
+    b, and bit b of the result is parallel_bitflip_round_many's row for
+    state b.
 
     Each check's parity is an XOR over its rho gathered words; a variable
     flips where at least gamma//2 + 1 of its gamma check planes are
@@ -291,11 +280,6 @@ def parallel_bitflip_round_packed(g: TannerGraph, words: np.ndarray) -> np.ndarr
     unsat = np.bitwise_xor.reduce(words[..., g.check_nbrs.T], axis=-2)
     need = g.gamma // 2 + 1
     return words ^ _at_least(unsat[..., g.var_nbrs.T], need, need)[0]
-
-
-def parallel_bitflip_round(g: TannerGraph, state) -> Word:
-    w = as_word(state, g.n)
-    return parallel_bitflip_round_many(g, w[None, :])[0]
 
 
 def parallel_bitflip_decode_many(g: TannerGraph, states: np.ndarray,

@@ -7,18 +7,19 @@ with a fixed probability per use.
 Every draw reads a keyed counter stream.  A trial's key is folded from
 its seed (an int or a tuple of ints, e.g. (root_seed, trial)) with the
 SplitMix64 finalizer (Steele, Lea & Flood, OOPSLA 2014), and the cycle is
-folded in the same way for cycle-dependent draws.  Component j of a
-class reads output j of that class's segment of the SplitMix64 sequence
-seeded by the key, so a draw is a pure function of (seed, cycle, class,
-index).  The kernels take the keys of any set of trials and draw one
-cycle's plans for all of them in a few numpy calls; row t never depends
-on which other trials are in the batch.  The one-trial functions
-(``draw_adversarial``, ``draw_independent``) are the one-row case of the
-same kernels, with their keys derived in Python ints.
+folded in the same way for cycle-dependent draws.  Each class reads its
+own segment of the SplitMix64 sequence seeded by the key, so a draw is a
+pure function of (seed, cycle, class, index).  The kernels take the keys
+of any set of trials, and for cycle-dependent draws a block of cycles,
+and draw all their plans in a few numpy calls; a row never depends on
+what else is in the batch.  The one-trial functions (``draw_adversarial``,
+``draw_independent``) are the one-row case of the same kernels.
 
-Batched plans are a PlanBatch: (T, k) index arrays for the adversarial
-model, dense (T, .) masks for the independent one.  The plan dataclasses
-remain the return type of the one-trial draws.
+Plans are drawn as index sets, never as per-component masks: an
+independent class's fault count is Binomial(N, p), by inverting one keyed
+uniform, and its positions a uniform subset of that size.  Batched plans
+are a PlanBatch of ragged (row, id) pairs per class, for both models; the
+plan dataclasses remain the return type of the one-trial draws.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betainc
 
 from .decoders import (GateFaultPlan, broadcast_bits, parallel_bitflip_round_packed,
                        popcounts)
@@ -50,8 +52,7 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 # Each component class reads its own segment of a key's sequence:
 # component j of the class at base b is output b + j + 1.
-_REG, _XOR, _MAJ, _ORDER, _POOL = (c << 40 for c in range(5))
-_HASH_CHUNK = 1 << 18  # hashed values held at once by a dense draw
+_REG, _XOR, _MAJ, _ORDER, _POOL, _COUNT = (c << 40 for c in range(6))
 
 
 def _mix(z: int) -> int:
@@ -61,7 +62,7 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-_U27, _U30, _U31 = np.uint64(27), np.uint64(30), np.uint64(31)
+_U11, _U27, _U30, _U31 = (np.uint64(k) for k in (11, 27, 30, 31))
 _UM1, _UM2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
@@ -108,8 +109,9 @@ def trial_keys(root_seed, trials) -> np.ndarray:
 
 
 def _rows(keys) -> np.ndarray:
+    """Keys as a flat uint64 array."""
     if isinstance(keys, np.ndarray):
-        return keys
+        return keys.ravel()
     return np.array([keys], dtype=np.uint64)
 
 
@@ -118,12 +120,6 @@ def _offsets(base: int, size: int) -> np.ndarray:
     out = np.arange(base + 1, base + size + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
     out.flags.writeable = False
     return out
-
-
-def _stream(keys, base: int, size: int) -> np.ndarray:
-    """SplitMix64 outputs base+1 .. base+size of each key's sequence,
-    shape (T, size)."""
-    return _mix_rows(_rows(keys)[:, None] + _offsets(base, size))
 
 
 def _below(keys: np.ndarray, bound: int, pos: int, stride: int) -> np.ndarray:
@@ -157,7 +153,37 @@ def _floyd(keys: np.ndarray, base: int, total: int, count: int) -> np.ndarray:
 
 
 def _subsets(keys, base: int, total: int, count: int):
-    return None if count == 0 else _floyd(_rows(keys), base, total, count)
+    return None if count == 0 else _floyd(keys, base, total, count)
+
+
+def _ragged_subsets(keys: np.ndarray, base: int, total: int,
+                    counts: np.ndarray):
+    """(row, id) pairs of a uniform counts[r]-subset of range(total) for
+    each key r: _floyd on each group of rows that share a count."""
+    rows = np.repeat(np.arange(counts.size), counts)
+    ids = np.empty(rows.size, dtype=np.int64)
+    start = np.cumsum(counts) - counts
+    for count in (np.flatnonzero(np.bincount(counts)[1:]) + 1).tolist():
+        sel = np.flatnonzero(counts == count)
+        ids[start[sel, None] + np.arange(count)] = _floyd(keys[sel], base,
+                                                          total, count)
+    return rows, ids
+
+
+@functools.lru_cache(maxsize=64)
+def _binomial_table(total: int, p: float) -> np.ndarray:
+    """Inversion table of Binomial(total, p): entry k is 2^53 - round(2^53
+    * P(X > k)), P(X > k) = I_p(k+1, total-k), so a 53-bit uniform u falls
+    at k = searchsorted(table, u, 'right') with probability P(X = k) up to
+    2^-53.  The last entry is 2^53; it may stand at mean + 12 sd + 31,
+    because P(X > mean + 12 sd + 30) < 2^-54 by Bernstein's inequality."""
+    top = min(total - 1, math.ceil(total * p + 12 * math.sqrt(total * p * (1 - p))
+                                   + 30))
+    k = np.arange(top + 1)
+    tail = np.append(np.minimum.accumulate(betainc(k + 1, total - k, p)), 0.0)
+    table = np.uint64(2**53) - np.rint(tail * 2.0**53).astype(np.uint64)
+    table.flags.writeable = False
+    return table
 
 
 def _first_distinct(seq: np.ndarray, count: int) -> np.ndarray:
@@ -205,41 +231,38 @@ class AdversarialBudget:
 
     def check_plans(self, g: TannerGraph, reg_plan: "RegisterFaultPlan",
                     gate_plan: GateFaultPlan) -> None:
-        if len(reg_plan.flips) > self.register_count(g):
-            raise BudgetViolationError(
-                f"{len(reg_plan.flips)} register flips exceed budget "
-                f"{self.register_count(g)}"
-            )
-        if len(gate_plan.xor_flips) > self.xor_count(g):
-            raise BudgetViolationError(
-                f"{len(gate_plan.xor_flips)} XOR gate faults exceed budget "
-                f"{self.xor_count(g)}"
-            )
-        if len(gate_plan.maj_flips) > self.maj_count(g):
-            raise BudgetViolationError(
-                f"{len(gate_plan.maj_flips)} majority gate faults exceed budget "
-                f"{self.maj_count(g)}"
-            )
+        for name, faults, budget in (
+                ("register flips", reg_plan.flips, self.register_count(g)),
+                ("XOR gate faults", gate_plan.xor_flips, self.xor_count(g)),
+                ("majority gate faults", gate_plan.maj_flips, self.maj_count(g))):
+            if len(faults) > budget:
+                raise BudgetViolationError(
+                    f"{len(faults)} {name} exceed budget {budget}")
 
     def check_batch(self, g: TannerGraph, plans: "PlanBatch") -> None:
-        """Vectorized check of index-form plans: every row spends exactly
-        the budget, on distinct in-range component ids."""
+        """Vectorized check of a batch: every row spends exactly the
+        budget, on distinct in-range component ids."""
         classes = (
             ("register flips", plans.reg, self.register_count(g), g.n),
             ("XOR gate faults", plans.xor, self.xor_count(g),
              g.n * g.gamma * (g.rho - 2)),
             ("majority gate faults", plans.maj, self.maj_count(g), g.n),
         )
-        for name, ids, budget, total in classes:
-            width = 0 if ids is None else ids.shape[1]
-            if width != budget:
-                raise BudgetViolationError(
-                    f"{width} {name} per trial, budget {budget}")
-            if width == 0 or ids.shape[0] == 0:
+        for name, pair, budget, total in classes:
+            if pair is None:
+                if budget:
+                    raise BudgetViolationError(f"0 {name} per trial, budget {budget}")
+                continue
+            row, ids = pair
+            widths = np.bincount(row, minlength=plans.rows)
+            if (widths != budget).any():
+                raise BudgetViolationError(f"{widths[np.argmax(widths != budget)]} "
+                                           f"{name} per trial, budget {budget}")
+            if budget == 0:
                 continue
             if ids.min() < 0 or ids.max() >= total:
                 raise BudgetViolationError(f"{name}: id outside [0, {total})")
-            if width > 1 and (np.diff(np.sort(ids, axis=1), axis=1) == 0).any():
+            if budget > 1 and (np.diff(np.sort(row * total + ids)) == 0).any():
                 raise BudgetViolationError(f"{name}: a component repeats in a plan")
 
 
@@ -278,23 +301,27 @@ class RegisterFaultPlan:
 _EMPTY_REG = RegisterFaultPlan()
 
 
+def _pairs(ids: np.ndarray | None):
+    """The (row, id) pairs of a (T, k) index array, k ids in every row."""
+    if ids is None:
+        return None
+    return np.repeat(np.arange(ids.shape[0]), ids.shape[1]), ids.ravel()
+
+
 @dataclass(slots=True)
 class PlanBatch:
-    """One cycle's fault plans for a batch of trials, row t for trial t.
+    """Fault plans for ``rows`` rows, each one trial at one cycle: per
+    class a ragged (row, id) pair of int64 arrays, grouped by ascending
+    row and sorted within a row, of register ids, flat XOR gate ids and
+    majority ids (an adversarial row holds exactly the class budget).  A
+    class with zero budget or zero rate is None.  The flat id of XOR gate
+    (check, out_slot, chain_pos) is (check*rho + out_slot)*(rho-2) +
+    chain_pos."""
 
-    Index form (``dense`` False, adversarial model): reg, xor and maj are
-    (T, k) int64 arrays of register ids, flat XOR gate ids and majority
-    ids, k being the class budget, rows sorted.  Mask form (``dense`` True,
-    independent model): (T, n), (T, n*gamma*(rho-2)) and (T, n) bool
-    masks.  A class with zero budget or zero rate is None.  The flat id of
-    XOR gate (check, out_slot, chain_pos) is
-    (check*rho + out_slot)*(rho-2) + chain_pos.
-    """
-
-    reg: np.ndarray | None
-    xor: np.ndarray | None
-    maj: np.ndarray | None
-    dense: bool = False
+    rows: int
+    reg: tuple | None
+    xor: tuple | None
+    maj: tuple | None
 
     def packed(self, g: TannerGraph, slots=None, count=None):
         """(reg_words, xor_words, maj_words): the register flips, the net
@@ -309,35 +336,32 @@ class PlanBatch:
         their bits."""
         width = 2 * g.n + g.m * g.rho
         parts, at, bits, offset = [], [], [], 0
-        for arr, per, size in ((self.reg, 1, g.n), (self.xor, g.rho - 2, g.m * g.rho),
-                               (self.maj, 1, g.n)):
+        for pair, per, size in ((self.reg, 1, g.n), (self.xor, g.rho - 2, g.m * g.rho),
+                                (self.maj, 1, g.n)):
             part = None
-            if arr is not None:
-                if self.dense:  # flat indices: 2-d nonzero is ~10x slower
-                    row, ids = np.divmod(np.flatnonzero(arr), arr.shape[1])
-                else:
-                    row = np.repeat(np.arange(arr.shape[0]), arr.shape[1])
-                    ids = arr.ravel()
-                if ids.size:
-                    slot = row if slots is None else slots[row]
-                    at.append(slot // 64 * width + offset + ids // per)
-                    bits.append(np.uint64(1) << (slot % 64).astype(np.uint64))
-                    part = slice(offset, offset + size)
-                if count is None:
-                    count = arr.shape[0]
+            if pair is not None and pair[1].size:
+                row, ids = pair
+                slot = row if slots is None else slots[row]
+                at.append(slot // 64 * width + offset + ids // per)
+                bits.append(np.uint64(1) << (slot % 64).astype(np.uint64))
+                part = slice(offset, offset + size)
             parts.append(part)
             offset += size
         if not at:
             return None, None, None
+        count = self.rows if count is None else count
         words = np.zeros((-(-count // 64), width), dtype=np.uint64)
         np.bitwise_xor.at(words.reshape(-1), np.concatenate(at), np.concatenate(bits))
         reg, xor, maj = (None if part is None else words[:, part] for part in parts)
         return reg, None if xor is None else xor.reshape(-1, g.m, g.rho), maj
 
-    def _ids(self, arr, row) -> list[int]:
-        if arr is None:
+    @staticmethod
+    def _ids(pair, row) -> list[int]:
+        if pair is None:
             return []
-        return (arr[row].nonzero()[0] if self.dense else arr[row]).tolist()
+        rows, ids = pair
+        lo, hi = np.searchsorted(rows, (row, row + 1))
+        return ids[lo:hi].tolist()
 
     def plan(self, row: int, g: TannerGraph):
         """Row ``row`` as a (RegisterFaultPlan, GateFaultPlan) pair."""
@@ -359,45 +383,27 @@ class PlanBatch:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=16)
-def _bernoulli_layout(rates: IndependentRates, n: int, total_xor: int):
-    """Stream offsets, 64-bit cut-offs and column slices of the classes
-    with a nonzero rate, laid side by side.  A 53-bit uniform u = v >> 11
-    lies below floor(p * 2^53) exactly when v < floor(p * 2^53) << 11."""
-    classes = [(base, size, int(p * 2.0 ** 53) << 11) for base, size, p in
-               ((_REG, n, rates.p_m), (_XOR, total_xor, rates.p_xor),
-                (_MAJ, n, rates.p_maj)) if p > 0.0]
-    if not classes:
-        return None
-    offsets = np.concatenate([_offsets(base, size) for base, size, _ in classes])
-    cutoffs = np.repeat(np.array([cut for _, _, cut in classes], dtype=np.uint64),
-                        [size for _, size, _ in classes])
-    slices, start = {}, 0
-    for base, size, _ in classes:
-        slices[base] = slice(start, start + size)
-        start += size
-    return offsets, cutoffs, slices
-
-
 def draw_independent_batch(rates: IndependentRates, g: TannerGraph, keys,
                            cycle) -> PlanBatch:
-    """Independent per-component Bernoulli masks for the trials with the
-    given keys (a uint64 array, or one int key) at ``cycle``.  Component j
-    of a class fails when the 53-bit uniform integer at position j of the
-    class stream is below floor(p * 2^53); the classes share one hash
-    call, and a zero-rate class draws nothing."""
-    layout = _bernoulli_layout(rates, g.n, g.n * g.gamma * (g.rho - 2))
-    masks = {}
-    if layout is not None:
-        offsets, cutoffs, slices = layout
-        keyed = _rows(_absorb(keys, cycle))
-        hit = np.empty((keyed.size, offsets.size), dtype=bool)
-        step = max(1, _HASH_CHUNK // offsets.size)  # bounds the uint64 temporaries
-        for lo in range(0, keyed.size, step):
-            hit[lo:lo + step] = _mix_rows(keyed[lo:lo + step, None] + offsets) < cutoffs
-        masks = {base: hit[:, cols] for base, cols in slices.items()}
-    return PlanBatch(masks.get(_REG), masks.get(_XOR), masks.get(_MAJ),
-                     dense=True)
+    """Independent per-component Bernoulli plans for the trials with the
+    given keys (a uint64 array, or one int key) at ``cycle``; a (B, 1)
+    uint64 array of cycles gives row b*T + t for trial t at cycle b.  A
+    class's fault count is Binomial(N, p), its 53-bit count uniform
+    inverted against _binomial_table, and its faults a uniform subset of
+    that size (_floyd): the law of N iid Bernoulli(p) components, at
+    2^-53 resolution.  A zero-rate class draws nothing."""
+    keyed = _rows(_absorb(keys, cycle))
+    classes = []
+    for pos, (base, total, p) in enumerate(
+            ((_REG, g.n, rates.p_m), (_XOR, g.n * g.gamma * (g.rho - 2), rates.p_xor),
+             (_MAJ, g.n, rates.p_maj))):
+        if p == 0.0:
+            classes.append(None)
+            continue
+        u = _mix_rows(keyed + np.uint64((_COUNT + pos + 1) * _GOLDEN & _MASK))
+        counts = np.searchsorted(_binomial_table(total, p), u >> _U11, side="right")
+        classes.append(_ragged_subsets(keyed, base, total, counts))
+    return PlanBatch(keyed.size, *classes)
 
 
 def draw_independent(rates: IndependentRates, g: TannerGraph, seed, cycle):
@@ -412,7 +418,8 @@ def _cluster_rows(g: TannerGraph, keys, reg_count: int, xor_count: int,
     registers and majority gates take the first distinct variables in
     neighborhood order, XOR gates the first ids of those checks' blocks of
     rho*(rho-2) gates."""
-    order = np.argsort(_stream(keys, _ORDER, g.m), axis=1, kind="stable")
+    order = np.argsort(_mix_rows(keys[:, None] + _offsets(_ORDER, g.m)), axis=1,
+                       kind="stable")
     reg = maj = xor = None
     count = max(reg_count, maj_count)
     if count:
@@ -446,7 +453,7 @@ def _greedy_rows(g: TannerGraph, keys, count: int, observed: np.ndarray,
     rows = observed.shape[0]
     corrupt = observed != original
     first = np.sort(np.argsort(corrupt, axis=1, kind="stable")[:, :count], axis=1)
-    pool_keys = _absorb(_rows(keys)[:, None],
+    pool_keys = _absorb(keys[:, None],
                         np.arange(1, pool_size, dtype=np.uint64))
     rand = _floyd(pool_keys.ravel(), _POOL, g.n, count)
     cands = np.concatenate(
@@ -476,9 +483,11 @@ def _greedy_rows(g: TannerGraph, keys, count: int, observed: np.ndarray,
 def draw_adversarial_batch(budget: AdversarialBudget, g: TannerGraph,
                            strategy: str, keys, cycle, observed, original=None,
                            pool_size: int = GREEDY_POOL_SIZE) -> PlanBatch:
-    """Index-form plans exactly at budget for the trials with the given
-    keys (a uint64 array, or one int key); ``observed`` holds their (T, n)
-    register states (read by greedy only).  Strategies:
+    """Plans exactly at budget for the trials with the given keys (a
+    uint64 array, or one int key); ``observed`` holds their (T, n)
+    register states (read by greedy only).  For random, a (B, 1) uint64
+    array of cycles gives B*T rows, row b*T + t for trial t at cycle b.
+    Strategies:
 
     * random  -- uniform subsets, fresh per cycle;
     * repeat  -- the same subsets every cycle (keyed without the cycle);
@@ -496,10 +505,10 @@ def draw_adversarial_batch(budget: AdversarialBudget, g: TannerGraph,
     if pool_size < 1:
         raise ValueError(f"pool_size must be at least 1, got {pool_size}")
     rc, xc, mc = budget.register_count(g), budget.xor_count(g), budget.maj_count(g)
+    keyed = _rows(keys if strategy in ("repeat", "cluster") else _absorb(keys, cycle))
     if strategy == "cluster":
-        reg, xor, maj = _cluster_rows(g, keys, rc, xc, mc)
+        reg, xor, maj = _cluster_rows(g, keyed, rc, xc, mc)
     else:
-        keyed = keys if strategy == "repeat" else _absorb(keys, cycle)
         if strategy == "greedy":
             original = zero_word(g.n) if original is None else original
             reg = (_greedy_rows(g, keyed, rc, observed, original, pool_size)
@@ -508,7 +517,7 @@ def draw_adversarial_batch(budget: AdversarialBudget, g: TannerGraph,
             reg = _subsets(keyed, _REG, g.n, rc)
         xor = _subsets(keyed, _XOR, g.n * g.gamma * (g.rho - 2), xc)
         maj = _subsets(keyed, _MAJ, g.n, mc)
-    plans = PlanBatch(reg, xor, maj)
+    plans = PlanBatch(keyed.size, _pairs(reg), _pairs(xor), _pairs(maj))
     budget.check_batch(g, plans)
     return plans
 
@@ -545,16 +554,13 @@ def draw_adversarial(budget: AdversarialBudget, g: TannerGraph, strategy: str,
 class AdversarialModel:
     budget: AdversarialBudget
     strategy: str = "random"
+    kind = "adversarial"
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}"
             )
-
-    @property
-    def kind(self) -> str:
-        return "adversarial"
 
     @property
     def state_dependent(self) -> bool:
@@ -572,18 +578,9 @@ class AdversarialModel:
 @dataclass(frozen=True)
 class IndependentModel:
     rates: IndependentRates
-
-    @property
-    def kind(self) -> str:
-        return "independent"
-
-    @property
-    def state_dependent(self) -> bool:
-        return False
-
-    @property
-    def cycle_dependent(self) -> bool:
-        return True
+    kind = "independent"
+    state_dependent = False
+    cycle_dependent = True
 
     def draw_batch(self, g, keys, cycle, observed, original) -> PlanBatch:
         return draw_independent_batch(self.rates, g, keys, cycle)

@@ -7,17 +7,20 @@ memory failure.  Failure means leaving the original codeword's decoding
 class, the class being defined operationally by the reliable parallel
 bit-flipping decoder under a round cap.
 
-One cycle loop serves every run.  It draws one cycle's fault plans for
-all alive trials in one keyed-hash call.  For every decoder the state
-stays packed from the first cycle to the last, 64 trials per uint64
-word: the plans are scattered into each trial's own bit, the rounds run
-bit-sliced (the 'tk' bit-copies as gamma planes of words, read out by a
-bit-sliced majority), corrupt counts are popcounts of the difference to
-the original, and the failure test decodes the words holding a suspect
-trial bit-sliced as well.  Every trial's plans are a pure function of
-its (root_seed, trial, cycle) key, so a single run (``run_memory``) is
-the one-trial case of the same loop and reproduces trial t of
-``monte_carlo`` exactly.
+One cycle loop serves every run.  A state-independent fault model draws
+the plans of all alive trials for a block of cycles in one call and
+scatters them in one call; the block is bounded in bytes, and a
+cycle-independent model's one block is reused for every cycle.  Only the
+greedy adversary, which reads the state, draws cycle by cycle.  For
+every decoder the state stays packed from the first cycle to the last,
+64 trials per uint64 word: the plans are scattered into each trial's own
+bit, the rounds run bit-sliced (the 'tk' bit-copies as gamma planes of
+words, read out by a bit-sliced majority), corrupt counts are popcounts
+of the difference to the original, and the failure test decodes the
+words holding a suspect trial bit-sliced as well.  Every trial's plans
+are a pure function of its (root_seed, trial, cycle) key, so a single
+run (``run_memory``) is the one-trial case of the same loop and
+reproduces trial t of ``monte_carlo`` exactly.
 """
 
 from __future__ import annotations
@@ -168,17 +171,46 @@ def _validate_run_args(config: RunConfig) -> None:
             )
 
 
+_BLOCK_BYTES = 1 << 21  # bound on the packed plan words of one block
+
+
+def _draw_block(model, g: TannerGraph, keys, idx: np.ndarray, words: int,
+                first: int, size: int) -> list:
+    """The packed plan words of the trials ``idx`` (keys ``keys``) for
+    cycles first .. first+size-1 of a state-independent model, one
+    (reg_words, xor_words, maj_words) tuple of ``words`` word rows per
+    cycle.  One draw covers the block, row b*T + t for trial idx[t] at
+    cycle first + b, and one scatter puts it into bit idx[t] % 64 of word
+    b*words + idx[t] // 64."""
+    cycles = np.arange(first, first + size, dtype=np.uint64)[:, None]
+    slots = (np.arange(size)[:, None] * (64 * words) + idx).ravel()
+    packed = model.draw_batch(g, keys, cycles, None, None) \
+        .packed(g, slots, size * 64 * words)
+    return [tuple(None if w is None else w[b * words:(b + 1) * words]
+                  for w in packed) for b in range(size)]
+
+
 def _simulate(config: RunConfig, keys: np.ndarray, *,
               record_states: bool = False, name_trials: bool = True):
     """The cycle loop, run for the trials with the given keys: a uint64
     array, or one trial's int key (which the draw kernels hash in Python).
 
-    Per cycle, for every trial still alive: draw its (register, gate)
+    Per cycle, for every trial still alive: take its (register, gate)
     plans for (key, cycle), apply register decay, observe the
     pre-correction word, run the faulty correction rounds (none for
     decoder 'none'), observe again, then test for failure and retire the
-    trials that failed.  Plans of cycle-independent models are drawn once
-    and reused.
+    trials that failed.
+
+    Plans of a state-independent model are drawn a block at a time
+    (_draw_block): one draw for the trials alive at the block's first
+    cycle and its next B cycles, keys _absorb(keys[None, :], cycles[:,
+    None]), and one scatter into (B * ceil(T/64), ...) words, of which
+    each cycle takes its slice.  B is the most cycles whose words fit in
+    _BLOCK_BYTES, at least 1.  A cycle-independent model (repeat,
+    cluster) draws one block of one cycle and reuses it; greedy draws
+    each cycle from the observed state.  Every row is a pure function of
+    its (key, cycle), so results do not depend on B, and trials that fail
+    inside a block leave bits that are never read.
 
     The state is (ceil(T/64), n) uint64 words for the whole run, trial t
     in bit t % 64 of word t // 64 (the layout of pack_rows): the
@@ -224,19 +256,24 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
     failure_cycle = np.full(trials, -1, dtype=np.int64)
     corrupt = np.full((2, trials, L), -1, dtype=np.int64)
     recorded = np.zeros((2, trials, L, g.n), dtype=np.uint8) if record_states else None
-    cached = None
+    # the bytes of one cycle's (reg, xor, maj) words
+    block_size = max(1, _BLOCK_BYTES // (8 * alive.size * (2 * g.n + g.m * g.rho)))
+    block = []
 
     for cycle in range(1, L + 1):
-        if model.cycle_dependent:
-            seen = unpack_rows(state, trials)[idx] if model.state_dependent else None
-            plans = model.draw_batch(g, keys if idx.size == trials else keys[idx],
-                                     cycle, seen, original)
-        elif cached is None:
-            # scattered once; retired trials' bits are never read
-            cached = model.draw_batch(g, keys, cycle, None, original).packed(g)
+        alive_keys = keys if idx.size == trials else keys[idx]
+        if model.state_dependent:
+            seen = unpack_rows(state, trials)[idx]
+            words = model.draw_batch(g, alive_keys, cycle, seen, original) \
+                .packed(g, idx, trials)
+        else:
+            if not block:
+                size = min(block_size, L + 1 - cycle) if model.cycle_dependent else 1
+                block = _draw_block(model, g, alive_keys, idx, alive.size, cycle, size)
+            # retired trials' bits are never read
+            words = block.pop(0) if model.cycle_dependent else block[0]
 
-        reg_words, xor_words, maj_words = \
-            cached if cached is not None else plans.packed(g, idx, trials)
+        reg_words, xor_words, maj_words = words
         if config.decoder == "tk":
             if reg_words is not None:
                 copies ^= reg_words[:, None]

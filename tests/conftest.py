@@ -3,6 +3,9 @@ import pytest
 from hypothesis import settings
 
 import faultmem as fm
+from faultmem.decoders import (GateFaultPlan, algorithm_a_round_many,
+                               parallel_bitflip_round_many)
+from faultmem.tanner import as_word
 
 # Property tests draw their examples from a fixed derandomized stream, so
 # every run of the suite checks the same cases.
@@ -27,6 +30,26 @@ def build_instance(inst):
     g = fm.build_random_regular(fm.CodeParams(n, gamma, rho), seed,
                                 reject_4cycles=True)
     return g, fm.ExpansionProfile(alpha, gamma, eps)
+
+
+def algorithm_a_round(g, state, faults=None):
+    """One faulty refresh of one state: broadcast values, form check
+    estimates through the XOR chains, take per-variable majorities (ties
+    keep the previous value), then complement the outputs of failed
+    majority gates.  The one-state oracle over algorithm_a_round_many."""
+    w = as_word(state, g.n)
+    if faults is None:
+        faults = GateFaultPlan.empty()
+    faults.validate(g)
+    return algorithm_a_round_many(g, w[None, :], faults.xor_parity(g),
+                                  faults.maj_mask(g))[0]
+
+
+def parallel_bitflip_round(g, state):
+    """One reliable flip round of one state, over
+    parallel_bitflip_round_many."""
+    w = as_word(state, g.n)
+    return parallel_bitflip_round_many(g, w[None, :])[0]
 
 
 def plan_masks(batch, g, rows):

@@ -314,9 +314,9 @@ _PINNED_MODELS = {
                     "856aeb5ee8909cfef4f288f57fe8e3bb014c6ae9900287b430fea243aec2a426"),
     "independent": ({"type": "independent", "p_m": 0.004, "p_xor": 3e-4,
                      "p_maj": 1e-3},
-                    "20b850cbf270b2af28624f57981e607e6e7d63e742fce7d046340b08615ee495",
-                    "330322c167f39d33d282e47d941b30f6050e7f01347cb3ba4cf1aa74c1847ce2",
-                    "e0eb04a28819d673a90ec8a265b2ccada0b05b852762c825400105b834e48c05"),
+                    "aba3533c9aab0c6340e5d9d9375da7ba9dba0bdd8c95cd335a2e9f3e53cece84",
+                    "5a40b9e3878d018b279dc1fbaae25cc3abef08c9d6cdb4f00d4688a33f3762d1",
+                    "f9dc674122557f89bdce343dc356572616679a14b862df286e27d59f604822d8"),
 }
 
 

@@ -5,21 +5,19 @@ from hypothesis import strategies as st
 
 import faultmem as fm
 from faultmem.decoders import (EdgeMessages, GateFaultPlan, TkState,
-                               _check_estimates, algorithm_a_round,
-                               algorithm_a_round_many,
+                               _check_estimates, algorithm_a_round_many,
                                algorithm_a_round_packed, gallager_b_round,
                                majority_packed, pack_bits, pack_rows,
                                parallel_bitflip_decode,
                                parallel_bitflip_decode_many,
                                parallel_bitflip_decode_packed,
-                               parallel_bitflip_round,
                                parallel_bitflip_round_many,
                                parallel_bitflip_round_packed, popcounts,
                                tk_round, tk_round_many, tk_round_packed,
                                unpack_bits, unpack_rows)
-from faultmem.faults import PlanBatch
+from faultmem.faults import PlanBatch, _pairs
 
-from conftest import plan_masks
+from conftest import algorithm_a_round, parallel_bitflip_round, plan_masks
 
 # (n, gamma, rho) of small random graphs, odd and even gamma
 GRAPH_PARAMS = ((12, 3, 6), (12, 4, 6), (20, 4, 5), (12, 5, 6), (16, 6, 8))
@@ -411,16 +409,17 @@ def test_pack_rows_equals_loop_packing(count, trailing, seed):
                               unpack_states(noisy.reshape(width, -1), rows))
 
 
-def random_gate_batch(g, rng, rows, dense):
-    """A PlanBatch of random gate faults for ``rows`` trials: index form
-    with distinct ids per row, some rows holding two gates of one chain
-    (whose flips cancel), or dense masks that may be all zero."""
+def random_gate_batch(g, rng, rows, ragged):
+    """A PlanBatch of random gate faults for ``rows`` trials: the same
+    number of distinct ids in every row, some rows holding two gates of
+    one chain (whose flips cancel), or ragged rows whose fault counts
+    differ and may all be zero."""
     chain = g.rho - 2
     total_xor = g.m * g.rho * chain
-    if dense:
+    if ragged:
         xor = rng.random((rows, total_xor)) < rng.choice([0.0, 0.01, 0.2])
         maj = rng.random((rows, g.n)) < rng.choice([0.0, 0.05, 0.3])
-        return PlanBatch(None, xor, maj, dense=True)
+        return PlanBatch(rows, None, xor.nonzero(), maj.nonzero())
     kx = int(rng.integers(0, 5))
     km = int(rng.integers(0, 4))
     xor = maj = None
@@ -436,23 +435,23 @@ def random_gate_batch(g, rng, rows, dense):
         assert all(len(set(row)) == kx for row in xor.tolist())
     if km:
         maj = np.stack([rng.choice(g.n, km, replace=False) for _ in range(rows)])
-    return PlanBatch(None, xor, maj)
+    return PlanBatch(rows, None, _pairs(xor), _pairs(maj))
 
 
 @settings(max_examples=100)
 @given(params=st.sampled_from(REFRESH_GRAPH_PARAMS), seed=st.integers(0, 2**32),
        count=st.integers(1, 200), density=st.floats(0.0, 1.0),
-       dense=st.booleans(), rounds=st.integers(1, 3))
-@example(params=(18, 8, 9), seed=5, count=130, density=0.5, dense=False, rounds=2)
-@example(params=(20, 4, 5), seed=6, count=65, density=0.3, dense=True, rounds=1)
-@example(params=(12, 2, 4), seed=7, count=64, density=0.5, dense=False, rounds=3)
-@example(params=(16, 7, 8), seed=8, count=1, density=0.2, dense=False, rounds=2)
-def test_packed_refresh_equals_uint8_round(params, seed, count, density, dense,
+       ragged=st.booleans(), rounds=st.integers(1, 3))
+@example(params=(18, 8, 9), seed=5, count=130, density=0.5, ragged=False, rounds=2)
+@example(params=(20, 4, 5), seed=6, count=65, density=0.3, ragged=True, rounds=1)
+@example(params=(12, 2, 4), seed=7, count=64, density=0.5, ragged=False, rounds=3)
+@example(params=(16, 7, 8), seed=8, count=1, density=0.2, ragged=False, rounds=2)
+def test_packed_refresh_equals_uint8_round(params, seed, count, density, ragged,
                                            rounds):
     g = fm.build_random_regular(fm.CodeParams(*params), seed % 50)
     rng = np.random.default_rng(seed)
     states = (rng.random((count, g.n)) < density).astype(np.uint8)
-    plans = random_gate_batch(g, rng, count, dense)
+    plans = random_gate_batch(g, rng, count, ragged)
     _flips, xor_parity, maj_flip = plan_masks(plans, g, count)
     _reg, xor_words, maj_words = plans.packed(g)
 
@@ -590,12 +589,12 @@ def test_tk_round_many_rows_equal_gallager_b(params, seed, rows, xor_max,
 @settings(max_examples=80)
 @given(params=st.sampled_from(REFRESH_GRAPH_PARAMS[:-1]),  # gamma 2..7
        seed=st.integers(0, 2**32), count=st.sampled_from((1, 63, 64, 65, 130)),
-       density=st.floats(0.0, 1.0), dense=st.booleans(), rounds=st.integers(1, 3))
-@example(params=(12, 2, 4), seed=1, count=130, density=0.5, dense=False, rounds=3)
-@example(params=(20, 4, 5), seed=2, count=65, density=0.5, dense=False, rounds=2)
-@example(params=(16, 6, 8), seed=3, count=64, density=0.5, dense=True, rounds=2)
-@example(params=(16, 7, 8), seed=4, count=1, density=0.3, dense=False, rounds=1)
-def test_packed_tk_round_equals_uint8_round(params, seed, count, density, dense,
+       density=st.floats(0.0, 1.0), ragged=st.booleans(), rounds=st.integers(1, 3))
+@example(params=(12, 2, 4), seed=1, count=130, density=0.5, ragged=False, rounds=3)
+@example(params=(20, 4, 5), seed=2, count=65, density=0.5, ragged=False, rounds=2)
+@example(params=(16, 6, 8), seed=3, count=64, density=0.5, ragged=True, rounds=2)
+@example(params=(16, 7, 8), seed=4, count=1, density=0.3, ragged=False, rounds=1)
+def test_packed_tk_round_equals_uint8_round(params, seed, count, density, ragged,
                                             rounds):
     # copy j of every variable is plane j of the packed words; the packed
     # readout keeps the previous readout on a tie, as TkState.readout does
@@ -603,7 +602,7 @@ def test_packed_tk_round_equals_uint8_round(params, seed, count, density, dense,
     rng = np.random.default_rng(seed)
     copies = (rng.random((count, g.n, g.gamma)) < density).astype(np.uint8)
     prev = rng.integers(0, 2, (count, g.n)).astype(np.uint8)
-    plans = random_gate_batch(g, rng, count, dense)
+    plans = random_gate_batch(g, rng, count, ragged)
     _flips, xor_parity, maj_flip = plan_masks(plans, g, count)
     _reg, xor_words, maj_words = plans.packed(g)
 

@@ -69,14 +69,17 @@ def test_adversarial_rows_match_single_draws(batch, strategy, counts):
                                   trial_keys(root, np.arange(trials)), cycle,
                                   observed, original)
     totals = (g.n, g.n * g.gamma * (g.rho - 2), g.n)
-    for ids, count, total in zip((plans.reg, plans.xor, plans.maj), counts,
-                                 totals):
+    assert plans.rows == alive.size
+    for pair, count, total in zip((plans.reg, plans.xor, plans.maj), counts,
+                                  totals):
         if count == 0:
-            assert ids is None
+            assert pair is None
             continue
-        assert ids.shape == (alive.size, count)
+        rows, ids = pair
+        assert np.array_equal(rows, np.repeat(np.arange(alive.size), count))
         assert ids.min() >= 0 and ids.max() < total
-        assert all(len(set(row)) == count for row in ids.tolist())
+        assert all(len(set(row)) == count
+                   for row in ids.reshape(alive.size, count).tolist())
     for row, t in enumerate(alive):
         single = draw_adversarial(budget, g, strategy, (root, int(t)), cycle,
                                   observed[t], original)
@@ -93,10 +96,19 @@ def test_independent_rows_match_single_draws(batch, rates):
     g, trials, alive, root, cycle, _observed, _original = batch
     rates = fm.IndependentRates(*rates)
     plans = draw_independent_batch(rates, g, trial_keys(root, alive), cycle)
-    for mask, p in zip((plans.reg, plans.xor, plans.maj), (rates.p_m,
-                                                           rates.p_xor,
-                                                           rates.p_maj)):
-        assert (mask is None) == (p == 0.0)
+    assert plans.rows == alive.size
+    totals = (g.n, g.n * g.gamma * (g.rho - 2), g.n)
+    for pair, p, total in zip((plans.reg, plans.xor, plans.maj),
+                              (rates.p_m, rates.p_xor, rates.p_maj), totals):
+        assert (pair is None) == (p == 0.0)
+        if pair is None:
+            continue
+        # ragged rows: grouped by row, ids distinct, in range and sorted
+        rows, ids = pair
+        assert rows.shape == ids.shape
+        assert (np.diff(rows) >= 0).all() and (rows < alive.size).all()
+        assert ((np.diff(ids) > 0) | (np.diff(rows) > 0)).all()
+        assert ids.size == 0 or (ids.min() >= 0 and ids.max() < total)
     for row, t in enumerate(alive):
         single = draw_independent(rates, g, (root, int(t)), cycle)
         assert_plan_equal(plans.plan(row, g), single)
@@ -110,8 +122,9 @@ def test_random_subsets_uniform_marginals():
     trials = 20_000
     plans = draw_adversarial_batch(budget, g, "random",
                                    trial_keys(8, np.arange(trials)), 3, None)
-    for ids, total in ((plans.reg, g.n), (plans.xor, g.n * g.gamma * (g.rho - 2))):
-        hits = np.bincount(ids.ravel(), minlength=total)
+    for (_rows, ids), total in ((plans.reg, g.n),
+                                (plans.xor, g.n * g.gamma * (g.rho - 2))):
+        hits = np.bincount(ids, minlength=total)
         expected = np.full(total, ids.size / total)
         assert stats.chisquare(hits, expected).pvalue >= 1e-3
 
@@ -124,12 +137,13 @@ def test_cluster_first_check_uniform():
     trials = 20_000
     plans = draw_adversarial_batch(budget, g, "cluster",
                                    trial_keys(9, np.arange(trials)), 1, None)
-    first = plans.xor[:, 0] // (g.rho * (g.rho - 2))
+    first = plans.xor[1] // (g.rho * (g.rho - 2))
     hits = np.bincount(first, minlength=g.m)
     assert stats.chisquare(hits, np.full(g.m, trials / g.m)).pvalue >= 1e-3
     # the registers are variables of that first check
     nbrs = g.check_nbrs[first]
-    assert (nbrs[:, :, None] == plans.reg[:, None, :]).any(axis=1).all()
+    reg = plans.reg[1].reshape(trials, 2)
+    assert (nbrs[:, :, None] == reg[:, None, :]).any(axis=1).all()
 
 
 def test_rng_for_generators_do_not_share_state():
@@ -150,7 +164,8 @@ def test_budget_check_rejects_bad_rows():
     for bad in (np.array([[0, 0], [1, 2]]), np.array([[0, 12], [1, 2]]),
                 np.array([[0], [1]])):
         with pytest.raises(fm.BudgetViolationError):
-            budget.check_batch(g, fm.faults.PlanBatch(bad, None, None))
+            budget.check_batch(g, fm.faults.PlanBatch(2, fm.faults._pairs(bad),
+                                                      None, None))
 
 
 @settings(max_examples=60)

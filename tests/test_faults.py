@@ -6,15 +6,14 @@ from scipy import stats
 
 import faultmem as fm
 from faultmem import faults
-from faultmem.decoders import (pack_rows, parallel_bitflip_round,
-                               parallel_bitflip_round_many)
+from faultmem.decoders import pack_rows, parallel_bitflip_round_many
 from faultmem.exceptions import BudgetViolationError
 from faultmem.faults import (GREEDY_POOL_SIZE, PlanBatch, draw_adversarial,
                              draw_adversarial_batch, draw_independent,
                              draw_independent_batch, exceedance_frequency,
                              rng_for, seed_key, trial_keys)
 
-from conftest import plan_masks
+from conftest import parallel_bitflip_round, plan_masks
 
 
 @pytest.fixture(scope="module")
@@ -84,46 +83,83 @@ def test_independent_plan_ranges(small_graph):
     gate.validate(g)
 
 
+def cycles(count):
+    """Cycles 0 .. count-1 as a block: row c of a draw is cycle c."""
+    return np.arange(count, dtype=np.uint64)[:, None]
+
+
 def test_register_flip_mean_matches_binomial():
     # p_m = 0.01, n = 1e4, 1e4 draws; mean within 3 sigma of the mean
     g = fm.build_random_regular(fm.CodeParams(10_000, 3, 6), seed=1)
     rates = fm.IndependentRates(p_m=0.01)
     draws = 10_000
-    total = 0
-    for cycle in range(draws):
-        reg, _ = draw_independent(rates, g, 77, cycle)
-        total += len(reg.flips)
-    mean = total / draws
+    batch = draw_independent_batch(rates, g, seed_key(77), cycles(draws))
+    mean = batch.reg[1].size / draws
     sigma_mean = math.sqrt(10_000 * 0.01 * 0.99) / math.sqrt(draws)
     assert abs(mean - 100.0) <= 3 * sigma_mean
 
 
-def test_register_counts_chisquare_binomial():
+def binomial_pvalue(counts, total, p):
+    """Chi-square p-value of per-row fault counts against Binomial(total,
+    p); each tail is folded into one bin holding at least 5 expected."""
+    exp = stats.binom.pmf(np.arange(total + 1), total, p) * counts.size
+    obs = np.bincount(counts, minlength=total + 1)
+    lo = int(np.argmax(np.cumsum(exp) >= 5))
+    hi = total - int(np.argmax(np.cumsum(exp[::-1]) >= 5))
+    exp = np.r_[exp[:lo + 1].sum(), exp[lo + 1:hi], exp[hi:].sum()]
+    obs = np.r_[obs[:lo + 1].sum(), obs[lo + 1:hi], obs[hi:].sum()]
+    return stats.chisquare(obs, exp * obs.sum() / exp.sum()).pvalue
+
+
+# 10 000 cycles of one key on (2000,3,6): ~100 faults per row in every class
+LAW_RATES = fm.IndependentRates(0.05, 0.004, 0.05)
+
+
+@pytest.fixture(scope="module")
+def law_batch():
     g = fm.build_random_regular(fm.CodeParams(2000, 3, 6), seed=2)
-    p = 0.05
-    rates = fm.IndependentRates(p_m=p)
-    counts = np.array([len(draw_independent(rates, g, 123, c)[0].flips)
-                       for c in range(10_000)])
-    # bin by count value, merging tails so expected >= 5
-    lo, hi = 60, 140
-    edges = list(range(lo, hi + 1))
-    exp_probs = [stats.binom.cdf(lo, 2000, p)]
-    exp_probs += [stats.binom.pmf(k, 2000, p) for k in range(lo + 1, hi)]
-    exp_probs.append(1 - stats.binom.cdf(hi - 1, 2000, p))
-    exp = np.array(exp_probs) * counts.size
-    obs = np.zeros_like(exp)
-    clipped = np.clip(counts, lo, hi)
-    for i, k in enumerate(range(lo, hi + 1)):
-        obs[i] = (clipped == k).sum()
-    keep = exp >= 5
-    # fold the tiny-expectation bins together
-    obs_k = np.append(obs[keep], obs[~keep].sum())
-    exp_k = np.append(exp[keep], exp[~keep].sum())
-    if exp_k[-1] < 1e-9:
-        obs_k, exp_k = obs_k[:-1], exp_k[:-1]
-    exp_k *= obs_k.sum() / exp_k.sum()
-    _, pval = stats.chisquare(obs_k, exp_k)
-    assert pval >= 1e-3
+    return g, draw_independent_batch(LAW_RATES, g, seed_key(123), cycles(10_000))
+
+
+def class_law(g, batch, name):
+    pair = getattr(batch, name)
+    total, p = {"reg": (g.n, LAW_RATES.p_m),
+                "xor": (g.n * g.gamma * (g.rho - 2), LAW_RATES.p_xor),
+                "maj": (g.n, LAW_RATES.p_maj)}[name]
+    return np.bincount(pair[0], minlength=batch.rows), pair[1], total, p
+
+
+def test_register_counts_chisquare_binomial(law_batch):
+    counts, _ids, total, p = class_law(*law_batch, "reg")
+    assert binomial_pvalue(counts, total, p) >= 1e-3
+
+
+@pytest.mark.parametrize("name", ("xor", "maj"))
+def test_gate_counts_chisquare_binomial(law_batch, name):
+    counts, _ids, total, p = class_law(*law_batch, name)
+    assert binomial_pvalue(counts, total, p) >= 1e-3
+
+
+@pytest.mark.parametrize("name", ("reg", "xor", "maj"))
+def test_position_marginals_uniform(law_batch, name):
+    # every component of a class fails equally often
+    _counts, ids, total, _p = class_law(*law_batch, name)
+    hits = np.bincount(ids, minlength=total)
+    assert stats.chisquare(hits, np.full(total, ids.size / total)).pvalue >= 1e-3
+
+
+@pytest.mark.parametrize("gamma, rho", ((3, 6), (4, 8)))
+def test_binomial_table_reaches_the_top_quantile(gamma, rho):
+    # every class size up to n*gamma*(rho-2) at n = 20 000, rates up to 1/2:
+    # the table is 2^53 P(X <= k) and ends at 2^53, so every 53-bit
+    # uniform has a count and no mass above 2^-53 is cut off
+    n = 20_000
+    for total in (1, n, n * gamma * (rho - 2)):
+        for p in (1e-12, 1e-6, 1e-4, 0.004, 0.05, 0.3, 0.4999):
+            table = faults._binomial_table(total, p)
+            assert table[-1] == 2**53
+            exact = 2.0**53 * stats.binom.cdf(np.arange(table.size), total, p)
+            assert np.abs(table.astype(float) - exact).max() <= 2
 
 
 def test_cycles_uncorrelated():
@@ -351,8 +387,9 @@ def test_gate_words_pack_the_gate_masks(small_graph, rows):
         draw_adversarial_batch(budget, g, "random", keys, 3,
                                np.zeros((rows, g.n), np.uint8)),
         draw_independent_batch(fm.IndependentRates(0.01, 0.05, 0.05), g, keys, 3),
-        PlanBatch(None, np.hstack([first, first + 1, first + chain]),
-                  np.arange(rows)[:, None] % g.n),
+        PlanBatch(rows, None, faults._pairs(np.hstack([first, first + 1,
+                                                       first + chain])),
+                  faults._pairs(np.arange(rows)[:, None] % g.n)),
     ]
     # the rows scattered into slots of a wider batch, across word bounds
     count = rows + 70
@@ -366,7 +403,7 @@ def test_gate_words_pack_the_gate_masks(small_graph, rows):
             assert xor_words.dtype == maj_words.dtype == np.uint64
             for got, rows_of in ((reg_words, flips), (xor_words, parity),
                                  (maj_words, mask)):
-                if batch.reg is None and rows_of is flips:
+                if rows_of is flips and not flips.any():
                     assert got is None
                     continue
                 full = np.zeros((width,) + rows_of.shape[1:], np.uint8)
@@ -376,14 +413,16 @@ def test_gate_words_pack_the_gate_masks(small_graph, rows):
 
 def test_gate_words_of_a_batch_without_gate_faults(small_graph):
     g = small_graph
-    total_xor = g.n * g.gamma * (g.rho - 2)
-    quiet = PlanBatch(None, np.zeros((70, total_xor), bool),
-                      np.zeros((70, g.n), bool), dense=True)
+    # nonzero rates whose draw holds no gate fault in any of 70 rows
+    quiet = draw_independent_batch(fm.IndependentRates(0.0, 1e-9, 1e-9), g,
+                                   trial_keys(4, np.arange(70)), 2)
+    assert quiet.xor[1].size == quiet.maj[1].size == 0
     assert quiet.packed(g) == (None, None, None)
-    reg_only = PlanBatch(np.tile(np.arange(2), (70, 1)), None, None)
+    reg_only = PlanBatch(70, faults._pairs(np.tile(np.arange(2), (70, 1))),
+                         None, None)
     reg_words, xor_words, maj_words = reg_only.packed(g)
     assert reg_words.shape == (2, g.n) and (xor_words, maj_words) == (None, None)
-    assert PlanBatch(None, None, None).packed(g, np.arange(3), 3) \
+    assert PlanBatch(0, None, None, None).packed(g, np.arange(3), 3) \
         == (None, None, None)
 
 

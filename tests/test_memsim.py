@@ -1,3 +1,5 @@
+import hashlib
+import json
 import re
 
 import numpy as np
@@ -8,8 +10,9 @@ from hypothesis import strategies as st
 import faultmem as fm
 from faultmem import memsim
 from faultmem.exceptions import AccountingError, ConfigError
-from faultmem.faults import PlanBatch
 from faultmem.memsim import RunConfig, _detect_word, detect_cap, wilson_interval
+
+from conftest import CERTIFIED_INSTANCES, build_instance
 
 
 def adversarial(alpha_m=0.0, alpha_xor=0.0, alpha_maj=0.0, strategy="random"):
@@ -244,6 +247,58 @@ def test_monte_carlo_rows_match_run_memory_across_words(i1, decoder, kind):
         assert res.failure_cycle_by_trial == [r.failure_cycle for r in reps[:trials]]
 
 
+def block_bytes(g, trials, cycles):
+    """A _BLOCK_BYTES under which _simulate draws ``cycles`` cycles per
+    block for ``trials`` trials (one cycle's words: 2n + m*rho per word
+    of 64 trials)."""
+    return cycles * 8 * -(-trials // 64) * (2 * g.n + g.m * g.rho)
+
+
+@pytest.mark.parametrize("kind", ("independent", "random"))
+def test_block_size_does_not_change_results(i1, monkeypatch, kind):
+    # blocks of 1, 3 and all 30 cycles give the same results, and trials
+    # that fail inside a block still equal their run_memory re-runs
+    g, prof = i1
+    model = _ACROSS_WORDS["algorithm_a", kind]
+    cycles, trials = 30, 70
+    cfg = RunConfig(g, "algorithm_a", model, cycles, profile=prof)
+    results = []
+    for size in (1, 3, cycles):
+        monkeypatch.setattr(memsim, "_BLOCK_BYTES", block_bytes(g, trials, size))
+        res = fm.monte_carlo(cfg, trials, 5, keep_reports=True)
+        results.append(res)
+        inside = [t for t, c in enumerate(res.failure_cycle_by_trial)
+                  if c is not None and (c - 1) % size]
+        assert len(inside) >= (3 if size > 1 else 0)
+        for t in inside[:3]:
+            assert res.reports[t] == fm.run_memory(g, "algorithm_a", model,
+                                                   cycles, (5, t), prof)
+    assert results[0] == results[1] == results[2]
+
+
+# sha256 of the criterion-3 shape (both tolerance instances, all four
+# strategies, accounting on, 100 trials x 20 cycles), taken before block
+# draws existed
+_DESK_DIGEST = "bd6c8fd531078cef0bd22009bdab0b923fc774f776172b3692f5bada77d728b8"
+
+
+def test_desk_digests_do_not_move_with_block_size(monkeypatch):
+    shapes = [(build_instance(inst), alpha_m) for inst, alpha_m in
+              ((CERTIFIED_INSTANCES[0], 1.5 / 36), (CERTIFIED_INSTANCES[2], 0.0251))]
+    for size in (1, 3, 20):
+        digest = hashlib.sha256()
+        for (g, prof), alpha_m in shapes:
+            monkeypatch.setattr(memsim, "_BLOCK_BYTES", block_bytes(g, 100, size))
+            budget = fm.AdversarialBudget(alpha_m, 1e-6, 1e-6)
+            for strategy in fm.faults.STRATEGIES:
+                cfg = RunConfig(g, "algorithm_a", fm.AdversarialModel(budget, strategy),
+                                20, profile=prof, check_accounting=True)
+                res = fm.monte_carlo(cfg, 100, 2025, keep_reports=True)
+                digest.update(json.dumps([res.to_json_obj(), [
+                    r.to_json_obj() for r in res.reports]]).encode())
+        assert digest.hexdigest() == _DESK_DIGEST
+
+
 def test_accounting_violation_in_second_word_names_lowest_trial(i1):
     # the slots of the first word run a trial that passes cycle 2's
     # accounting, the second word's violate it from its third slot on: the
@@ -448,30 +503,37 @@ def test_batched_accounting_violation_matches_run_memory(i1):
 
 
 def test_run_memory_unchanged_by_skipped_gate_masks(i1, monkeypatch):
-    # a dense batch with no failed gate of a class passes None to the
-    # round; the reports must equal those of rounds fed all-zero words
+    # a class without a fault in a block passes None to the round, and a
+    # quiet cycle of a block with faults passes all-zero words: swapping
+    # each for the other must leave every report unchanged, under blocks
+    # of the whole run and of one cycle
     g, prof = i1
     model = independent(p_m=0.004, p_xor=2e-4, p_maj=1e-3)
     cases = [(decoder, seed) for decoder in ("algorithm_a", "tk")
              for seed in range(4)]
-    skipped = [fm.run_memory(g, decoder, model, 200, seed, prof)
+    draw = memsim._draw_block
+    seen = {"none": 0, "zero": 0}
+
+    def swapped_block(*args):
+        block = []
+        for reg, *gates in draw(*args):
+            for i, shape in enumerate(((1, g.m, g.rho), (1, g.n))):
+                if gates[i] is None:
+                    seen["none"] += 1
+                    gates[i] = np.zeros(shape, np.uint64)
+                elif not gates[i].any():
+                    seen["zero"] += 1
+                    gates[i] = None
+            block.append((reg, *gates))
+        return block
+
+    for block_bytes in (memsim._BLOCK_BYTES, 1):
+        monkeypatch.setattr(memsim, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(memsim, "_draw_block", draw)
+        kept = [fm.run_memory(g, decoder, model, 200, seed, prof)
+                for decoder, seed in cases]
+        monkeypatch.setattr(memsim, "_draw_block", swapped_block)
+        fed = [fm.run_memory(g, decoder, model, 200, seed, prof)
                for decoder, seed in cases]
-
-    packed = PlanBatch.packed
-    seen = {"none": 0, "some": 0}
-
-    def zero_packed(self, gr, slots=None, count=None):
-        reg, xor, maj = packed(self, gr, slots, count)
-        seen["none" if xor is None else "some"] += 1
-        words = -(-(self.maj.shape[0] if count is None else count) // 64)
-        if xor is None:
-            xor = np.zeros((words, gr.m, gr.rho), np.uint64)
-        if maj is None:
-            maj = np.zeros((words, gr.n), np.uint64)
-        return reg, xor, maj
-
-    monkeypatch.setattr(PlanBatch, "packed", zero_packed)
-    fed = [fm.run_memory(g, decoder, model, 200, seed, prof)
-           for decoder, seed in cases]
-    assert seen["none"] > 0 and seen["some"] > 0
-    assert fed == skipped
+        assert fed == kept
+    assert seen["none"] > 0 and seen["zero"] > 0
