@@ -8,8 +8,9 @@ messages of a round being computed from the pre-round state:
   every variable adopts the majority of its gamma estimates, keeping its
   value on a tie.  ``algorithm_a_round_packed`` runs it as the circuit
   it is, bit-sliced (Biham, FSE 1997) on uint64 words holding 64 states
-  each: check estimates are XORs of gathered words, gate faults XOR
-  masks, and the majority a bit-sliced at-least-k count.
+  each: check estimates are XORs of words gathered slot-major, (..., rho,
+  m) with row k holding every check's k-th edge, gate faults XOR masks
+  in the same layout, and the majority a bit-sliced at-least-k count.
   ``pack_rows`` / ``unpack_rows`` convert (T, ...) 0/1 arrays to and from
   that layout, ``pack_bits`` / ``unpack_bits`` one flag per state, and
   ``popcounts`` counts each state's set bits; ``algorithm_a_round_many``
@@ -25,9 +26,11 @@ messages of a round being computed from the pre-round state:
   hard-decision message passing (Gallager B), kept as two independent
   implementations so their equivalence is testable bit by bit.
   ``tk_round_packed`` runs the former bit-sliced on (..., gamma, n)
-  words, plane j holding every variable's j-th copy, and
-  ``majority_packed`` reads the copies out; the uint8 ``tk_round_many``
-  and ``TkState.readout`` are their oracles.
+  words, plane j holding every variable's j-th copy, its xor words
+  (..., rho, m) as well, and ``majority_packed`` reads the copies out;
+  the uint8 ``tk_round_many`` and ``TkState.readout`` are their oracles,
+  which, like ``GateFaultPlan.xor_parity``, take chain parities as
+  (..., m, rho).
 
 Gate faults: the message a check sends on one edge is produced by a
 chain of rho-2 two-input XOR gates; a failed gate complements its own
@@ -104,13 +107,13 @@ _EMPTY_PLAN = GateFaultPlan()
 def _check_estimates(v2c: np.ndarray,
                      xor_parity: np.ndarray | None) -> np.ndarray:
     """Extrinsic mod-2 estimates from the bits ``v2c`` that check c reads
-    on each of its edges, shape (..., m, rho): entry (c, k) is the sum of
-    the bits on c's edges other than slot k, plus any chain fault.  The
-    bits may be 0/1 bytes or packed words, the sums being XORs."""
-    total = np.bitwise_xor.reduce(v2c, axis=-1)
-    est = total[..., None] ^ v2c
+    on each of its edges, slot-major, shape (..., rho, m): entry (k, c)
+    is the sum of the bits on c's edges other than slot k, plus any chain
+    fault.  The bits may be 0/1 bytes or packed words, the sums being
+    XORs of rows of m."""
+    est = np.bitwise_xor.reduce(v2c, axis=-2, keepdims=True) ^ v2c
     if xor_parity is not None:
-        est = est ^ xor_parity
+        est ^= xor_parity
     return est
 
 
@@ -210,7 +213,7 @@ def majority_packed(planes: np.ndarray, old: np.ndarray) -> np.ndarray:
 
 
 def _var_planes(g: TannerGraph, est: np.ndarray) -> np.ndarray:
-    """The (..., gamma, n) planes of the (..., m, rho) check estimates as
+    """The (..., gamma, n) planes of the (..., rho, m) check estimates as
     the variables receive them: plane j holds every variable's j-th."""
     edges = est.reshape(est.shape[:-2] + (est.shape[-2] * est.shape[-1],))
     return edges.take(g.var_edge_ids, axis=-1)
@@ -223,13 +226,15 @@ def algorithm_a_round_packed(g: TannerGraph, words: np.ndarray,
     (..., n) uint64 array in which bit b of every entry belongs to state
     b, and bit b of the result is the refresh of state b.
 
-    xor_words (..., m, rho) and maj_words (..., n) hold, bit for bit, the
-    chain parities and majority complements of those states.  Each check
-    estimate is an XOR of gathered words; a variable takes the value of
-    at least gamma//2 + 1 of its gamma received planes, and for even
-    gamma keeps its old value where exactly gamma/2 of them are set.
+    xor_words (..., rho, m) and maj_words (..., n) hold, bit for bit, the
+    chain parities and majority complements of those states, the chain
+    parities slot-major: entry (k, c) is the chain of check c's slot k.
+    Each check estimate is an XOR of words gathered slot-major (row k of
+    the gather holds every check's k-th neighbor); a variable takes the
+    value of at least gamma//2 + 1 of its gamma received planes, and for
+    even gamma keeps its old value where exactly gamma/2 of them are set.
     """
-    est = _check_estimates(words.take(g.check_nbrs, axis=-1), xor_words)
+    est = _check_estimates(words.take(g.slot_nbrs, axis=-1), xor_words)
     new = majority_packed(_var_planes(g, est), words)
     if maj_words is not None:
         new ^= maj_words
@@ -241,12 +246,14 @@ def algorithm_a_round_many(g: TannerGraph, states: np.ndarray,
                            maj_flip: np.ndarray | None = None) -> np.ndarray:
     """Refresh of a batch of states, shape (T, n), through the packed round.
 
-    xor_parity broadcasts over (m, rho) or (T, m, rho); maj_flip is a
+    xor_parity broadcasts over (m, rho) or (T, m, rho), the layout of
+    GateFaultPlan.xor_parity, and is packed slot-major; maj_flip is a
     (n,) or (T, n) 0/1 complement mask applied to the updated values.
     """
     rows = states.shape[0]
     if xor_parity is not None:
-        xor_parity = pack_rows(np.broadcast_to(xor_parity, (rows, g.m, g.rho)))
+        xor_parity = pack_rows(np.broadcast_to(xor_parity, (rows, g.m, g.rho))
+                               .swapaxes(-1, -2))
     if maj_flip is not None:
         maj_flip = pack_rows(np.broadcast_to(maj_flip, (rows, g.n)))
     return unpack_rows(algorithm_a_round_packed(g, pack_rows(states), xor_parity,
@@ -277,7 +284,7 @@ def parallel_bitflip_round_packed(g: TannerGraph, words: np.ndarray) -> np.ndarr
     unsatisfied, which a bit-sliced at-least-k count decides with ANDs
     and ORs, plane by plane.
     """
-    unsat = np.bitwise_xor.reduce(words[..., g.check_nbrs.T], axis=-2)
+    unsat = np.bitwise_xor.reduce(words[..., g.slot_nbrs], axis=-2)
     need = g.gamma // 2 + 1
     return words ^ _at_least(unsat[..., g.var_nbrs.T], need, need)[0]
 
@@ -401,9 +408,11 @@ def tk_round_many(g: TannerGraph, copies: np.ndarray,
     a failed majority gate complementing all of its variable's copies.
     """
     gamma = g.gamma
-    est = _check_estimates(copies[..., g.check_nbrs, g.check_edge_pos],
+    if xor_parity is not None:
+        xor_parity = np.swapaxes(xor_parity, -1, -2)
+    est = _check_estimates(copies[..., g.check_nbrs.T, g.check_edge_pos.T],
                            xor_parity)
-    est_v = est[..., g.var_nbrs, g.var_edge_pos]  # (..., n, gamma)
+    est_v = est[..., g.var_edge_pos, g.var_nbrs]  # (..., n, gamma)
 
     # copy (i,j) counts disagreements among estimates j' != j
     s = est_v.sum(axis=-1, dtype=np.int16)
@@ -429,17 +438,18 @@ def tk_round_packed(g: TannerGraph, copies: np.ndarray,
     """tk_round_many bit-sliced over 64 states per word: ``copies`` is a
     (..., gamma, n) uint64 array whose plane j holds every variable's
     j-th copy, bit b of every entry belonging to state b; xor_words and
-    maj_words are as in algorithm_a_round_packed.
+    maj_words are as in algorithm_a_round_packed (xor_words slot-major,
+    (..., rho, m)).
 
     Check c reads the copy riding each edge through the flat ids
-    check_edge_pos * n + check_nbrs.  Copy j flips where at least
-    gamma//2 of the gamma-1 estimates other than its own disagree with
-    it: one at-least-k count over a (..., gamma, gamma-1, n) stack.
+    check_edge_pos * n + check_nbrs, gathered slot-major (slot_copy_ids).
+    Copy j flips where at least gamma//2 of the gamma-1 estimates other
+    than its own disagree with it: one at-least-k count over a
+    (..., gamma, gamma-1, n) stack.
     """
     gamma = g.gamma
     flat = copies.reshape(copies.shape[:-2] + (gamma * g.n,))
-    est = _check_estimates(flat.take(g.check_edge_pos * g.n + g.check_nbrs, axis=-1),
-                           xor_words)
+    est = _check_estimates(flat.take(g.slot_copy_ids, axis=-1), xor_words)
     # entry (i, j): copy j against the i-th estimate other than its own;
     # the count reads the swapped view, whose planes are contiguous
     disagree = _var_planes(g, est)[..., _exclusion(gamma), :] ^ copies[..., None, :, :]

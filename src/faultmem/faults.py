@@ -328,21 +328,25 @@ class PlanBatch:
         message flips (the parity of each chain's failed gates) and the
         majority complements, row r of the batch packed into bit
         slots[r] % 64 of word slots[r] // 64 (pack_rows' layout when the
-        slots are the rows themselves, the default): (W, n), (W, m, rho)
+        slots are the rows themselves, the default): (W, n), (W, rho, m)
         and (W, n) uint64 words, W = ceil(count / 64), count defaulting to
-        the row count.  A class without a fault in the batch is None.  One
-        XOR scatter fills all three: two failed gates of one chain cancel,
-        and a row's register and majority ids are distinct, so XOR sets
-        their bits."""
+        the row count, the chain parities slot-major as the packed rounds
+        read them (entry (k, c) is check c's slot k).  A class without a
+        fault in the batch is None.  One XOR scatter fills all three: two
+        failed gates of one chain cancel, and a row's register and
+        majority ids are distinct, so XOR sets their bits."""
         width = 2 * g.n + g.m * g.rho
         parts, at, bits, offset = [], [], [], 0
-        for pair, per, size in ((self.reg, 1, g.n), (self.xor, g.rho - 2, g.m * g.rho),
-                                (self.maj, 1, g.n)):
+        xor = self.xor
+        if xor is not None:  # gate id -> chain check*rho + slot -> slot*m + check
+            chain = xor[1] // (g.rho - 2)
+            xor = xor[0], chain % g.rho * g.m + chain // g.rho
+        for pair, size in ((self.reg, g.n), (xor, g.m * g.rho), (self.maj, g.n)):
             part = None
             if pair is not None and pair[1].size:
                 row, ids = pair
                 slot = row if slots is None else slots[row]
-                at.append(slot // 64 * width + offset + ids // per)
+                at.append(slot // 64 * width + offset + ids)
                 bits.append(np.uint64(1) << (slot % 64).astype(np.uint64))
                 part = slice(offset, offset + size)
             parts.append(part)
@@ -353,7 +357,7 @@ class PlanBatch:
         words = np.zeros((-(-count // 64), width), dtype=np.uint64)
         np.bitwise_xor.at(words.reshape(-1), np.concatenate(at), np.concatenate(bits))
         reg, xor, maj = (None if part is None else words[:, part] for part in parts)
-        return reg, None if xor is None else xor.reshape(-1, g.m, g.rho), maj
+        return reg, None if xor is None else xor.reshape(-1, g.rho, g.m), maj
 
     @staticmethod
     def _ids(pair, row) -> list[int]:
@@ -418,8 +422,9 @@ def _cluster_rows(g: TannerGraph, keys, reg_count: int, xor_count: int,
     registers and majority gates take the first distinct variables in
     neighborhood order, XOR gates the first ids of those checks' blocks of
     rho*(rho-2) gates."""
-    order = np.argsort(_mix_rows(keys[:, None] + _offsets(_ORDER, g.m)), axis=1,
-                       kind="stable")
+    # the keys of a row are distinct (distinct offsets through a
+    # bijection), so every sort kind gives the same permutation
+    order = np.argsort(_mix_rows(keys[:, None] + _offsets(_ORDER, g.m)), axis=1)
     reg = maj = xor = None
     count = max(reg_count, maj_count)
     if count:

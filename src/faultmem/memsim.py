@@ -21,6 +21,12 @@ words holding a suspect trial bit-sliced as well.  Every trial's plans
 are a pure function of its (root_seed, trial, cycle) key, so a single
 run (``run_memory``) is the one-trial case of the same loop and
 reproduces trial t of ``monte_carlo`` exactly.
+
+The failure test decodes only the suspects whose difference to the
+original changed since the previous cycle.  The decode is a pure
+function of the difference, and an alive trial's previous difference
+was zero or found inside the class, so an unchanged one is inside again:
+a residual that persists through many cycles is decoded once.
 """
 
 from __future__ import annotations
@@ -221,10 +227,13 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
     complements all copies of a 'tk' register, and a 'tk' readout is the
     majority of the copies, a tie keeping the previous readout.  Corrupt
     counts are popcounts of ``words ^ original``, the suspects are its OR
-    over n masked by the alive words, and the failure test decodes the
-    words holding a suspect bit-sliced; a failed trial's bit is cleared
-    in the alive words.  Bits of retired trials keep being refreshed but
-    are never read.  The words are unpacked only for ``record_states``
+    over n masked by the alive words, and when there are any they are
+    narrowed to the trials whose difference changed since the previous
+    cycle (whose difference was zero or found inside the class, so an
+    unchanged one needs no decode).  The failure test decodes the words
+    holding a remaining suspect bit-sliced; a failed trial's bit is
+    cleared in the alive words.  Bits of retired trials keep being
+    refreshed but are never read.  The words are unpacked only for ``record_states``
     and for a state-dependent (greedy) adversary.
 
     Returns (corrupt, failure_cycle, recorded): (2, T, L) pre/post-correction
@@ -259,6 +268,9 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
     # the bytes of one cycle's (reg, xor, maj) words
     block_size = max(1, _BLOCK_BYTES // (8 * alive.size * (2 * g.n + g.m * g.rho)))
     block = []
+    # the previous cycle's differences: an alive trial's is zero or was
+    # found inside the decoding class
+    checked = np.zeros_like(state)
 
     for cycle in range(1, L + 1):
         alive_keys = keys if idx.size == trials else keys[idx]
@@ -309,13 +321,16 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
             recorded[1, idx, cycle - 1] = unpack_rows(state, trials)[idx]
         suspects = np.bitwise_or.reduce(diff, axis=1) & alive
         if suspects.any():
-            failed = _failed_bits(g, diff, suspects, cap)
+            suspects &= np.bitwise_or.reduce(diff ^ checked, axis=1)
+            failed = _failed_bits(g, diff, suspects, cap) if suspects.any() \
+                else suspects
             if failed.any():
                 failure_cycle[unpack_bits(failed)[:trials]] = cycle
                 alive &= ~failed
                 idx = np.flatnonzero(unpack_bits(alive))
                 if idx.size == 0:
                     break
+        checked = diff
 
     return corrupt, failure_cycle, recorded
 

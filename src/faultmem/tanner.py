@@ -73,6 +73,13 @@ def as_word(bits, n: int | None = None) -> Word:
     return w
 
 
+def _frozen(ids: np.ndarray) -> np.ndarray:
+    """An index array as a read-only contiguous array."""
+    out = np.ascontiguousarray(ids)
+    out.setflags(write=False)
+    return out
+
+
 class TannerGraph:
     """Immutable simple (gamma, rho)-biregular bipartite graph.
 
@@ -168,11 +175,22 @@ class TannerGraph:
 
     @functools.cached_property
     def var_edge_ids(self) -> np.ndarray:
-        """(gamma, n) flat edge ids check*rho + slot: row j holds every
-        variable's j-th edge, for gathering per-edge check messages."""
-        ids = np.ascontiguousarray((self.var_nbrs * self.rho + self.var_edge_pos).T)
-        ids.setflags(write=False)
-        return ids
+        """(gamma, n) flat edge ids slot*m + check into slot-major (rho, m)
+        per-edge check messages: row j holds every variable's j-th edge."""
+        return _frozen((self.var_edge_pos * self.m + self.var_nbrs).T)
+
+    @functools.cached_property
+    def slot_nbrs(self) -> np.ndarray:
+        """(rho, m) check_nbrs.T, contiguous: row k holds every check's
+        k-th variable, for gathering per-edge words slot-major."""
+        return _frozen(self.check_nbrs.T)
+
+    @functools.cached_property
+    def slot_copy_ids(self) -> np.ndarray:
+        """(rho, m) flat ids check_edge_pos*n + check_nbrs, transposed: row
+        k holds, for every check, the bit-copy riding its k-th edge in a
+        (gamma, n) stack of copy planes."""
+        return _frozen((self.check_edge_pos * self.n + self.check_nbrs).T)
 
     def edges(self) -> list[tuple[int, int]]:
         """Sorted list of (variable, check) pairs."""

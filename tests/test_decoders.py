@@ -56,10 +56,12 @@ def reference_refresh(g, state, xor_flips=(), maj_flips=()):
 def reference_round_many(g, states, xor_parity=None, maj_flip=None):
     """The uint8 refresh of a (T, n) batch, one byte per bit: count the
     ones among each variable's gamma estimates, then take the majority,
-    keeping the old value on a tie.  The oracle for the packed round."""
+    keeping the old value on a tie.  The oracle for the packed round;
+    xor_parity is (..., m, rho), the estimates slot-major (..., rho, m)."""
     gamma = g.gamma
-    est = _check_estimates(states[..., g.check_nbrs], xor_parity)
-    recv = est[..., g.var_nbrs, g.var_edge_pos]
+    est = _check_estimates(states[..., g.check_nbrs.T],
+                           None if xor_parity is None else np.swapaxes(xor_parity, -1, -2))
+    recv = est[..., g.var_edge_pos, g.var_nbrs]
     ones = recv.sum(axis=-1, dtype=np.int16)
     new = np.where(ones > gamma // 2, 1,
                    np.where(gamma - ones > gamma // 2, 0, states)).astype(np.uint8)

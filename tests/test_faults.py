@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import faultmem as fm
@@ -372,6 +374,51 @@ def test_theorem2_margin_values():
     assert fm.theorem2_margin(at, 3, 6, prof) == pytest.approx(0.0, abs=1e-15)
 
 
+# -- cluster order ----------------------------------------------------------
+
+_CLUSTER_GRAPHS = {}
+
+
+def cluster_graph(params):
+    if params not in _CLUSTER_GRAPHS:
+        _CLUSTER_GRAPHS[params] = fm.build_random_regular(fm.CodeParams(*params), 3)
+    return _CLUSTER_GRAPHS[params]
+
+
+def cluster_reference(g, key, reg_count, xor_count, maj_count):
+    """One key's cluster plan written out: checks in stable-sorted order of
+    their keyed values, registers and majority gates the first distinct
+    variables met in that order, XOR gates the first ids of those checks'
+    gate blocks."""
+    values = faults._mix_rows(np.uint64(key) + faults._offsets(faults._ORDER, g.m))
+    order = np.argsort(values, kind="stable")
+    met = list(dict.fromkeys(int(v) for c in order for v in g.check_nbrs[c]))
+    block = g.rho * (g.rho - 2)
+    xor = sorted(int(order[j // block]) * block + j % block for j in range(xor_count))
+    return values, (sorted(met[:reg_count]), xor, sorted(met[:maj_count]))
+
+
+@settings(max_examples=40)
+@given(params=st.sampled_from(((12, 3, 6), (36, 3, 6), (40, 4, 5), (30, 2, 5))),
+       keys=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+       data=st.data())
+def test_cluster_rows_equal_stable_order(params, keys, data):
+    # a row's order keys are distinct, so _cluster_rows' argsort needs no
+    # stable kind: its rows equal the stable-sort reference
+    g = cluster_graph(params)
+    reg_count, maj_count = (data.draw(st.integers(0, g.n)) for _ in range(2))
+    xor_count = data.draw(st.integers(0, g.m * g.rho * (g.rho - 2)))
+    got = faults._cluster_rows(g, np.array(keys, dtype=np.uint64),
+                               reg_count, xor_count, maj_count)
+    for row, key in enumerate(keys):
+        values, want = cluster_reference(g, key, reg_count, xor_count, maj_count)
+        assert np.unique(values).size == g.m
+        for ids, expected in zip(got, want):
+            assert (ids is None) == (not expected)
+            if ids is not None:
+                assert ids[row].tolist() == expected
+
+
 # -- packed plans -----------------------------------------------------------
 
 
@@ -397,6 +444,8 @@ def test_gate_words_pack_the_gate_masks(small_graph, rows):
     for batch in batches:
         flips, parity, mask = plan_masks(batch, g, rows)
         assert parity.any() and mask.any()
+        # the xor words are slot-major, (W, rho, m)
+        parity = parity.swapaxes(-1, -2)
         for words, at, width in ((batch.packed(g), np.arange(rows), rows),
                                  (batch.packed(g, slots, count), slots, count)):
             reg_words, xor_words, maj_words = words

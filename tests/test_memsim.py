@@ -517,7 +517,7 @@ def test_run_memory_unchanged_by_skipped_gate_masks(i1, monkeypatch):
     def swapped_block(*args):
         block = []
         for reg, *gates in draw(*args):
-            for i, shape in enumerate(((1, g.m, g.rho), (1, g.n))):
+            for i, shape in enumerate(((1, g.rho, g.m), (1, g.n))):
                 if gates[i] is None:
                     seen["none"] += 1
                     gates[i] = np.zeros(shape, np.uint64)
@@ -537,3 +537,95 @@ def test_run_memory_unchanged_by_skipped_gate_masks(i1, monkeypatch):
                for decoder, seed in cases]
         assert fed == kept
     assert seen["none"] > 0 and seen["zero"] > 0
+
+
+# -- failure test on changed differences only ------------------------------
+
+
+def _budget(g, registers, xor_gates, maj_gates, strategy):
+    """An adversarial model with the given fault counts per use."""
+    total_xor = g.n * g.gamma * (g.rho - 2)
+    return adversarial((registers + 0.5) / g.n, (xor_gates + 0.5) / total_xor,
+                       (maj_gates + 0.5) / g.n, strategy=strategy)
+
+
+# (registers, xor gates, majority gates) per use, or independent rates, on
+# the (40,4,5) graph-seed-13 instance: over 60 cycles of root seed 5 each
+# leaves residuals that persist for several cycles and fails some trials
+_PERSISTING = {
+    ("algorithm_a", "repeat"): (1, 3, 1),
+    ("algorithm_a", "cluster"): (3, 4, 1),
+    ("algorithm_a", "random"): (1, 1, 1),
+    ("algorithm_a", "independent"): (0.006, 3e-4, 0.01),
+    ("tk", "repeat"): (0, 1, 1),
+    ("tk", "cluster"): (2, 2, 2),
+    ("tk", "random"): (0, 1, 1),
+    ("tk", "independent"): (0.001, 1e-4, 6e-3),
+}
+
+
+@pytest.mark.parametrize("decoder, kind", sorted(_PERSISTING))
+def test_failure_cycle_is_first_failing_post_state(decoder, kind, monkeypatch):
+    # the loop decodes only suspects whose difference changed: each
+    # trial's failure cycle must still be the first recorded post state
+    # that the uint8 decode places outside the class, and every nonzero
+    # difference a trial reaches must have been decoded for that trial
+    g, _prof = build_instance(CERTIFIED_INSTANCES[2])
+    rates = _PERSISTING[decoder, kind]
+    model = independent(*rates) if kind == "independent" \
+        else _budget(g, *rates, strategy=kind)
+    cfg = RunConfig(g, decoder, model, 60)
+    cap = detect_cap(None, g.n)
+    real = memsim._failed_bits
+    decoded_diffs = []
+
+    def recording(g, diff, suspects, cap):
+        rows = fm.decoders.unpack_rows(diff, 64 * diff.shape[0])
+        for t in np.flatnonzero(fm.decoders.unpack_bits(suspects)):
+            decoded_diffs[t].add(rows[t].tobytes())
+        return real(g, diff, suspects, cap)
+
+    monkeypatch.setattr(memsim, "_failed_bits", recording)
+    persisted = failures = 0
+    for trials in (1, 65, 130):
+        decoded_diffs[:] = [set() for _ in range(64 * -(-trials // 64))]
+        corrupt, failure_cycle, recorded = memsim._simulate(
+            cfg, fm.faults.trial_keys(5, np.arange(trials)), record_states=True)
+        executed = corrupt[1] >= 0
+        post = recorded[1]  # the stored word is zero: post is the difference
+        for t, cycle in zip(*np.nonzero(executed & post.any(axis=2))):
+            assert post[t, cycle].tobytes() in decoded_diffs[t]
+        decoded, _rounds, converged = fm.decoders.parallel_bitflip_decode_many(
+            g, post[executed], cap)
+        outside = np.zeros(executed.shape, dtype=bool)
+        outside[executed] = ~converged | decoded.any(axis=1)
+        first = np.where(outside.any(axis=1), outside.argmax(axis=1) + 1, -1)
+        assert np.array_equal(failure_cycle, first)
+        persisted += int((executed[:, 1:] & post[:, 1:].any(axis=2)
+                          & (post[:, 1:] == post[:, :-1]).all(axis=2)).sum())
+        failures += int((failure_cycle >= 0).sum())
+    assert persisted > 0 and failures > 0
+
+
+def test_detector_decodes_only_changed_differences(i1, monkeypatch):
+    # four repeated XOR faults leave a residual that persists from cycle 1
+    # on (seed 15, the first of seeds 0-29 whose one-trial run keeps a
+    # residual for all 30 cycles and survives): the failure test runs only
+    # in cycles where a suspect's difference changed, not in every cycle
+    g, prof = i1
+    calls = []
+    real = memsim._failed_bits
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(memsim, "_failed_bits", counted)
+    rep = fm.run_memory(g, "algorithm_a", _budget(g, 0, 4, 0, "repeat"), 30, 15,
+                        prof, record_states=True)
+    post = np.array(rep.states_post)
+    prev = np.vstack([np.zeros((1, g.n), np.uint8), post[:-1]])
+    suspect = post.any(axis=1)
+    changed = suspect & (post != prev).any(axis=1)
+    assert not rep.failed and suspect.all()
+    assert len(calls) <= changed.sum() < suspect.sum()
