@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .tanner import TannerGraph
 
@@ -275,6 +274,9 @@ def invert_expansion_upper_bound(gamma: int, rho: int, epsilon: float) -> float:
     lo = 1e-12
     if gap(lo) <= 0.0:
         return 0.0
+    # scipy.optimize is slow to import; only alpha_total_bounds gets here
+    from scipy.optimize import brentq
+
     return float(brentq(gap, lo, 1.0, xtol=1e-15, rtol=1e-13))
 
 

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .decoders import (algorithm_a_round_packed, broadcast_bits,
                        majority_packed, pack_bits, pack_rows,
@@ -380,13 +380,21 @@ def run_memory(g: TannerGraph, decoder: str, fault_model, cycles: int, seed,
                    None if recorded is None else recorded[:, 0])
 
 
+def _check_confidence(confidence: float) -> None:
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+
+
 def wilson_interval(successes: int, total: int, confidence: float = 0.95):
     """Wilson score interval for a binomial proportion."""
     if total < 1:
         raise ValueError("total must be positive")
     if not 0 <= successes <= total:
         raise ValueError("successes must lie in [0, total]")
-    z = float(norm.ppf(0.5 + confidence / 2.0))
+    _check_confidence(confidence)
+    # the standard normal quantile; scipy.stats.norm.ppf is this same
+    # function, and importing scipy.stats costs most of a cold start
+    z = float(ndtri(0.5 + confidence / 2.0))
     phat = successes / total
     denom = 1.0 + z * z / total
     center = (phat + z * z / (2 * total)) / denom
@@ -438,6 +446,7 @@ def monte_carlo(config: RunConfig, trials: int, root_seed, *,
     SimReport is kept as well."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    _check_confidence(confidence)
     corrupt, failure_cycle, _ = _simulate(
         config, trial_keys(root_seed, np.arange(trials)))
     failures = int(np.count_nonzero(failure_cycle >= 0))

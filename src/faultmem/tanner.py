@@ -454,13 +454,32 @@ def gf2_rref(M: np.ndarray):
     return R[:r], pivots
 
 
+def _xor_basis_rank(rows) -> int:
+    """Rank over GF(2) of rows given as int bitsets: each row is reduced
+    by a basis keyed by leading bit until it vanishes or adds a new key."""
+    basis = {}
+    for r in rows:
+        while r:
+            lead = r.bit_length() - 1
+            b = basis.get(lead)
+            if b is None:
+                basis[lead] = r
+                break
+            r ^= b
+    return len(basis)
+
+
 def gf2_rank(M: np.ndarray) -> int:
-    return len(gf2_rref(M)[1])
+    """Rank of a 0/1 matrix over GF(2); ``gf2_rref`` is its oracle."""
+    R = np.packbits(np.asarray(M, dtype=np.uint8) & 1, axis=1)
+    return _xor_basis_rank(int.from_bytes(row.tobytes(), "big") for row in R)
 
 
 def code_dimension(g: TannerGraph) -> int:
-    """Realized dimension k = n - rank(H) over GF(2)."""
-    return g.n - gf2_rank(g.parity_check_matrix())
+    """Realized dimension k = n - rank(H) over GF(2).  H's rows are built
+    as int bitsets straight from ``check_nbrs``; the dense H never is."""
+    rows = (sum(1 << v for v in nbrs) for nbrs in g.check_nbrs.tolist())
+    return g.n - _xor_basis_rank(rows)
 
 
 def encode(g: TannerGraph, message) -> Word:
@@ -471,7 +490,8 @@ def encode(g: TannerGraph, message) -> Word:
     """
     H = g.parity_check_matrix()
     R, pivots = gf2_rref(H)
-    free = [j for j in range(g.n) if j not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [j for j in range(g.n) if j not in pivot_set]
     k = len(free)
     msg = np.asarray(message, dtype=np.uint8)
     if msg.ndim != 1 or msg.shape[0] != k:

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +59,14 @@ def test_generate_json_sidecar(tmp_path):
                     "--seed", 7, "--out", out, "--json-out", jout]) == 0
     obj = json.loads(jout.read_text())
     assert obj["n"] == 12 and len(obj["edges"]) == 36
+
+
+def test_generate_prints_code_dimension_at_n4000(tmp_path, capsys):
+    out = tmp_path / "g.alist"
+    assert run_cli(["generate", "--n", 4000, "--gamma", 3, "--rho", 6,
+                    "--seed", 4000, "--reject-4cycles", "--out", out]) == 0
+    k = fm.code_dimension(fm.read_alist(out.read_text()))
+    assert f", k={k}, " in capsys.readouterr().out
 
 
 def test_output_dir_env(tmp_path, monkeypatch):
@@ -288,6 +297,24 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def test_import_leaves_out_scipy_stats_and_optimize():
+    import os
+    import subprocess
+    import sys
+    src = str(Path(fm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, faultmem, faultmem.cli; "
+         "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') "
+         "if m in sys.modules))"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_compare_tk_rejects_greedy(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 
 import numpy as np
@@ -468,6 +469,42 @@ def test_wilson_interval_sanity():
     assert lo0 == 0.0 and hi0 < 0.1
     with pytest.raises(ValueError):
         wilson_interval(3, 2)
+
+
+@pytest.mark.parametrize("confidence", [1.5, -0.2, 0.0, 1.0, float("nan")])
+def test_confidence_outside_unit_interval_rejected(i1, monkeypatch, confidence):
+    with pytest.raises(ValueError, match="confidence"):
+        wilson_interval(3, 10, confidence)
+
+    def never(*args, **kwargs):
+        raise AssertionError("simulated before checking the confidence")
+
+    monkeypatch.setattr(memsim, "_simulate", never)
+    cfg = RunConfig(i1[0], "algorithm_a", adversarial(), 5, profile=i1[1])
+    with pytest.raises(ValueError, match="confidence"):
+        fm.monte_carlo(cfg, 4, 1, confidence=confidence)
+
+
+def test_wilson_interval_bitwise_equals_norm_ppf_formula():
+    from scipy.stats import norm
+
+    def reference(successes, total, confidence):
+        z = float(norm.ppf(0.5 + confidence / 2.0))
+        phat = successes / total
+        denom = 1.0 + z * z / total
+        center = (phat + z * z / (2 * total)) / denom
+        half = z * math.sqrt(phat * (1 - phat) / total
+                             + z * z / (4 * total * total)) / denom
+        lo = 0.0 if successes == 0 else max(0.0, center - half)
+        hi = 1.0 if successes == total else min(1.0, center + half)
+        return lo, hi
+
+    for confidence in (0.8, 0.9, 0.95, 0.99, 0.999):
+        for successes, total in ((0, 1), (1, 2), (0, 50), (3, 10), (7, 7),
+                                 (17, 250), (249, 250), (1, 100000)):
+            got = wilson_interval(successes, total, confidence)
+            want = reference(successes, total, confidence)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_sim_report_json(i1):

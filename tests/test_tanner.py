@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import faultmem as fm
 from faultmem.exceptions import AlistFormatError, GraphConstructionError
@@ -179,6 +181,53 @@ def test_gf2_rref_is_reduced():
     for i, p in enumerate(pivots):
         col = R[:, p]
         assert col[i] == 1 and col.sum() == 1
+
+
+@st.composite
+def gf2_matrices(draw):
+    """0/1 matrices whose rows include duplicates and XORs of other rows,
+    at widths on and off multiples of 8 and 64."""
+    ncols = draw(st.sampled_from([1, 2, 7, 8, 9, 63, 64, 65, 130]))
+    base = draw(st.lists(st.lists(st.integers(0, 1), min_size=ncols,
+                                  max_size=ncols), max_size=8))
+    rows = [np.array(r, np.uint8) for r in base]
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows) - 1))
+        rows.append(rows[i].copy() if draw(st.booleans()) else rows[i] ^ rows[j])
+    order = draw(st.permutations(range(len(rows))))
+    return np.array([rows[i] for i in order], np.uint8).reshape(len(rows), ncols)
+
+
+@given(gf2_matrices())
+def test_gf2_rank_equals_rref_pivot_count(M):
+    assert gf2_rank(M) == len(gf2_rref(M)[1])
+
+
+@pytest.mark.parametrize("M, rank", [
+    (np.zeros((0, 5), np.uint8), 0), (np.zeros((0, 64), np.uint8), 0),
+    (np.zeros((3, 0), np.uint8), 0), (np.zeros((4, 1), np.uint8), 0),
+    (np.zeros((5, 9), np.uint8), 0), (np.zeros((1, 129), np.uint8), 0),
+    (np.array([[1]], np.uint8), 1), (np.array([[0], [1], [1]], np.uint8), 1),
+    (np.eye(65, dtype=np.uint8), 65)])
+def test_gf2_rank_edge_shapes(M, rank):
+    assert gf2_rank(M) == len(gf2_rref(M)[1]) == rank
+
+
+@pytest.mark.parametrize("n, gamma, rho, seed, girth6", [
+    (12, 3, 6, 7, False), (24, 3, 4, 2, False), (20, 4, 5, 9, False),
+    (36, 3, 6, 7, True), (40, 4, 5, 13, True), (30, 9, 10, 1, False)])
+def test_code_dimension_matches_rref_oracle(n, gamma, rho, seed, girth6,
+                                            monkeypatch):
+    g = fm.build_random_regular(fm.CodeParams(n, gamma, rho), seed,
+                                reject_4cycles=girth6)
+    k = g.n - len(gf2_rref(g.parity_check_matrix())[1])
+
+    def dense(self):
+        raise AssertionError("code_dimension built the dense H")
+
+    monkeypatch.setattr(fm.TannerGraph, "parity_check_matrix", dense)
+    assert fm.code_dimension(g) == k
 
 
 # -- alist ------------------------------------------------------------------
