@@ -17,8 +17,7 @@ from .expansion import (AlphaTotalBounds, ExpansionCertificate,
                         check_expansion_exhaustive, expansion_lower_bound_alpha,
                         expansion_upper_bound, probe_expansion_randomized)
 from .faults import (AdversarialBudget, AdversarialModel, IndependentModel,
-                     IndependentRates, RegisterFaultPlan, draw_adversarial,
-                     draw_independent, theorem2_margin)
+                     IndependentRates, theorem2_margin)
 from .memsim import (MonteCarloResult, RunConfig, SimReport, monte_carlo,
                      run_memory, wilson_interval)
 from .metrics import (DEFAULT_COST, GateCostModel, chernoff_tail, complexity,

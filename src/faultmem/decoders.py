@@ -66,9 +66,6 @@ class GateFaultPlan:
     def empty(cls) -> "GateFaultPlan":
         return _EMPTY_PLAN
 
-    def is_empty(self) -> bool:
-        return not self.xor_flips and not self.maj_flips
-
     def validate(self, g: TannerGraph) -> None:
         for c, k, pos in self.xor_flips:
             if not (0 <= c < g.m and 0 <= k < g.rho and 0 <= pos <= g.rho - 3):

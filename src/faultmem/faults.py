@@ -12,14 +12,12 @@ own segment of the SplitMix64 sequence seeded by the key, so a draw is a
 pure function of (seed, cycle, class, index).  The kernels take the keys
 of any set of trials, and for cycle-dependent draws a block of cycles,
 and draw all their plans in a few numpy calls; a row never depends on
-what else is in the batch.  The one-trial functions (``draw_adversarial``,
-``draw_independent``) are the one-row case of the same kernels.
+what else is in the batch, so one trial is a batch of one key.
 
 Plans are drawn as index sets, never as per-component masks: an
 independent class's fault count is Binomial(N, p), by inverting one keyed
-uniform, and its positions a uniform subset of that size.  Batched plans
-are a PlanBatch of ragged (row, id) pairs per class, for both models; the
-plan dataclasses remain the return type of the one-trial draws.
+uniform, and its positions a uniform subset of that size.  Every plan is
+a PlanBatch of ragged (row, id) pairs per class, for both models.
 """
 
 from __future__ import annotations
@@ -31,11 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc
 
-from .decoders import (GateFaultPlan, broadcast_bits, parallel_bitflip_round_packed,
-                       popcounts)
+from .decoders import broadcast_bits, parallel_bitflip_round_packed, popcounts
 from .exceptions import BudgetViolationError
 from .expansion import ExpansionProfile
-from .tanner import TannerGraph, Word, as_word, zero_word
+from .tanner import TannerGraph, zero_word
 
 STRATEGIES = ("random", "repeat", "cluster", "greedy")
 
@@ -104,8 +101,11 @@ def seed_key(seed) -> int:
 
 def trial_keys(root_seed, trials) -> np.ndarray:
     """uint64 keys of the trials (root_seed, t) for t in ``trials``; entry
-    i equals seed_key((root_seed, trials[i]))."""
-    return _absorb(seed_key(root_seed), np.asarray(trials, dtype=np.uint64))
+    i equals seed_key((root_seed, trials[i])).  ``trials`` must be 1-D."""
+    trials = np.asarray(trials, dtype=np.uint64)
+    if trials.ndim != 1:
+        raise ValueError(f"trials must be 1-D, got shape {trials.shape}")
+    return _absorb(seed_key(root_seed), trials)
 
 
 def _rows(keys) -> np.ndarray:
@@ -186,6 +186,13 @@ def _binomial_table(total: int, p: float) -> np.ndarray:
     return table
 
 
+def _binomial_counts(keys: np.ndarray, pos: int, total: int, p: float) -> np.ndarray:
+    """One Binomial(total, p) count per key: the 53-bit uniform at position
+    ``pos`` of the key's count segment inverted against _binomial_table."""
+    u = _mix_rows(keys + np.uint64((_COUNT + pos + 1) * _GOLDEN & _MASK))
+    return np.searchsorted(_binomial_table(total, p), u >> _U11, side="right")
+
+
 def _first_distinct(seq: np.ndarray, count: int) -> np.ndarray:
     """The first ``count`` distinct values of each row, in order of first
     appearance; every row must hold at least that many."""
@@ -229,16 +236,6 @@ class AdversarialBudget:
     def maj_count(self, g: TannerGraph) -> int:
         return _budget_count(self.alpha_maj, g.n)
 
-    def check_plans(self, g: TannerGraph, reg_plan: "RegisterFaultPlan",
-                    gate_plan: GateFaultPlan) -> None:
-        for name, faults, budget in (
-                ("register flips", reg_plan.flips, self.register_count(g)),
-                ("XOR gate faults", gate_plan.xor_flips, self.xor_count(g)),
-                ("majority gate faults", gate_plan.maj_flips, self.maj_count(g))):
-            if len(faults) > budget:
-                raise BudgetViolationError(
-                    f"{len(faults)} {name} exceed budget {budget}")
-
     def check_batch(self, g: TannerGraph, plans: "PlanBatch") -> None:
         """Vectorized check of a batch: every row spends exactly the
         budget, on distinct in-range component ids."""
@@ -279,26 +276,6 @@ class IndependentRates:
             val = getattr(self, name)
             if not 0.0 <= val < 0.5:
                 raise ValueError(f"{name} must lie in [0, 1/2), got {val}")
-
-
-@dataclass(frozen=True)
-class RegisterFaultPlan:
-    """Registers whose stored bit is complemented this interval."""
-
-    flips: frozenset = frozenset()
-
-    @classmethod
-    def empty(cls) -> "RegisterFaultPlan":
-        return _EMPTY_REG
-
-    def apply(self, word: Word) -> Word:
-        out = word.copy()
-        if self.flips:
-            out[list(self.flips)] ^= 1
-        return out
-
-
-_EMPTY_REG = RegisterFaultPlan()
 
 
 def _pairs(ids: np.ndarray | None):
@@ -359,28 +336,6 @@ class PlanBatch:
         reg, xor, maj = (None if part is None else words[:, part] for part in parts)
         return reg, None if xor is None else xor.reshape(-1, g.rho, g.m), maj
 
-    @staticmethod
-    def _ids(pair, row) -> list[int]:
-        if pair is None:
-            return []
-        rows, ids = pair
-        lo, hi = np.searchsorted(rows, (row, row + 1))
-        return ids[lo:hi].tolist()
-
-    def plan(self, row: int, g: TannerGraph):
-        """Row ``row`` as a (RegisterFaultPlan, GateFaultPlan) pair."""
-        chain = g.rho - 2
-        reg = self._ids(self.reg, row)
-        xor = self._ids(self.xor, row)
-        maj = self._ids(self.maj, row)
-        reg_plan = RegisterFaultPlan(frozenset(reg)) if reg else _EMPTY_REG
-        if not xor and not maj:
-            return reg_plan, GateFaultPlan.empty()
-        return reg_plan, GateFaultPlan(
-            frozenset((idx // chain // g.rho, idx // chain % g.rho, idx % chain)
-                      for idx in xor),
-            frozenset(maj))
-
 
 # ---------------------------------------------------------------------------
 # Draw kernels
@@ -404,16 +359,9 @@ def draw_independent_batch(rates: IndependentRates, g: TannerGraph, keys,
         if p == 0.0:
             classes.append(None)
             continue
-        u = _mix_rows(keyed + np.uint64((_COUNT + pos + 1) * _GOLDEN & _MASK))
-        counts = np.searchsorted(_binomial_table(total, p), u >> _U11, side="right")
+        counts = _binomial_counts(keyed, pos, total, p)
         classes.append(_ragged_subsets(keyed, base, total, counts))
     return PlanBatch(keyed.size, *classes)
-
-
-def draw_independent(rates: IndependentRates, g: TannerGraph, seed, cycle):
-    """Independent per-component Bernoulli plans, deterministic for
-    (seed, cycle)."""
-    return draw_independent_batch(rates, g, seed_key(seed), cycle).plan(0, g)
 
 
 def _cluster_rows(g: TannerGraph, keys, reg_count: int, xor_count: int,
@@ -486,8 +434,8 @@ def _greedy_rows(g: TannerGraph, keys, count: int, observed: np.ndarray,
 
 
 def draw_adversarial_batch(budget: AdversarialBudget, g: TannerGraph,
-                           strategy: str, keys, cycle, observed, original=None,
-                           pool_size: int = GREEDY_POOL_SIZE) -> PlanBatch:
+                           strategy: str, keys, cycle, observed,
+                           original=None) -> PlanBatch:
     """Plans exactly at budget for the trials with the given keys (a
     uint64 array, or one int key); ``observed`` holds their (T, n)
     register states (read by greedy only).  For random, a (B, 1) uint64
@@ -507,8 +455,6 @@ def draw_adversarial_batch(budget: AdversarialBudget, g: TannerGraph,
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    if pool_size < 1:
-        raise ValueError(f"pool_size must be at least 1, got {pool_size}")
     rc, xc, mc = budget.register_count(g), budget.xor_count(g), budget.maj_count(g)
     keyed = _rows(keys if strategy in ("repeat", "cluster") else _absorb(keys, cycle))
     if strategy == "cluster":
@@ -516,8 +462,8 @@ def draw_adversarial_batch(budget: AdversarialBudget, g: TannerGraph,
     else:
         if strategy == "greedy":
             original = zero_word(g.n) if original is None else original
-            reg = (_greedy_rows(g, keyed, rc, observed, original, pool_size)
-                   if rc else None)
+            reg = (_greedy_rows(g, keyed, rc, observed, original,
+                                GREEDY_POOL_SIZE) if rc else None)
         else:
             reg = _subsets(keyed, _REG, g.n, rc)
         xor = _subsets(keyed, _XOR, g.n * g.gamma * (g.rho - 2), xc)
@@ -525,29 +471,6 @@ def draw_adversarial_batch(budget: AdversarialBudget, g: TannerGraph,
     plans = PlanBatch(keyed.size, _pairs(reg), _pairs(xor), _pairs(maj))
     budget.check_batch(g, plans)
     return plans
-
-
-def _word_view(word, n: int) -> np.ndarray:
-    """Shape/dtype normalization without the per-bit value scan; fault
-    draws sit on the simulator's hot path and its words are binary by
-    construction.  Non-array or wrongly sized input still fails loudly."""
-    if isinstance(word, np.ndarray) and word.dtype == np.uint8:
-        if word.shape != (n,):
-            raise ValueError(f"length mismatch: expected {n} bits, got {word.shape}")
-        return word
-    return as_word(word, n)
-
-
-def draw_adversarial(budget: AdversarialBudget, g: TannerGraph, strategy: str,
-                     seed, cycle, observed_state, original=None,
-                     pool_size: int = GREEDY_POOL_SIZE):
-    """One trial's plans for (seed, cycle): the one-row case of
-    draw_adversarial_batch, as a (RegisterFaultPlan, GateFaultPlan) pair."""
-    observed = _word_view(observed_state, g.n)
-    original = None if original is None else _word_view(original, g.n)
-    return draw_adversarial_batch(budget, g, strategy, seed_key(seed), cycle,
-                                  observed[None, :], original,
-                                  pool_size).plan(0, g)
 
 
 # ---------------------------------------------------------------------------
@@ -600,26 +523,19 @@ def theorem2_margin(budget: AdversarialBudget, gamma: int, rho: int,
     return profile.alpha_total - spend
 
 
-def rng_for(seed, cycle=None) -> np.random.Generator:
-    """A new generator keyed by (seed, cycle); seed may be an int or a
-    tuple of ints.  The PCG64 is seeded with seed_key of the key, so
-    distinct keys give independent streams and the same key always
-    reproduces the same draws."""
-    parts = _seed_parts(seed) + ([] if cycle is None else [int(cycle)])
-    return np.random.Generator(np.random.PCG64(seed_key(tuple(parts))))
-
-
 def exceedance_frequency(p: float, delta: float, n: int, draws: int,
                          seed) -> float:
     """Monte Carlo frequency of the event 'more than (p+delta)*n of n
     independent components fail', each failing with probability p.
 
     Each draw's failure count is one Binomial(n, p) variate, the exact law
-    of a sum of n Bernoulli(p) component masks.
+    of a sum of n Bernoulli(p) component masks, drawn as the independent
+    model draws its fault counts: draw i inverts the keyed uniform of trial
+    key (seed, i) against the binomial table.
     """
     if not 0.0 < p < 1.0 or delta <= 0.0:
         raise ValueError("need 0 < p < 1 and delta > 0")
     if draws < 1 or n < 1:
         raise ValueError("need draws >= 1 and n >= 1")
-    counts = rng_for(seed).binomial(n, p, draws)
+    counts = _binomial_counts(trial_keys(seed, np.arange(draws)), 0, n, p)
     return int((counts > (p + delta) * n).sum()) / draws

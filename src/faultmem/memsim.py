@@ -97,12 +97,12 @@ class SimReport:
         }
 
 
-def detect_cap(profile: ExpansionProfile | None, n: int, default_cap: int = 100) -> int:
+def detect_cap(profile: ExpansionProfile | None, n: int) -> int:
     """Round cap for the decoding-class oracle: ceil(log_{1/(1-4e)}(n)) + 10
     with a profile attached (a one-step profile, epsilon = 1/4, needs no
-    contraction rounds), else the configured default."""
+    contraction rounds), else 100."""
     if profile is None or profile.epsilon <= 0.0:
-        return default_cap
+        return 100
     shrink = 1.0 - 4.0 * profile.epsilon
     if shrink <= 0.0:
         return 10
@@ -145,7 +145,6 @@ class RunConfig:
     profile: ExpansionProfile | None = None
     rounds_per_cycle: int = 1
     check_accounting: bool = False
-    detect_max_rounds: int = 100
     initial_word: object = None
 
 
@@ -249,7 +248,7 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
         else as_word(config.initial_word, g.n)
     if not g.is_codeword(original):
         raise ConfigError("the stored word must be a codeword")
-    cap = detect_cap(config.profile, g.n, config.detect_max_rounds)
+    cap = detect_cap(config.profile, g.n)
     if config.check_accounting:
         b, contraction = model.budget, config.profile.contraction
         threshold = config.profile.correctable_fraction * g.n
@@ -360,7 +359,6 @@ def run_memory(g: TannerGraph, decoder: str, fault_model, cycles: int, seed,
                rounds_per_cycle: int = 1,
                check_accounting: bool = False,
                record_states: bool = False,
-               detect_max_rounds: int = 100,
                initial_word=None) -> SimReport:
     """Run one trial of L correction cycles; deterministic per seed.
 
@@ -372,8 +370,7 @@ def run_memory(g: TannerGraph, decoder: str, fault_model, cycles: int, seed,
     run_memory with seed (root_seed, t).
     """
     config = RunConfig(g, decoder, fault_model, cycles, profile,
-                       rounds_per_cycle, check_accounting, detect_max_rounds,
-                       initial_word)
+                       rounds_per_cycle, check_accounting, initial_word)
     corrupt, failure_cycle, recorded = _simulate(
         config, seed_key(seed), record_states=record_states, name_trials=False)
     return _report(config, corrupt[:, 0], failure_cycle[0],

@@ -52,21 +52,33 @@ def parallel_bitflip_round(g, state):
     return parallel_bitflip_round_many(g, w[None, :])[0]
 
 
+def row_ids(pair, row):
+    """The set of ids that row ``row`` of one PlanBatch class holds (empty
+    for a class drawn as None), read from its ragged (row, id) pairs."""
+    if pair is None:
+        return set()
+    return {i for r, i in zip(pair[0].tolist(), pair[1].tolist()) if r == row}
+
+
 def plan_masks(batch, g, rows):
     """The (rows, n) register flips, (rows, m, rho) chain parities and
     (rows, n) majority complements of a PlanBatch as 0/1 uint8 arrays,
-    built row by row from its plan objects: the oracle for
-    PlanBatch.packed."""
+    built pair by pair from its ragged (row, id) pairs: the oracle for
+    PlanBatch.packed.  A row's ids count once each; a chain's parity is
+    the parity of its failed gates."""
     flips = np.zeros((rows, g.n), np.uint8)
     parity = np.zeros((rows, g.m, g.rho), np.uint8)
     mask = np.zeros((rows, g.n), np.uint8)
-    for row in range(rows):
-        reg_plan, gate_plan = batch.plan(row, g)
-        flips[row] = reg_plan.apply(flips[row])
-        if gate_plan.xor_flips:
-            parity[row] = gate_plan.xor_parity(g)
-        if gate_plan.maj_flips:
-            mask[row] = gate_plan.maj_mask(g)
+    chain = g.rho - 2
+    for name, out in (("reg", flips), ("xor", parity), ("maj", mask)):
+        pair = getattr(batch, name)
+        if pair is None:
+            continue
+        for r, idx in set(zip(pair[0].tolist(), pair[1].tolist())):
+            if name == "xor":
+                parity[r, idx // chain // g.rho, idx // chain % g.rho] ^= 1
+            else:
+                out[r, idx] = 1
     return flips, parity, mask
 
 

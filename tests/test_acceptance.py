@@ -13,7 +13,7 @@ from faultmem.decoders import (EdgeMessages, GateFaultPlan, TkState,
                                algorithm_a_round_many, gallager_b_round,
                                parallel_bitflip_decode,
                                parallel_bitflip_round_many, tk_round)
-from faultmem.faults import draw_adversarial, exceedance_frequency
+from faultmem.faults import draw_adversarial_batch, exceedance_frequency, seed_key
 from faultmem.memsim import RunConfig, detect_cap, _detect_word
 
 from conftest import CERTIFIED_INSTANCES, build_instance
@@ -253,10 +253,10 @@ def test_criterion8_no_correction_baseline():
     state = zero.copy()
     predicted = None
     for cycle in range(1, 201):
-        reg, _gate = draw_adversarial(budget, g, "greedy", 55, cycle,
-                                      state, zero)
-        assert len(reg.flips) == 1  # exactly the budget arithmetic
-        state = reg.apply(state)
+        _rows, flips = draw_adversarial_batch(budget, g, "greedy", seed_key(55),
+                                              cycle, state[None], zero).reg
+        assert flips.size == 1  # exactly the budget arithmetic
+        state[flips] ^= 1
         if _detect_word(g, state, zero, cap):
             predicted = cycle
             break

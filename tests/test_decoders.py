@@ -17,7 +17,8 @@ from faultmem.decoders import (EdgeMessages, GateFaultPlan, TkState,
                                unpack_bits, unpack_rows)
 from faultmem.faults import PlanBatch, _pairs
 
-from conftest import algorithm_a_round, parallel_bitflip_round, plan_masks
+from conftest import (algorithm_a_round, parallel_bitflip_round, plan_masks,
+                      row_ids)
 
 # (n, gamma, rho) of small random graphs, odd and even gamma
 GRAPH_PARAMS = ((12, 3, 6), (12, 4, 6), (20, 4, 5), (12, 5, 6), (16, 6, 8))
@@ -481,8 +482,12 @@ def test_packed_refresh_equals_uint8_round(params, seed, count, density, ragged,
     assert np.array_equal(
         algorithm_a_round_many(g, states, shared_xor, shared_maj),
         reference_round_many(g, states, shared_xor, shared_maj))
-    # the one-state round with the plan of row 0
-    _reg, plan = plans.plan(0, g)
+    # the one-state round with the gate plan of row 0
+    chain = g.rho - 2
+    plan = GateFaultPlan(
+        frozenset((idx // chain // g.rho, idx // chain % g.rho, idx % chain)
+                  for idx in row_ids(plans.xor, 0)),
+        frozenset(row_ids(plans.maj, 0)))
     assert np.array_equal(algorithm_a_round(g, states[0], plan),
                           reference_round_many(
                               g, states[:1],

@@ -1,5 +1,5 @@
 """Properties of the keyed counter fault streams: batched rows equal the
-one-trial draws of the same key whatever else is in the batch, plans sit
+one-key draws of the same key whatever else is in the batch, plans sit
 exactly at budget on distinct in-range ids, and the strategies draw from
 the distributions they promise."""
 
@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import faultmem as fm
-from faultmem.faults import (STRATEGIES, draw_adversarial,
-                             draw_adversarial_batch, draw_independent,
-                             draw_independent_batch, rng_for, trial_keys)
+from faultmem.faults import (STRATEGIES, draw_adversarial_batch,
+                             draw_independent_batch, seed_key, trial_keys)
 
 GRAPH_PARAMS = ((12, 3, 6, 7), (20, 4, 5, 3), (36, 3, 6, 7), (16, 4, 8, 5),
                 (40, 4, 5, 13))
@@ -48,10 +47,12 @@ def batches(draw):
     return g, trials, np.array(alive), root, cycle, observed, original
 
 
-def assert_plan_equal(a, b):
-    assert a[0].flips == b[0].flips
-    assert a[1].xor_flips == b[1].xor_flips
-    assert a[1].maj_flips == b[1].maj_flips
+def row_pairs(batch, row):
+    """Per class, the (row, id) pairs of row ``row`` renumbered to row 0,
+    or None for a class drawn as None: a one-key draw's pairs if equal."""
+    return [None if pair is None else
+            [(0, idx) for idx in pair[1][pair[0] == row].tolist()]
+            for pair in (batch.reg, batch.xor, batch.maj)]
 
 
 @settings(max_examples=60)
@@ -81,10 +82,12 @@ def test_adversarial_rows_match_single_draws(batch, strategy, counts):
         assert all(len(set(row)) == count
                    for row in ids.reshape(alive.size, count).tolist())
     for row, t in enumerate(alive):
-        single = draw_adversarial(budget, g, strategy, (root, int(t)), cycle,
-                                  observed[t], original)
-        assert_plan_equal(plans.plan(row, g), single)
-        assert_plan_equal(full.plan(int(t), g), single)
+        single = draw_adversarial_batch(budget, g, strategy,
+                                        seed_key((root, int(t))), cycle,
+                                        observed[t][None], original)
+        assert single.rows == 1
+        assert row_pairs(plans, row) == row_pairs(single, 0)
+        assert row_pairs(full, int(t)) == row_pairs(single, 0)
 
 
 @settings(max_examples=40)
@@ -110,8 +113,9 @@ def test_independent_rows_match_single_draws(batch, rates):
         assert ((np.diff(ids) > 0) | (np.diff(rows) > 0)).all()
         assert ids.size == 0 or (ids.min() >= 0 and ids.max() < total)
     for row, t in enumerate(alive):
-        single = draw_independent(rates, g, (root, int(t)), cycle)
-        assert_plan_equal(plans.plan(row, g), single)
+        single = draw_independent_batch(rates, g, seed_key((root, int(t))), cycle)
+        assert single.rows == 1
+        assert row_pairs(plans, row) == row_pairs(single, 0)
 
 
 def test_random_subsets_uniform_marginals():
@@ -146,23 +150,15 @@ def test_cluster_first_check_uniform():
     assert (nbrs[:, :, None] == reg[:, None, :]).any(axis=1).all()
 
 
-def test_rng_for_generators_do_not_share_state():
-    first, second = rng_for(1), rng_for(2)
-    assert first is not second
-    a, b = first.random(4).tolist(), second.random(4).tolist()
-    assert a == rng_for(1).random(4).tolist()
-    assert b == rng_for(2).random(4).tolist()
-    assert a != b
-
-
 def test_budget_check_rejects_bad_rows():
     g = graph((12, 3, 6, 7))
     budget = budget_for(g, 2, 0, 0)
     plans = draw_adversarial_batch(budget, g, "random", trial_keys(1, [0, 1]),
                                    1, None)
     budget.check_batch(g, plans)
+    # a repeated id, an id out of range, too few and too many ids per row
     for bad in (np.array([[0, 0], [1, 2]]), np.array([[0, 12], [1, 2]]),
-                np.array([[0], [1]])):
+                np.array([[0], [1]]), np.array([[0, 1, 2], [3, 4, 5]])):
         with pytest.raises(fm.BudgetViolationError):
             budget.check_batch(g, fm.faults.PlanBatch(2, fm.faults._pairs(bad),
                                                       None, None))

@@ -9,13 +9,11 @@ from scipy import stats
 import faultmem as fm
 from faultmem import faults
 from faultmem.decoders import pack_rows, parallel_bitflip_round_many
-from faultmem.exceptions import BudgetViolationError
-from faultmem.faults import (GREEDY_POOL_SIZE, PlanBatch, draw_adversarial,
-                             draw_adversarial_batch, draw_independent,
+from faultmem.faults import (PlanBatch, draw_adversarial_batch,
                              draw_independent_batch, exceedance_frequency,
-                             rng_for, seed_key, trial_keys)
+                             seed_key, trial_keys)
 
-from conftest import parallel_bitflip_round, plan_masks
+from conftest import parallel_bitflip_round, plan_masks, row_ids
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +24,32 @@ def small_graph():
 
 def zeros(g):
     return np.zeros(g.n, np.uint8)
+
+
+def plan_sets(batch, row=0):
+    """The register, XOR and majority id sets of one row of a batch."""
+    return tuple(row_ids(pair, row) for pair in (batch.reg, batch.xor, batch.maj))
+
+
+def independent(rates, g, seed, cycle):
+    """The id sets of the one-key independent draw for (seed, cycle)."""
+    return plan_sets(draw_independent_batch(rates, g, seed_key(seed), cycle))
+
+
+def adversarial(budget, g, strategy, seed, cycle, observed):
+    """The id sets of the one-key adversarial draw for (seed, cycle)."""
+    return plan_sets(draw_adversarial_batch(budget, g, strategy, seed_key(seed),
+                                            cycle, observed[None]))
+
+
+def assert_gate_ids_in_range(g, xor, maj):
+    """Flat XOR ids decompose to (check, out_slot, chain_pos) in range,
+    majority ids are variables."""
+    chain = g.rho - 2
+    for idx in xor:
+        c, k, pos = idx // chain // g.rho, idx // chain % g.rho, idx % chain
+        assert 0 <= c < g.m and 0 <= k < g.rho and 0 <= pos <= g.rho - 3
+    assert all(0 <= v < g.n for v in maj)
 
 
 # -- rates / budgets --------------------------------------------------------
@@ -50,39 +74,30 @@ def test_budget_counts(small_graph):
     assert tiny.register_count(g) == 0  # zero floor => fault-free class
 
 
-def test_budget_violation_detected(small_graph):
-    g = small_graph
-    b = fm.AdversarialBudget(alpha_m=0.03)
-    plan = fm.RegisterFaultPlan(frozenset({0, 1, 2}))
-    with pytest.raises(BudgetViolationError):
-        b.check_plans(g, plan, fm.GateFaultPlan.empty())
-
-
 # -- independent draws ------------------------------------------------------
 
 
 def test_zero_rates_empty_plans(small_graph):
-    reg, gate = draw_independent(fm.IndependentRates(), small_graph, 1, 1)
-    assert not reg.flips and gate.is_empty()
+    batch = draw_independent_batch(fm.IndependentRates(), small_graph,
+                                   seed_key(1), 1)
+    assert (batch.rows, batch.reg, batch.xor, batch.maj) == (1, None, None, None)
 
 
 def test_independent_reproducible(small_graph):
-    r1 = draw_independent(fm.IndependentRates(0.1, 0.01, 0.05), small_graph, 5, 9)
-    r2 = draw_independent(fm.IndependentRates(0.1, 0.01, 0.05), small_graph, 5, 9)
-    r3 = draw_independent(fm.IndependentRates(0.1, 0.01, 0.05), small_graph, 5, 10)
-    assert r1[0].flips == r2[0].flips
-    assert r1[1].xor_flips == r2[1].xor_flips
-    assert (r1[0].flips, r1[1].xor_flips) != (r3[0].flips, r3[1].xor_flips) \
-        or r1[1].maj_flips != r3[1].maj_flips
+    rates = fm.IndependentRates(0.1, 0.01, 0.05)
+    r1 = independent(rates, small_graph, 5, 9)
+    r2 = independent(rates, small_graph, 5, 9)
+    r3 = independent(rates, small_graph, 5, 10)
+    assert r1 == r2
+    assert r1 != r3
 
 
 def test_independent_plan_ranges(small_graph):
     g = small_graph
-    reg, gate = draw_independent(fm.IndependentRates(0.2, 0.05, 0.2), g, 3, 4)
-    assert all(0 <= v < g.n for v in reg.flips)
-    for (c, k, pos) in gate.xor_flips:
-        assert 0 <= c < g.m and 0 <= k < g.rho and 0 <= pos <= g.rho - 3
-    gate.validate(g)
+    reg, xor, maj = independent(fm.IndependentRates(0.2, 0.05, 0.2), g, 3, 4)
+    assert reg and xor and maj
+    assert all(0 <= v < g.n for v in reg)
+    assert_gate_ids_in_range(g, xor, maj)
 
 
 def cycles(count):
@@ -168,9 +183,9 @@ def test_cycles_uncorrelated():
     g = fm.build_random_regular(fm.CodeParams(2000, 3, 6), seed=3)
     rates = fm.IndependentRates(p_m=0.05)
     ind = np.zeros((60, g.n), np.int8)
-    for c in range(60):
-        reg, _ = draw_independent(rates, g, 9, c)
-        ind[c, sorted(reg.flips)] = 1
+    # one key over cycles 0..59: row c is the register plan of cycle c
+    rows, ids = draw_independent_batch(rates, g, seed_key(9), cycles(60)).reg
+    ind[rows, ids] = 1
     corr = np.corrcoef(ind)
     off = corr[~np.eye(60, dtype=bool)]
     assert np.abs(off).max() < 0.12
@@ -183,33 +198,33 @@ def test_zero_budget_empty_all_strategies(small_graph):
     g = small_graph
     b = fm.AdversarialBudget()
     for strat in fm.faults.STRATEGIES:
-        reg, gate = draw_adversarial(b, g, strat, 1, 1, zeros(g))
-        assert not reg.flips and gate.is_empty()
+        batch = draw_adversarial_batch(b, g, strat, seed_key(1), 1, zeros(g)[None])
+        assert (batch.rows, batch.reg, batch.xor, batch.maj) == (1, None, None, None)
 
 
 def test_plans_exactly_at_budget(small_graph):
     g = small_graph
     b = fm.AdversarialBudget(alpha_m=0.1, alpha_xor=0.01, alpha_maj=0.06)
     for strat in fm.faults.STRATEGIES:
-        reg, gate = draw_adversarial(b, g, strat, 2, 5, zeros(g))
-        assert len(reg.flips) == b.register_count(g) == 3
-        assert len(gate.xor_flips) == b.xor_count(g) == 4
-        assert len(gate.maj_flips) == b.maj_count(g) == 2
-        gate.validate(g)
+        reg, xor, maj = adversarial(b, g, strat, 2, 5, zeros(g))
+        assert len(reg) == b.register_count(g) == 3
+        assert len(xor) == b.xor_count(g) == 4
+        assert len(maj) == b.maj_count(g) == 2
+        assert_gate_ids_in_range(g, xor, maj)
 
 
 def test_repeat_strategy_repeats(small_graph):
     g = small_graph
     b = fm.AdversarialBudget(alpha_m=0.1)
-    p1, _ = draw_adversarial(b, g, "repeat", 4, 1, zeros(g))
-    p2, _ = draw_adversarial(b, g, "repeat", 4, 2, zeros(g))
-    assert p1.flips == p2.flips
+    p1 = adversarial(b, g, "repeat", 4, 1, zeros(g))[0]
+    p2 = adversarial(b, g, "repeat", 4, 2, zeros(g))[0]
+    assert p1 == p2
 
 
 def test_random_strategy_varies_with_cycle(small_graph):
     g = small_graph
     b = fm.AdversarialBudget(alpha_m=0.2)
-    plans = {draw_adversarial(b, g, "random", 4, c, zeros(g))[0].flips
+    plans = {frozenset(adversarial(b, g, "random", 4, c, zeros(g))[0])
              for c in range(12)}
     assert len(plans) > 1
 
@@ -217,10 +232,10 @@ def test_random_strategy_varies_with_cycle(small_graph):
 def test_cluster_concentrates_on_check_neighborhoods(small_graph):
     g = small_graph
     b = fm.AdversarialBudget(alpha_m=0.15)
-    p1, _ = draw_adversarial(b, g, "cluster", 4, 1, zeros(g))
-    p2, _ = draw_adversarial(b, g, "cluster", 4, 9, zeros(g))
-    assert p1.flips == p2.flips  # fixed check subset, fixed cluster
-    flips = sorted(p1.flips)
+    p1 = adversarial(b, g, "cluster", 4, 1, zeros(g))[0]
+    p2 = adversarial(b, g, "cluster", 4, 9, zeros(g))[0]
+    assert p1 == p2  # fixed check subset, fixed cluster
+    flips = sorted(p1)
     covered = any(set(flips) <= set(int(v) for v in g.check_nbrs[c])
                   for c in range(g.m))
     # budget 5 > rho would span checks; here floor(0.15*36)=5 <= rho=6
@@ -229,8 +244,8 @@ def test_cluster_concentrates_on_check_neighborhoods(small_graph):
 
 def test_unknown_strategy_rejected(small_graph):
     with pytest.raises(ValueError, match="strategy"):
-        draw_adversarial(fm.AdversarialBudget(), small_graph, "evil", 0, 0,
-                         zeros(small_graph))
+        draw_adversarial_batch(fm.AdversarialBudget(), small_graph, "evil",
+                               seed_key(0), 0, zeros(small_graph)[None])
 
 
 def test_greedy_beats_random_on_average(small_graph):
@@ -243,9 +258,9 @@ def test_greedy_beats_random_on_average(small_graph):
         observed[rng.choice(g.n, 3, replace=False)] = 1
         post = {}
         for strat in ("greedy", "random"):
-            reg, _ = draw_adversarial(b, g, strat, (1, trial), 1, observed)
+            reg = adversarial(b, g, strat, (1, trial), 1, observed)[0]
             state = observed.copy()
-            state[sorted(reg.flips)] ^= 1
+            state[sorted(reg)] ^= 1
             corrected = parallel_bitflip_round(g, state)
             post[strat] = int(corrected.sum())
         diffs.append(post["greedy"] - post["random"])
@@ -331,19 +346,6 @@ def test_greedy_rows_match_uint8_lookahead_past_255_variables(corrupt):
         assert np.array_equal(
             faults._greedy_rows(g, keys, count, observed, original, pool_size),
             reference_greedy_rows(g, keys, count, observed, original, pool_size))
-
-
-def test_greedy_pool_size_must_be_positive(small_graph):
-    g = small_graph
-    budget = fm.AdversarialBudget(alpha_m=2.5 / 36)
-    for pool_size in (0, -3):
-        with pytest.raises(ValueError, match="pool_size must be at least 1"):
-            draw_adversarial(budget, g, "greedy", 1, 1, zeros(g),
-                             pool_size=pool_size)
-        with pytest.raises(ValueError, match="pool_size must be at least 1"):
-            draw_adversarial_batch(budget, g, "greedy", trial_keys(1, [0, 1]),
-                                   1, np.zeros((2, g.n), np.uint8),
-                                   pool_size=pool_size)
 
 
 # -- model wrappers / margin -------------------------------------------------
@@ -475,15 +477,25 @@ def test_gate_words_of_a_batch_without_gate_faults(small_graph):
         == (None, None, None)
 
 
-# -- rng streams ------------------------------------------------------------
+# -- keyed streams ----------------------------------------------------------
 
 
-def test_rng_for_reproducible_and_split():
-    a = rng_for((1, 2), 3).random(4).tolist()
-    b = rng_for((1, 2), 3).random(4).tolist()
-    c = rng_for((1, 2), 4).random(4).tolist()
-    d = rng_for((1, 3), 3).random(4).tolist()
-    assert a == b and a != c and a != d
+def test_trial_keys_need_one_dimension():
+    assert trial_keys(0, [128]).tolist() == [seed_key((0, 128))]
+    for trials in (128, np.zeros((2, 3), np.int64)):
+        with pytest.raises(ValueError, match="1-D"):
+            trial_keys(0, trials)
+
+
+def test_exceedance_frequency_law():
+    # the frequency estimates the binomial tail itself, not only a bound
+    p, delta, n, draws = 0.05, 0.01, 1000, 100_000
+    exact = stats.binom.sf(math.floor((p + delta) * n), n, p)
+    freq = exceedance_frequency(p, delta, n, draws, seed=3)
+    sigma = math.sqrt(exact * (1 - exact) / draws)
+    assert abs(freq - exact) <= 4 * sigma
+    assert exceedance_frequency(p, delta, n, draws, seed=3) == freq
+    assert exceedance_frequency(p, delta, n, draws, seed=4) != freq
 
 
 def test_exceedance_frequency_within_bound():

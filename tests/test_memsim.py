@@ -118,7 +118,7 @@ def test_detect_failure_cases(i1):
 
 
 def test_detect_cap_formula():
-    assert detect_cap(None, 100, 77) == 77
+    assert detect_cap(None, 100) == 100
     assert detect_cap(fm.ExpansionProfile(0.05, 3, 0.25), 100) == 10
     prof = fm.ExpansionProfile(0.05, 3, 0.05)
     expected = int(np.ceil(np.log(100) / np.log(1 / 0.8))) + 10
