@@ -74,6 +74,14 @@ def test_budget_counts(small_graph):
     assert tiny.register_count(g) == 0  # zero floor => fault-free class
 
 
+def test_budget_violation_detected(small_graph):
+    g = small_graph
+    b = fm.AdversarialBudget(alpha_m=0.03)
+    plan = PlanBatch(1, faults._pairs(np.array([[0, 1, 2]])), None, None)
+    with pytest.raises(fm.BudgetViolationError):
+        b.check_batch(g, plan)
+
+
 # -- independent draws ------------------------------------------------------
 
 
