@@ -212,13 +212,31 @@ def cmd_certify(args) -> int:
     return 0
 
 
-def _trace_cells(rep: memsim.SimReport, c: int) -> tuple:
-    """(alpha_v_pre, alpha_v_post, failed) of cycle c+1 of a trial, or
-    three empty cells when the trial did not run that cycle."""
-    if c >= rep.cycles_executed:
-        return ("", "", "")
-    return (rep.alpha_pre[c], rep.alpha_post[c],
-            int(rep.failed and rep.failure_cycle == c + 1))
+def _write_traces(path: Path, header: list[str], runs: list, n: int) -> None:
+    """Write the per-cycle trace CSV: ``header``, then one row per trial
+    and cycle holding, for each run in ``runs`` (a list of SimReports by
+    trial), the cells alpha_v_pre, alpha_v_post and failed of that trial
+    and cycle, three empty cells once the run's trial has stopped.  The
+    bytes are csv.writer's: the alphas are c / n, written from a table of
+    their reprs, and rows end in CRLF."""
+    alpha = [repr(c / n) for c in range(n + 1)]
+    rows = [",".join(header) + "\r\n"]
+    for t, reps in enumerate(zip(*runs)):
+        traces = []
+        for rep in reps:
+            cells = [f"{alpha[a]},{alpha[b]},0"
+                     for a, b in zip(rep.corrupt_pre, rep.corrupt_post)]
+            if rep.failed:
+                cells[-1] = cells[-1][:-1] + "1"
+            traces.append(cells)
+        length = max(map(len, traces))
+        for cells in traces:
+            cells += [",,"] * (length - len(cells))
+        rows += [f"{t},{c},{','.join(cells)}\r\n"
+                 for c, cells in enumerate(zip(*traces), 1)]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        fh.write("".join(rows))
 
 
 def cmd_simulate(args) -> int:
@@ -239,13 +257,9 @@ def cmd_simulate(args) -> int:
     if cfg.output_json:
         _write_json(cfg.output_json, obj)
     if cfg.output_traces:
-        cfg.output_traces.parent.mkdir(parents=True, exist_ok=True)
-        with cfg.output_traces.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["trial", "cycle", "alpha_v_pre", "alpha_v_post", "failed"])
-            for t, rep in enumerate(result.reports):
-                for c in range(rep.cycles_executed):
-                    w.writerow([t, c + 1, *_trace_cells(rep, c)])
+        _write_traces(cfg.output_traces,
+                      ["trial", "cycle", "alpha_v_pre", "alpha_v_post", "failed"],
+                      [result.reports], cfg.graph.n)
     print(f"failure_rate={result.failure_rate:.6g} "
           f"[{result.ci_low:.6g}, {result.ci_high:.6g}] "
           f"({result.failures}/{result.trials} trials)")
@@ -310,19 +324,10 @@ def cmd_compare_tk(args) -> int:
         for decoder in ("algorithm_a", "tk")
     }
     out = _out_path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["trial", "cycle",
-                    "alpha_v_pre_algorithm_a", "alpha_v_post_algorithm_a",
-                    "failed_algorithm_a",
-                    "alpha_v_pre_tk", "alpha_v_post_tk", "failed_tk"])
-        # a decoder whose trial already failed leaves its cells empty
-        for t, pair in enumerate(zip(results["algorithm_a"].reports,
-                                     results["tk"].reports)):
-            for c in range(max(rep.cycles_executed for rep in pair)):
-                w.writerow([t, c + 1, *(cell for rep in pair
-                                        for cell in _trace_cells(rep, c))])
+    _write_traces(out, ["trial", "cycle"] + [
+        f"{column}_{decoder}" for decoder in results
+        for column in ("alpha_v_pre", "alpha_v_post", "failed")],
+        [result.reports for result in results.values()], cfg.graph.n)
     summary = {decoder: {"failure_rate": result.failure_rate,
                          "failures": result.failures}
                for decoder, result in results.items()}

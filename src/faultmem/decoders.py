@@ -27,7 +27,8 @@ messages of a round being computed from the pre-round state:
   implementations so their equivalence is testable bit by bit.
   ``tk_round_packed`` runs the former bit-sliced on (..., gamma, n)
   words, plane j holding every variable's j-th copy, its xor words
-  (..., rho, m) as well, and ``majority_packed`` reads the copies out;
+  (..., rho, m) as well, and ``majority_packed`` reads the copies out
+  (``majority_ties_packed`` also returns the readout's exact ties);
   the uint8 ``tk_round_many`` and ``TkState.readout`` are their oracles,
   which, like ``GateFaultPlan.xor_parity``, take chain parities as
   (..., m, rho).
@@ -202,11 +203,19 @@ def majority_packed(planes: np.ndarray, old: np.ndarray) -> np.ndarray:
     """Bit-sliced majority over the planes ``planes[..., i, :]``: a bit is
     set where more than half of them are, and where exactly half are (an
     even plane count only) it keeps its value in ``old``."""
+    return majority_ties_packed(planes, old)[0]
+
+
+def majority_ties_packed(planes: np.ndarray, old: np.ndarray):
+    """majority_packed and its exact ties: (majority, ties), ``ties``
+    having a bit set where exactly half of the planes do, or None for an
+    odd plane count, which never ties."""
     half, odd = divmod(planes.shape[-2], 2)
     if odd:
-        return _at_least(planes, half + 1, half + 1)[0]
-    tie, more = _at_least(planes, half, half + 1)
-    return more | (old & tie)
+        return _at_least(planes, half + 1, half + 1)[0], None
+    at_half, more = _at_least(planes, half, half + 1)
+    ties = at_half ^ more
+    return more | (old & ties), ties
 
 
 def _var_planes(g: TannerGraph, est: np.ndarray) -> np.ndarray:
@@ -281,9 +290,9 @@ def parallel_bitflip_round_packed(g: TannerGraph, words: np.ndarray) -> np.ndarr
     unsatisfied, which a bit-sliced at-least-k count decides with ANDs
     and ORs, plane by plane.
     """
-    unsat = np.bitwise_xor.reduce(words[..., g.slot_nbrs], axis=-2)
+    unsat = np.bitwise_xor.reduce(words.take(g.slot_nbrs, axis=-1), axis=-2)
     need = g.gamma // 2 + 1
-    return words ^ _at_least(unsat[..., g.var_nbrs.T], need, need)[0]
+    return words ^ _at_least(unsat.take(g.slot_checks, axis=-1), need, need)[0]
 
 
 def parallel_bitflip_decode_many(g: TannerGraph, states: np.ndarray,

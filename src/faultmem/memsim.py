@@ -15,12 +15,14 @@ greedy adversary, which reads the state, draws cycle by cycle.  For
 every decoder the state stays packed from the first cycle to the last,
 64 trials per uint64 word: the plans are scattered into each trial's own
 bit, the rounds run bit-sliced (the 'tk' bit-copies as gamma planes of
-words, read out by a bit-sliced majority), corrupt counts are popcounts
-of the difference to the original, and the failure test decodes the
-words holding a suspect trial bit-sliced as well.  Every trial's plans
-are a pure function of its (root_seed, trial, cycle) key, so a single
-run (``run_memory``) is the one-trial case of the same loop and
-reproduces trial t of ``monte_carlo`` exactly.
+words, read out by a bit-sliced majority), and the failure test decodes
+the words holding a suspect trial bit-sliced as well.  The differences
+of the observed words to the original are kept for a span of cycles,
+bounded in bytes, and the corrupt counts of a span are their popcounts,
+taken in one call.  Every trial's plans are a pure function of its
+(root_seed, trial, cycle) key, so a single run (``run_memory``) is the
+one-trial case of the same loop and reproduces trial t of
+``monte_carlo`` exactly.
 
 The failure test decodes only the suspects whose difference to the
 original changed since the previous cycle.  The decode is a pure
@@ -38,7 +40,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .decoders import (algorithm_a_round_packed, broadcast_bits,
-                       majority_packed, pack_bits, pack_rows,
+                       majority_ties_packed, pack_bits, pack_rows,
                        parallel_bitflip_decode_packed, popcounts,
                        tk_round_packed, unpack_bits, unpack_rows)
 from .exceptions import AccountingError, ConfigError
@@ -177,6 +179,9 @@ def _validate_run_args(config: RunConfig) -> None:
 
 
 _BLOCK_BYTES = 1 << 21  # bound on the packed plan words of one block
+# bound on the observed words of one corrupt-count span; popcounts
+# allocates about 72 times the bytes of their nonzero words
+_SPAN_BYTES = 1 << 14
 
 
 def _draw_block(model, g: TannerGraph, keys, idx: np.ndarray, words: int,
@@ -224,16 +229,29 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
     alive trials are the bits of the alive words.  Plans are scattered
     into their trials' bits (PlanBatch.packed); a register flip
     complements all copies of a 'tk' register, and a 'tk' readout is the
-    majority of the copies, a tie keeping the previous readout.  Corrupt
-    counts are popcounts of ``words ^ original``, the suspects are its OR
-    over n masked by the alive words, and when there are any they are
-    narrowed to the trials whose difference changed since the previous
-    cycle (whose difference was zero or found inside the class, so an
-    unchanged one needs no decode).  The failure test decodes the words
-    holding a remaining suspect bit-sliced; a failed trial's bit is
-    cleared in the alive words.  Bits of retired trials keep being
-    refreshed but are never read.  The words are unpacked only for ``record_states``
-    and for a state-dependent (greedy) adversary.
+    majority of the copies, a tie keeping the previous readout.  The
+    pre-correction readout needs no majority: the flip keeps a tie of the
+    last readout a tie and flips every other majority, so it is the last
+    readout with the flipped bits off its exact ties complemented.
+
+    The observed (pre, post) differences ``words ^ original`` go into a
+    buffer of S cycles, S the most whose words fit in _SPAN_BYTES, at
+    least 1.  When it is full, and once after the last cycle run, one
+    popcounts call over it fills the corrupt counts of those cycles for
+    every trial, and the accounting of those cycles is checked, cycle by
+    cycle, over the trials alive at each.  Counts past a trial's failure
+    cycle are set to -1 at the end.  Counts are pure functions of the
+    words, so results do not depend on S.
+
+    The suspects are the OR over n of ``words ^ original`` masked by the
+    alive words, and when there are any they are narrowed to the trials
+    whose difference changed since the previous cycle (whose difference
+    was zero or found inside the class, so an unchanged one needs no
+    decode).  The failure test decodes the words holding a remaining
+    suspect bit-sliced; a failed trial's bit is cleared in the alive
+    words.  Bits of retired trials keep being refreshed but are never
+    read.  The words are unpacked only for ``record_states`` and for a
+    state-dependent (greedy) adversary.
 
     Returns (corrupt, failure_cycle, recorded): (2, T, L) pre/post-correction
     corrupt counts, -1 where a cycle did not run; (T,) failure cycles, -1
@@ -261,12 +279,40 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
     state = np.tile(original_words, (alive.size, 1))
     if config.decoder == "tk":
         copies = np.repeat(state[:, None], g.gamma, axis=1)
+        ties = None  # the last readout's exact ties; equal copies never tie
     failure_cycle = np.full(trials, -1, dtype=np.int64)
     corrupt = np.full((2, trials, L), -1, dtype=np.int64)
     recorded = np.zeros((2, trials, L, g.n), dtype=np.uint8) if record_states else None
     # the bytes of one cycle's (reg, xor, maj) words
     block_size = max(1, _BLOCK_BYTES // (8 * alive.size * (2 * g.n + g.m * g.rho)))
     block = []
+    # the (pre, post) differences to the original of the cycles not yet
+    # counted
+    observed = np.empty((max(1, _SPAN_BYTES // (16 * state.size)), 2) + state.shape,
+                        dtype=np.uint64)
+    pending = 0
+
+    def count_span(last: int) -> None:
+        """Fill the corrupt counts of the ``pending`` cycles up to
+        ``last`` from ``observed`` and check their accounting."""
+        first = last - pending + 1
+        corrupt[:, :, first - 1:last] = popcounts(observed[:pending]) \
+            .reshape(pending, 2, -1)[:, :, :trials].transpose(1, 2, 0)
+        if config.check_accounting and last > 1:
+            lo = max(first, 2)
+            prev, cur = corrupt[0, :, lo - 2:last - 1], corrupt[0, :, lo - 1:last]
+            bound = prev * contraction + spend
+            ran = (failure_cycle[:, None] < 0) \
+                | (np.arange(lo, last + 1) <= failure_cycle[:, None])
+            broken = ran & (prev < threshold) & ~(cur < bound)
+            if broken.any():
+                col = int(np.argmax(broken.any(axis=0)))
+                pos = int(np.argmax(broken[:, col]))
+                where = f"cycle {lo + col}" + (f", trial {pos}" if name_trials else "")
+                raise AccountingError(
+                    f"{where}: corrupt count {cur[pos, col]} not below bound "
+                    f"{bound[pos, col]:.6g} (previous count {prev[pos, col]})")
+
     # the previous cycle's differences: an alive trial's is zero or was
     # found inside the decoding class
     checked = np.zeros_like(state)
@@ -286,12 +332,15 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
 
         reg_words, xor_words, maj_words = words
         if config.decoder == "tk":
+            pre = state
             if reg_words is not None:
                 copies ^= reg_words[:, None]
-            pre = majority_packed(copies, state)
+                # complementing every copy keeps a tie a tie and flips
+                # every other majority
+                pre = state ^ (reg_words if ties is None else reg_words & ~ties)
             for _ in range(config.rounds_per_cycle):
                 copies = tk_round_packed(g, copies, xor_words, maj_words)
-            state = majority_packed(copies, pre)
+            state, ties = majority_ties_packed(copies, pre)
         else:
             if reg_words is not None:
                 state ^= reg_words
@@ -300,21 +349,12 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
                 for _ in range(config.rounds_per_cycle):
                     state = algorithm_a_round_packed(g, state, xor_words, maj_words)
         diff = state ^ original_words
-        counts = popcounts(np.concatenate((pre ^ original_words, diff))) \
-            .reshape(2, -1)[:, idx]
-
-        if config.check_accounting and cycle > 1:
-            prev = corrupt[0, idx, cycle - 2]
-            bound = prev * contraction + spend
-            broken = (prev < threshold) & ~(counts[0] < bound)
-            if broken.any():
-                pos = int(np.argmax(broken))
-                where = f"cycle {cycle}" + (f", trial {idx[pos]}" if name_trials else "")
-                raise AccountingError(
-                    f"{where}: corrupt count {counts[0, pos]} not below bound "
-                    f"{bound[pos]:.6g} (previous count {prev[pos]})")
-
-        corrupt[:, idx, cycle - 1] = counts
+        np.bitwise_xor(pre, original_words, out=observed[pending, 0])
+        observed[pending, 1] = diff
+        pending += 1
+        if pending == len(observed):
+            count_span(cycle)
+            pending = 0
         if record_states:
             recorded[0, idx, cycle - 1] = unpack_rows(pre, trials)[idx]
             recorded[1, idx, cycle - 1] = unpack_rows(state, trials)[idx]
@@ -331,6 +371,11 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
                     break
         checked = diff
 
+    if pending:
+        count_span(cycle)
+    # retired trials' bits were counted along
+    corrupt[:, np.arange(1, L + 1) > np.where(failure_cycle < 0, L,
+                                              failure_cycle)[:, None]] = -1
     return corrupt, failure_cycle, recorded
 
 

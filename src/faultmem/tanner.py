@@ -186,6 +186,12 @@ class TannerGraph:
         return _frozen(self.check_nbrs.T)
 
     @functools.cached_property
+    def slot_checks(self) -> np.ndarray:
+        """(gamma, n) var_nbrs.T, contiguous: row j holds every variable's
+        j-th check, for gathering per-check words plane by plane."""
+        return _frozen(self.var_nbrs.T)
+
+    @functools.cached_property
     def slot_copy_ids(self) -> np.ndarray:
         """(rho, m) flat ids check_edge_pos*n + check_nbrs, transposed: row
         k holds, for every check, the bit-copy riding its k-th edge in a
@@ -268,19 +274,22 @@ def _repair(ev, ec, n, gamma, rho, rng, want_girth6, swap_budget):
     Swapping the check endpoints of two edges preserves both degree
     sequences exactly.  The objective (ndup, n4) is maintained
     incrementally; plateau moves are accepted with small probability to
-    escape local minima.  Returns True on success, mutating ``ec``.
+    escape local minima.  Returns True on success, mutating ``ec``.  The
+    swaps run on Python lists of the endpoints, written back to ``ec``
+    once at the end.
     """
     E = n * gamma
+    ev, chk = ev.tolist(), ec.tolist()
     edge_cnt = defaultdict(int)
-    for v, c in zip(ev, ec):
-        edge_cnt[(int(v), int(c))] += 1
+    for v, c in zip(ev, chk):
+        edge_cnt[(v, c)] += 1
 
     pair_cnt = defaultdict(int)
     for v in range(n):
-        cs = ec[v * gamma:(v + 1) * gamma]
+        cs = chk[v * gamma:(v + 1) * gamma]
         for i in range(gamma):
             for j in range(i + 1, gamma):
-                a, b = int(cs[i]), int(cs[j])
+                a, b = cs[i], cs[j]
                 if a == b:
                     continue
                 if a > b:
@@ -295,7 +304,7 @@ def _repair(ev, ec, n, gamma, rho, rng, want_girth6, swap_budget):
         for s in range(v * gamma, (v + 1) * gamma):
             if s == exclude_slot:
                 continue
-            x = int(ec[s])
+            x = chk[s]
             if x == c_val:
                 continue
             out.append((x, c_val) if x < c_val else (c_val, x))
@@ -306,8 +315,8 @@ def _repair(ev, ec, n, gamma, rho, rng, want_girth6, swap_budget):
 
     def try_swap(e, f, allow_plateau):
         nonlocal ndup, n4
-        v1, c1 = int(ev[e]), int(ec[e])
-        v2, c2 = int(ev[f]), int(ec[f])
+        v1, c1 = ev[e], chk[e]
+        v2, c2 = ev[f], chk[f]
         if v1 == v2 or c1 == c2:
             return False
         d_dup = edge_cnt[(v1, c2)] + edge_cnt[(v2, c1)]
@@ -332,7 +341,7 @@ def _repair(ev, ec, n, gamma, rho, rng, want_girth6, swap_budget):
         edge_cnt[(v2, c2)] -= 1
         edge_cnt[(v1, c2)] += 1
         edge_cnt[(v2, c1)] += 1
-        ec[e], ec[f] = c2, c1
+        chk[e], chk[f] = c2, c1
         ndup, n4 = new
         return True
 
@@ -341,37 +350,32 @@ def _repair(ev, ec, n, gamma, rho, rng, want_girth6, swap_budget):
             for (v, c), x in edge_cnt.items():
                 if x > 1:
                     for s in range(v * gamma, (v + 1) * gamma):
-                        if int(ec[s]) == c:
+                        if chk[s] == c:
                             return s
         for (a, b), x in pair_cnt.items():
             if x > 1:
                 for v in range(n):
-                    cs = [int(ec[s]) for s in range(v * gamma, (v + 1) * gamma)]
+                    cs = chk[v * gamma:(v + 1) * gamma]
                     if a in cs and b in cs:
-                        for s in range(v * gamma, (v + 1) * gamma):
-                            if int(ec[s]) == b:
-                                return s
+                        return v * gamma + cs.index(b)
         return None
 
+    # success is the objective at zero, however the search ends
     stalls = 0
     for _ in range(swap_budget):
-        if ndup == 0 and n4 == 0:
-            return True
+        if (ndup == 0 and n4 == 0) or stalls > 500:
+            break
         e = find_bad_edge()
         if e is None:
-            return ndup == 0 and n4 == 0
-        moved = False
+            break
         for _ in range(40):
             f = int(rng.integers(0, E))
             if try_swap(e, f, allow_plateau=rng.random() < 0.35):
-                moved = True
+                stalls = 0
                 break
-        if moved:
-            stalls = 0
         else:
             stalls += 1
-            if stalls > 500:
-                return False
+    ec[:] = chk
     return ndup == 0 and n4 == 0
 
 

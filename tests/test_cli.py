@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -7,7 +8,11 @@ import numpy as np
 import pytest
 
 import faultmem as fm
+from faultmem import cli
 from faultmem.cli import main
+from faultmem.memsim import RunConfig
+
+from conftest import CERTIFIED_INSTANCES, build_instance
 
 
 def run_cli(args):
@@ -362,3 +367,59 @@ def test_tk_outputs_are_pinned(tmp_path, kind):
     digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("result.json", "paired.csv", "summary.json")]
     assert digests == [result, paired, summary]
+
+
+# -- trace CSV writer -------------------------------------------------------
+
+
+def csv_writer_traces(header, runs):
+    """The trace CSV as csv.writer writes it: per trial and cycle, three
+    cells per run, empty once that run's trial has stopped."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    for t, reps in enumerate(zip(*runs)):
+        for c in range(max(rep.cycles_executed for rep in reps)):
+            w.writerow([t, c + 1, *(
+                cell for rep in reps for cell in (
+                    ("", "", "") if c >= rep.cycles_executed else
+                    (rep.alpha_pre[c], rep.alpha_post[c],
+                     int(rep.failed and rep.failure_cycle == c + 1))))])
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("instance", (0, 2), ids=("n36", "n40"))
+def test_trace_writer_equals_csv_writer(tmp_path, instance):
+    # trial pairs in which algorithm_a fails first, tk fails first, both
+    # fail at different cycles and both survive, and single-run traces
+    g, prof = build_instance(CERTIFIED_INSTANCES[instance])
+
+    def reports(decoder, p_m, p_gate):
+        model = fm.IndependentModel(fm.IndependentRates(p_m, p_gate, p_gate))
+        return fm.monte_carlo(RunConfig(g, decoder, model, 30, profile=prof),
+                              20, 3, keep_reports=True).reports
+
+    def split(reps):
+        return ([r for r in reps if r.failed], [r for r in reps if not r.failed])
+
+    a_failed, a_alive = split(reports("algorithm_a", 0.02, 1e-3)
+                              + reports("algorithm_a", 0.0003, 3e-5))
+    tk_failed, tk_alive = split(reports("tk", 0.004, 1e-4)
+                                + reports("tk", 1e-4, 1e-5))
+    pairs = [(a_failed[0], tk_alive[0]), (a_alive[0], tk_failed[0]),
+             (a_alive[1], tk_alive[1]), (a_failed[1], tk_failed[1]),
+             (a_failed[2], tk_failed[2])]
+    # the shorter trace of each of the first two pairs is padded
+    assert pairs[0][0].cycles_executed < pairs[0][1].cycles_executed
+    assert pairs[1][1].cycles_executed < pairs[1][0].cycles_executed
+    runs = [list(run) for run in zip(*pairs)]
+    header = ["trial", "cycle"] + [f"{column}_{decoder}"
+                                   for decoder in ("algorithm_a", "tk")
+                                   for column in ("alpha_v_pre", "alpha_v_post",
+                                                  "failed")]
+    cli._write_traces(tmp_path / "paired.csv", header, runs, g.n)
+    assert (tmp_path / "paired.csv").read_bytes() == csv_writer_traces(header, runs)
+    header = ["trial", "cycle", "alpha_v_pre", "alpha_v_post", "failed"]
+    for run in runs:
+        cli._write_traces(tmp_path / "single.csv", header, [run], g.n)
+        assert (tmp_path / "single.csv").read_bytes() == csv_writer_traces(header, [run])

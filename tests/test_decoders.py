@@ -7,7 +7,8 @@ import faultmem as fm
 from faultmem.decoders import (EdgeMessages, GateFaultPlan, TkState,
                                _check_estimates, algorithm_a_round_many,
                                algorithm_a_round_packed, gallager_b_round,
-                               majority_packed, pack_bits, pack_rows,
+                               majority_packed, majority_ties_packed,
+                               pack_bits, pack_rows,
                                parallel_bitflip_decode,
                                parallel_bitflip_decode_many,
                                parallel_bitflip_decode_packed,
@@ -633,3 +634,33 @@ def test_tk_initialization_equal_copies(seed7_graph):
     w[3] = 0
     tk = TkState.from_word(g, w)
     assert (tk.copies == tk.copies[:, :1]).all()
+
+
+@settings(max_examples=60)
+@given(gamma=st.integers(3, 6), words=st.integers(1, 3), n=st.integers(1, 40),
+       seed=st.integers(0, 2**32))
+@example(gamma=4, words=1, n=40, seed=1)
+@example(gamma=6, words=2, n=3, seed=2)
+def test_register_flip_readout_needs_no_majority(gamma, words, n, seed):
+    # complementing all gamma copies of a register keeps a tie a tie and
+    # flips every other majority, so the readout after the flip is the
+    # last readout with the flipped registers off its exact ties
+    # complemented
+    rng = np.random.default_rng(seed)
+
+    def random_words(*shape):
+        return rng.integers(0, 2**64, size=shape, dtype=np.uint64, endpoint=False)
+
+    copies, prev, reg = (random_words(words, gamma, n), random_words(words, n),
+                         random_words(words, n))
+    state, ties = majority_ties_packed(copies, prev)
+    assert np.array_equal(state, majority_packed(copies, prev))
+    ones = sum(unpack_rows(copies[:, j], 64 * words).astype(int)
+               for j in range(gamma))
+    if gamma % 2:
+        assert ties is None
+        ties = np.zeros_like(state)
+    else:
+        assert np.array_equal(unpack_rows(ties, 64 * words), 2 * ones == gamma)
+    assert np.array_equal(majority_packed(copies ^ reg[:, None], state),
+                          state ^ (reg & ~ties))

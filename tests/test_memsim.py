@@ -666,3 +666,34 @@ def test_detector_decodes_only_changed_differences(i1, monkeypatch):
     changed = suspect & (post != prev).any(axis=1)
     assert not rep.failed and suspect.all()
     assert len(calls) <= changed.sum() < suspect.sum()
+
+
+# rates on the (40,4,5) instance at which trials fail at scattered cycles
+# inside the corrupt-count spans of a two-word run; under 'none' and the
+# 'tk' adversary every trial fails before the run ends
+_SPANNED = {
+    ("algorithm_a", "adversarial"): adversarial(2.5 / 40, 1.5 / 480),
+    ("algorithm_a", "independent"): independent(0.01, 1e-3, 1e-3),
+    ("tk", "adversarial"): adversarial(1.5 / 40, 1.5 / 480),
+    ("tk", "independent"): independent(0.002, 1e-4, 1e-4),
+    ("none", "adversarial"): adversarial(1.5 / 40),
+    ("none", "independent"): independent(0.001),
+}
+
+
+@pytest.mark.parametrize("decoder, kind", sorted(_SPANNED))
+def test_rows_do_not_depend_on_where_counts_are_taken(decoder, kind):
+    # corrupt counts are taken once per span of cycles, and a one-trial run
+    # has a longer span than a two-word run: failures inside a span must
+    # leave every row equal to its run_memory re-run
+    g, prof = build_instance(CERTIFIED_INSTANCES[2])
+    model = _SPANNED[decoder, kind]
+    cycles, trials = 120, 65
+    span = memsim._SPAN_BYTES // (16 * 2 * g.n)
+    assert span < memsim._SPAN_BYTES // (16 * g.n) < cycles
+    res = fm.monte_carlo(RunConfig(g, decoder, model, cycles, profile=prof),
+                         trials, 5, keep_reports=True)
+    failed = [c for c in res.failure_cycle_by_trial if c is not None]
+    assert any(c % span for c in failed)
+    assert res.reports == [fm.run_memory(g, decoder, model, cycles, (5, t), prof)
+                           for t in range(trials)]

@@ -317,3 +317,15 @@ def test_graph_hash_distinguishes():
     g2 = fm.build_random_regular(p, seed=8)
     assert g1.graph_hash() == fm.build_random_regular(p, seed=7).graph_hash()
     assert g1.graph_hash() != g2.graph_hash()
+
+
+# graph_hash of the benchmark graphs, all built with reject_4cycles: a
+# change to the construction that moves the RNG stream moves these
+@pytest.mark.parametrize("params, seed, digest", [
+    ((36, 3, 6), 7, "bcf4561332f83917"),
+    ((40, 4, 5), 13, "18a328a08e6762bc"),
+    ((4000, 3, 6), 4000, "30375ec6ffb3a91c"),
+])
+def test_benchmark_graph_hashes_are_pinned(params, seed, digest):
+    g = fm.build_random_regular(fm.CodeParams(*params), seed, reject_4cycles=True)
+    assert g.graph_hash() == digest
