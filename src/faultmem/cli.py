@@ -96,6 +96,37 @@ class ExperimentConfig:
     check_accounting: bool = False
 
 
+_REQUIRED = object()
+
+
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {json.dumps(value)}")
+    return value
+
+
+def _number(obj: dict, key: str, kind, name: str, default=_REQUIRED):
+    """obj[key] converted by ``kind`` (int or float); an absent key gives
+    ``default`` or, without one, is a missing required field."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ConfigError(f"config is missing required field {name!r}")
+        return default
+    try:
+        return kind(obj[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"config field {name!r} must be a number, got "
+                          f"{json.dumps(obj[key])}") from None
+
+
+def _read_alist(path: Path) -> tanner.TannerGraph:
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read alist file {path}: {exc}") from exc
+    return tanner.read_alist(text)
+
+
 def load_experiment_config(path: Path) -> ExperimentConfig:
     """Parse and fully validate a config document before any work starts."""
     try:
@@ -106,22 +137,25 @@ def load_experiment_config(path: Path) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     base = path.resolve().parent
 
-    def rel(p: str) -> Path:
-        q = Path(p)
+    def rel(obj: dict, key: str, name: str) -> Path | None:
+        if key not in obj:
+            return None
+        if not isinstance(obj[key], str):
+            raise ConfigError(f"config field {name!r} must be a path string, "
+                              f"got {json.dumps(obj[key])}")
+        q = Path(obj[key])
         return q if q.is_absolute() else base / q
 
     try:
-        code = doc["code"]
+        doc = _object(doc, "config")
+        code = _object(doc["code"], "config field 'code'")
         if "alist" in code:
-            alist_path = rel(code["alist"])
-            if not alist_path.exists():
-                raise ConfigError(f"alist file {alist_path} does not exist")
-            graph = tanner.read_alist(alist_path.read_text())
+            graph = _read_alist(rel(code, "alist", "code.alist"))
         else:
-            params = tanner.CodeParams(int(code["n"]), int(code["gamma"]),
-                                       int(code["rho"]))
+            params = tanner.CodeParams(*(_number(code, key, int, f"code.{key}")
+                                         for key in ("n", "gamma", "rho")))
             graph = tanner.build_random_regular(
-                params, int(code.get("seed", 0)),
+                params, _number(code, "seed", int, "code.seed", 0),
                 reject_4cycles=bool(code.get("reject_4cycles", False)))
 
         decoder = doc["decoder"]
@@ -129,39 +163,42 @@ def load_experiment_config(path: Path) -> ExperimentConfig:
             raise ConfigError(
                 f"decoder must be one of {memsim.DECODERS}, got {decoder!r}")
 
-        fm = doc["fault_model"]
+        fm = _object(doc["fault_model"], "config field 'fault_model'")
         kind = fm.get("type")
+
+        def rate(key: str) -> float:
+            return _number(fm, key, float, f"fault_model.{key}", 0.0)
+
         if kind == "adversarial":
-            budget = AdversarialBudget(float(fm.get("alpha_m", 0.0)),
-                                       float(fm.get("alpha_xor", 0.0)),
-                                       float(fm.get("alpha_maj", 0.0)))
+            budget = AdversarialBudget(rate("alpha_m"), rate("alpha_xor"),
+                                       rate("alpha_maj"))
             model = AdversarialModel(budget, fm.get("strategy", "random"))
         elif kind == "independent":
-            rates = IndependentRates(float(fm.get("p_m", 0.0)),
-                                     float(fm.get("p_xor", 0.0)),
-                                     float(fm.get("p_maj", 0.0)))
-            model = IndependentModel(rates)
+            model = IndependentModel(IndependentRates(rate("p_m"), rate("p_xor"),
+                                                      rate("p_maj")))
         else:
             raise ConfigError(
                 "fault_model.type must be 'adversarial' or 'independent'")
 
         profile = None
         if doc.get("profile") is not None:
-            prof = doc["profile"]
+            prof = _object(doc["profile"], "config field 'profile'")
             profile = expansion.ExpansionProfile(
-                float(prof["alpha"]), graph.gamma, float(prof["epsilon"]))
+                _number(prof, "alpha", float, "profile.alpha"), graph.gamma,
+                _number(prof, "epsilon", float, "profile.epsilon"))
 
-        cycles = int(doc["cycles"])
-        trials = int(doc.get("trials", 1))
+        cycles = _number(doc, "cycles", int, "cycles")
+        trials = _number(doc, "trials", int, "trials", 1)
         if cycles < 1 or trials < 1:
             raise ConfigError("cycles and trials must be at least 1")
-        out = doc.get("output", {})
-        output_json = rel(out["json"]) if "json" in out else None
-        output_traces = rel(out["traces_csv"]) if "traces_csv" in out else None
+        out = _object(doc.get("output", {}), "config field 'output'")
+        output_json = rel(out, "json", "output.json")
+        output_traces = rel(out, "traces_csv", "output.traces_csv")
         check_accounting = bool(doc.get("check_accounting", False))
         cfg = ExperimentConfig(graph, decoder, model, cycles, trials,
-                               int(doc.get("root_seed", 0)), profile,
-                               output_json, output_traces, check_accounting)
+                               _number(doc, "root_seed", int, "root_seed", 0),
+                               profile, output_json, output_traces,
+                               check_accounting)
     except KeyError as exc:
         raise ConfigError(f"config is missing required field {exc}") from exc
     except (ValueError, AlistFormatError) as exc:
@@ -197,7 +234,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    g = tanner.read_alist(Path(args.alist).read_text())
+    g = _read_alist(Path(args.alist))
     profile = expansion.ExpansionProfile(args.alpha, g.gamma, args.epsilon)
     if args.mode == "exhaustive":
         cert = expansion.check_expansion_exhaustive(g, profile,

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .decoders import broadcast_bits, parallel_bitflip_round_packed, popcounts
 from .exceptions import BudgetViolationError
@@ -176,7 +175,13 @@ def _binomial_table(total: int, p: float) -> np.ndarray:
     * P(X > k)), P(X > k) = I_p(k+1, total-k), so a 53-bit uniform u falls
     at k = searchsorted(table, u, 'right') with probability P(X = k) up to
     2^-53.  The last entry is 2^53; it may stand at mean + 12 sd + 31,
-    because P(X > mean + 12 sd + 30) < 2^-54 by Bernstein's inequality."""
+    because P(X > mean + 12 sd + 30) < 2^-54 by Bernstein's inequality.
+
+    scipy.special is imported here, at the first independent draw, and
+    not with the package: it is most of a cold start, and the adversarial
+    model never needs it."""
+    from scipy.special import betainc
+
     top = min(total - 1, math.ceil(total * p + 12 * math.sqrt(total * p * (1 - p))
                                    + 30))
     k = np.arange(top + 1)
@@ -369,16 +374,28 @@ def _cluster_rows(g: TannerGraph, keys, reg_count: int, xor_count: int,
     """Per key, a uniform check permutation (argsort of keyed values);
     registers and majority gates take the first distinct variables in
     neighborhood order, XOR gates the first ids of those checks' blocks of
-    rho*(rho-2) gates."""
-    # the keys of a row are distinct (distinct offsets through a
-    # bijection), so every sort kind gives the same permutation
-    order = np.argsort(_mix_rows(keys[:, None] + _offsets(_ORDER, g.m)), axis=1)
-    reg = maj = xor = None
+    rho*(rho-2) gates.  Only the prefix of the permutation that is read
+    is ordered."""
     count = max(reg_count, maj_count)
+    block = g.rho * (g.rho - 2)
+    # p checks fill p*rho slots and a variable takes at most gamma of
+    # them, so ceil(count*gamma/rho) checks hold count distinct variables
+    span = min(g.m, -(-count * g.gamma // g.rho))
+    need = max(span, -(-xor_count // block) if xor_count else 0)
+    if not need:
+        return None, None, None
+    values = _mix_rows(keys[:, None] + _offsets(_ORDER, g.m))
+    # the keys of a row are distinct (distinct offsets through a
+    # bijection), so the partition holds exactly the need smallest and
+    # every sort kind gives the same order
+    if need < g.m:
+        part = np.argpartition(values, need - 1, axis=1)[:, :need]
+        order = np.take_along_axis(
+            part, np.argsort(np.take_along_axis(values, part, 1), axis=1), 1)
+    else:
+        order = np.argsort(values, axis=1)
+    reg = maj = xor = None
     if count:
-        # p checks fill p*rho slots and a variable takes at most gamma of
-        # them, so ceil(count*gamma/rho) checks hold count distinct variables
-        span = min(g.m, -(-count * g.gamma // g.rho))
         seq = g.check_nbrs[order[:, :span]].reshape(order.shape[0], -1)
         first = _first_distinct(seq, count)
         if reg_count:
@@ -386,7 +403,6 @@ def _cluster_rows(g: TannerGraph, keys, reg_count: int, xor_count: int,
         if maj_count:
             maj = np.sort(first[:, :maj_count], axis=1)
     if xor_count:
-        block = g.rho * (g.rho - 2)
         j = np.arange(xor_count)
         xor = np.sort(order[:, j // block] * block + j % block, axis=1)
     return reg, xor, maj

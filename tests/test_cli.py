@@ -2,6 +2,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -293,8 +296,6 @@ def test_compare_tk_paired_traces(tmp_path):
 
 
 def test_module_entry_point(tmp_path):
-    import subprocess
-    import sys
     out = tmp_path / "b.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "faultmem", "bounds", "--gamma", "3",
@@ -304,14 +305,51 @@ def test_module_entry_point(tmp_path):
     assert out.exists()
 
 
-def test_import_leaves_out_scipy_stats_and_optimize():
-    import os
-    import subprocess
-    import sys
+def package_env() -> dict:
+    """The environment with this checkout's faultmem first on PYTHONPATH."""
     src = str(Path(fm.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+# a wrong JSON shape in a config, or an alist that cannot be read, is a
+# validation error: exit 2 with one "error:" line naming the field
+_BAD_INPUTS = [
+    ("simulate", [], "config must be a JSON object"),
+    ("simulate", {"code": {"n": None, "gamma": 3, "rho": 6}}, "'code.n'"),
+    ("simulate", {"fault_model": ["adversarial"]}, "'fault_model'"),
+    ("simulate", {"profile": 3}, "'profile'"),
+    ("simulate", {"output": {"json": 5}}, "'output.json'"),
+    ("simulate", {"code": {"alist": "missing.alist"}}, "missing.alist"),
+    ("certify", None, "missing.alist"),
+]
+
+
+@pytest.mark.parametrize("command, doc, named", _BAD_INPUTS)
+def test_bad_input_exits_2_without_traceback(tmp_path, command, doc, named):
+    if command == "certify":
+        argv = ["certify", "--alist", "missing.alist", "--alpha", "0.05",
+                "--epsilon", "0.1"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        if isinstance(doc, dict):
+            write_config(cfg, **doc)
+        else:
+            cfg.write_text(json.dumps(doc))
+        argv = ["simulate", "--config", str(cfg)]
+    proc = subprocess.run([sys.executable, "-m", "faultmem"] + argv,
+                          capture_output=True, text=True, env=package_env(),
+                          cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and named in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_import_leaves_out_scipy_stats_and_optimize():
+    env = package_env()
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, faultmem, faultmem.cli; "
@@ -320,6 +358,22 @@ def test_import_leaves_out_scipy_stats_and_optimize():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    # no scipy module at all for the package and an adversarial run;
+    # the first independent draw loads scipy.special and nothing more
+    script = """
+import sys, faultmem as fm, faultmem.cli
+g = fm.build_random_regular(fm.CodeParams(36, 3, 6), 7, reject_4cycles=True)
+greedy = fm.AdversarialModel(fm.AdversarialBudget(1.5 / 36), "greedy")
+fm.monte_carlo(fm.RunConfig(g, "algorithm_a", greedy, 5), 3, 1)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+rates = fm.IndependentRates(p_m=0.01)
+fm.monte_carlo(fm.RunConfig(g, "algorithm_a", fm.IndependentModel(rates), 5), 3, 1)
+print([m in sys.modules for m in ("scipy.special", "scipy.stats", "scipy.optimize")])
+"""
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[True, False, False]"]
 
 
 def test_compare_tk_rejects_greedy(tmp_path, capsys):

@@ -429,6 +429,23 @@ def test_cluster_rows_equal_stable_order(params, keys, data):
                 assert ids[row].tolist() == expected
 
 
+@pytest.mark.parametrize("counts", ((1, 0, 0), (2, 4, 0), (0, 9, 0), (0, 0, 3),
+                                    (5, 25, 5), (37, 0, 12), (200, 0, 150),
+                                    (0, 2870, 0)))
+def test_cluster_rows_read_only_an_ordered_prefix(counts):
+    # small budgets on a large graph read a short prefix of the check
+    # order, which _cluster_rows takes by partition and then sorts
+    g = cluster_graph((600, 3, 6))
+    keys = trial_keys(21, np.arange(12))
+    got = faults._cluster_rows(g, keys, *counts)
+    for row, key in enumerate(keys.tolist()):
+        _, want = cluster_reference(g, key, *counts)
+        for ids, expected in zip(got, want):
+            assert (ids is None) == (not expected)
+            if ids is not None:
+                assert ids[row].tolist() == expected
+
+
 # -- packed plans -----------------------------------------------------------
 
 

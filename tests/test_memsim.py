@@ -507,6 +507,36 @@ def test_wilson_interval_bitwise_equals_norm_ppf_formula():
             assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
+def test_ndtri_port_bitwise_equals_scipy():
+    # scipy is only the oracle here: the package's quantile must give the
+    # same doubles as scipy.special.ndtri in the central branch
+    # (|y - 1/2| <= 1/2 - e^-2), in both tail branches (x = sqrt(-2 log y)
+    # below and above 8, i.e. y above and below e^-32) down to 1e-300, at
+    # the branch edges, mirrored about 1/2, and at 0.5 + c/2 for the
+    # confidences c that wilson_interval asks for
+    from scipy.special import ndtri
+
+    rng = np.random.default_rng(13)
+    edge = math.exp(-2)
+    lower = np.concatenate([
+        np.linspace(0.0, 0.5, 20001),
+        rng.uniform(edge, 0.5, 5000),
+        10.0 ** -rng.uniform(0.0, 300.0, 10000),
+        np.logspace(-300, -0.87, 4000),
+        [1e-300, 5e-324, math.exp(-32), edge, 0.5 - edge],
+        np.nextafter(edge, [0.0, 1.0]),
+        np.nextafter(math.exp(-32), [0.0, 1.0]),
+    ])
+    confidence = np.linspace(0.0, 1.0, 100001)
+    y = np.concatenate([lower, 1.0 - lower, 0.5 + confidence / 2.0,
+                        [0.5, 0.0, 1.0, np.nextafter(1.0, 0.0)]])
+    want = ndtri(y)
+    assert np.isneginf(want).any() and np.isposinf(want).any()
+    assert -want[np.isfinite(want)].min() > 37  # y = 1e-300 reached
+    got = [memsim._ndtri(v).hex() for v in y.tolist()]
+    assert got == [w.hex() for w in want.tolist()]
+
+
 def test_sim_report_json(i1):
     g, prof = i1
     rep = fm.run_memory(g, "algorithm_a", adversarial(alpha_m=1.5 / 36), 5,
