@@ -7,8 +7,7 @@ failure models, cycle-level Monte Carlo simulation, and the closed-form
 complexity/redundancy/tail bounds.
 """
 
-from .decoders import (EdgeMessages, GateFaultPlan, TkState, gallager_b_round,
-                       parallel_bitflip_decode, tk_round)
+from .decoders import EdgeMessages, gallager_b_round
 from .exceptions import (AccountingError, AlistFormatError,
                          BudgetViolationError, ConfigError, FaultMemError,
                          GraphConstructionError)

@@ -37,6 +37,12 @@ def _out_path(arg: str) -> Path:
     return (Path(base) / p) if base else p
 
 
+def _new_file(path: Path):
+    """``path`` opened for writing text, its parent directories created."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path.open("w", newline="")
+
+
 def _write_json(path: Path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
@@ -105,18 +111,29 @@ def _object(value, name: str) -> dict:
     return value
 
 
-def _number(obj: dict, key: str, kind, name: str, default=_REQUIRED):
-    """obj[key] converted by ``kind`` (int or float); an absent key gives
+# what each field kind accepts: JSON booleans, JSON integers, or any JSON
+# number (integer or not); a JSON boolean is never a number
+_KINDS = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+          float: ((int, float), "a number")}
+
+
+def _field(obj: dict, key: str, kind, name: str, default=_REQUIRED):
+    """obj[key], which must be a JSON value of ``kind`` (bool, int or
+    float, an int being a float too), as that kind; an absent key gives
     ``default`` or, without one, is a missing required field."""
     if key not in obj:
         if default is _REQUIRED:
             raise ConfigError(f"config is missing required field {name!r}")
         return default
+    value = obj[key]
+    types, wanted = _KINDS[kind]
+    if not isinstance(value, types) or (kind is not bool and isinstance(value, bool)):
+        raise ConfigError(f"config field {name!r} must be {wanted}, got "
+                          f"{json.dumps(value)}")
     try:
-        return kind(obj[key])
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"config field {name!r} must be a number, got "
-                          f"{json.dumps(obj[key])}") from None
+        return kind(value)
+    except OverflowError:
+        raise ConfigError(f"config field {name!r} is out of range") from None
 
 
 def _read_alist(path: Path) -> tanner.TannerGraph:
@@ -152,11 +169,12 @@ def load_experiment_config(path: Path) -> ExperimentConfig:
         if "alist" in code:
             graph = _read_alist(rel(code, "alist", "code.alist"))
         else:
-            params = tanner.CodeParams(*(_number(code, key, int, f"code.{key}")
+            params = tanner.CodeParams(*(_field(code, key, int, f"code.{key}")
                                          for key in ("n", "gamma", "rho")))
             graph = tanner.build_random_regular(
-                params, _number(code, "seed", int, "code.seed", 0),
-                reject_4cycles=bool(code.get("reject_4cycles", False)))
+                params, _field(code, "seed", int, "code.seed", 0),
+                reject_4cycles=_field(code, "reject_4cycles", bool,
+                                      "code.reject_4cycles", False))
 
         decoder = doc["decoder"]
         if decoder not in memsim.DECODERS:
@@ -167,7 +185,7 @@ def load_experiment_config(path: Path) -> ExperimentConfig:
         kind = fm.get("type")
 
         def rate(key: str) -> float:
-            return _number(fm, key, float, f"fault_model.{key}", 0.0)
+            return _field(fm, key, float, f"fault_model.{key}", 0.0)
 
         if kind == "adversarial":
             budget = AdversarialBudget(rate("alpha_m"), rate("alpha_xor"),
@@ -184,19 +202,20 @@ def load_experiment_config(path: Path) -> ExperimentConfig:
         if doc.get("profile") is not None:
             prof = _object(doc["profile"], "config field 'profile'")
             profile = expansion.ExpansionProfile(
-                _number(prof, "alpha", float, "profile.alpha"), graph.gamma,
-                _number(prof, "epsilon", float, "profile.epsilon"))
+                _field(prof, "alpha", float, "profile.alpha"), graph.gamma,
+                _field(prof, "epsilon", float, "profile.epsilon"))
 
-        cycles = _number(doc, "cycles", int, "cycles")
-        trials = _number(doc, "trials", int, "trials", 1)
+        cycles = _field(doc, "cycles", int, "cycles")
+        trials = _field(doc, "trials", int, "trials", 1)
         if cycles < 1 or trials < 1:
             raise ConfigError("cycles and trials must be at least 1")
         out = _object(doc.get("output", {}), "config field 'output'")
         output_json = rel(out, "json", "output.json")
         output_traces = rel(out, "traces_csv", "output.traces_csv")
-        check_accounting = bool(doc.get("check_accounting", False))
+        check_accounting = _field(doc, "check_accounting", bool,
+                                  "check_accounting", False)
         cfg = ExperimentConfig(graph, decoder, model, cycles, trials,
-                               _number(doc, "root_seed", int, "root_seed", 0),
+                               _field(doc, "root_seed", int, "root_seed", 0),
                                profile, output_json, output_traces,
                                check_accounting)
     except KeyError as exc:
@@ -271,8 +290,7 @@ def _write_traces(path: Path, header: list[str], runs: list, n: int) -> None:
             cells += [",,"] * (length - len(cells))
         rows += [f"{t},{c},{','.join(cells)}\r\n"
                  for c, cells in enumerate(zip(*traces), 1)]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
+    with _new_file(path) as fh:
         fh.write("".join(rows))
 
 
@@ -310,8 +328,7 @@ def cmd_bounds(args) -> int:
         raise ConfigError("gamma and rho lists must be non-empty")
     cost = _cost_model(args.cost)
     out = _out_path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", newline="") as fh:
+    with _new_file(out) as fh:
         w = csv.writer(fh)
         w.writerow(["gamma", "rho", "redundancy", "redundancy_tk",
                     "alpha_total_lower", "alpha_total_upper"])
@@ -335,7 +352,7 @@ def cmd_bounds(args) -> int:
         if not (ps and deltas and ns):
             raise ConfigError("chernoff tables need p, delta, and n lists")
         cpath = _out_path(args.chernoff_out)
-        with cpath.open("w", newline="") as fh:
+        with _new_file(cpath) as fh:
             w = csv.writer(fh)
             w.writerow(["p", "delta", "n", "exact_bound", "loose_bound"])
             for p in ps:

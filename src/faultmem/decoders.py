@@ -1,44 +1,43 @@
 """Register update rules, in reliable and gate-faulty execution modes.
 
 Three rules are implemented with synchronous (parallel) semantics, all
-messages of a round being computed from the pre-round state:
+messages of a round being computed from the pre-round state.  Each has
+one engine kernel, bit-sliced (Biham, FSE 1997) on uint64 words that
+hold 64 states each, and independent oracles that check it bit for
+bit:
 
 * the estimate-majority refresh (decoder name ``algorithm_a``): every
   check sends each neighbor the mod-2 sum of its other neighbors, and
   every variable adopts the majority of its gamma estimates, keeping its
-  value on a tie.  ``algorithm_a_round_packed`` runs it as the circuit
-  it is, bit-sliced (Biham, FSE 1997) on uint64 words holding 64 states
-  each: check estimates are XORs of words gathered slot-major, (..., rho,
-  m) with row k holding every check's k-th edge, gate faults XOR masks
-  in the same layout, and the majority a bit-sliced at-least-k count.
-  ``pack_rows`` / ``unpack_rows`` convert (T, ...) 0/1 arrays to and from
-  that layout, ``pack_bits`` / ``unpack_bits`` one flag per state, and
-  ``popcounts`` counts each state's set bits; ``algorithm_a_round_many``
-  is the packed round on a uint8 batch;
+  value on a tie.  Kernel ``algorithm_a_round_packed``; its oracle is
+  the uint8 refresh kept in the tests;
 * parallel bit flipping: flip every variable that sits in more
   unsatisfied than satisfied checks (the reliable-decoder reference
-  rule, no fault machinery).  ``parallel_bitflip_round_packed`` runs it
-  bit-sliced with the same at-least-k count, and
-  ``parallel_bitflip_decode_packed`` iterates it to a fixpoint, the
-  failure detector's decode; the uint8 ``parallel_bitflip_round_many``
-  and ``parallel_bitflip_decode_many`` are their test oracles;
-* the bit-copy scheme (``tk``) and its per-edge reformulation as
-  hard-decision message passing (Gallager B), kept as two independent
-  implementations so their equivalence is testable bit by bit.
-  ``tk_round_packed`` runs the former bit-sliced on (..., gamma, n)
-  words, plane j holding every variable's j-th copy, its xor words
-  (..., rho, m) as well, and ``majority_packed`` reads the copies out
-  (``majority_ties_packed`` also returns the readout's exact ties);
-  the uint8 ``tk_round_many`` and ``TkState.readout`` are their oracles,
-  which, like ``GateFaultPlan.xor_parity``, take chain parities as
-  (..., m, rho).
+  rule, no fault machinery).  Kernels ``parallel_bitflip_round_packed``
+  and ``parallel_bitflip_decode_packed``, which iterates it to a
+  fixpoint (the failure detector's decode); oracles the uint8
+  ``parallel_bitflip_round_many`` and ``parallel_bitflip_decode_many``;
+* the bit-copy scheme (``tk``): gamma copies per variable, copy j
+  re-estimated from the checks other than its j-th.  Kernel
+  ``tk_round_packed`` on (..., gamma, n) words, plane j holding every
+  variable's j-th copy, read out by ``majority_ties_packed``; oracles
+  the uint8 ``tk_round_many`` and ``gallager_b_round``, its per-edge
+  reformulation as hard-decision message passing (Gallager B) written
+  loop by loop, so that the paper's equivalence is checked edge by edge.
+
+``pack_rows`` / ``unpack_rows`` convert (T, ...) 0/1 arrays to and from
+the packed layout, ``pack_bits`` / ``unpack_bits`` one flag per state,
+and ``popcounts`` counts each state's set bits.
 
 Gate faults: the message a check sends on one edge is produced by a
 chain of rho-2 two-input XOR gates; a failed gate complements its own
 output, so the message flips iff an odd number of that chain's gates
 failed.  A failed majority gate complements the variable's updated
 value (for the bit-copy scheme, the updates of all of that variable's
-copies).
+copies).  Chain parities have one layout, slot-major (..., rho, m),
+entry (k, c) being the chain of check c's k-th edge, as
+``faults.PlanBatch.packed`` builds them; ``gallager_b_round`` takes the
+flat gate ids themselves.
 """
 
 from __future__ import annotations
@@ -49,52 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tanner import TannerGraph, Word, as_word
-
-
-@dataclass(frozen=True)
-class GateFaultPlan:
-    """One round's worth of gate failures.
-
-    xor_flips holds (check, out_slot, chain_pos) gate ids, chain_pos in
-    [0, rho-3]; maj_flips holds variable indices.
-    """
-
-    xor_flips: frozenset = frozenset()
-    maj_flips: frozenset = frozenset()
-
-    @classmethod
-    def empty(cls) -> "GateFaultPlan":
-        return _EMPTY_PLAN
-
-    def validate(self, g: TannerGraph) -> None:
-        for c, k, pos in self.xor_flips:
-            if not (0 <= c < g.m and 0 <= k < g.rho and 0 <= pos <= g.rho - 3):
-                raise ValueError(f"xor gate id ({c},{k},{pos}) out of range")
-        for v in self.maj_flips:
-            if not (0 <= v < g.n):
-                raise ValueError(f"majority gate id {v} out of range")
-
-    def xor_parity(self, g: TannerGraph) -> np.ndarray | None:
-        """Net message flip per (check, out_slot): parity of failed gates
-        in that chain.  None when there are no XOR faults."""
-        if not self.xor_flips:
-            return None
-        arr = np.zeros((g.m, g.rho), dtype=np.uint8)
-        for c, k, _pos in self.xor_flips:
-            arr[c, k] ^= 1
-        return arr
-
-    def maj_mask(self, g: TannerGraph) -> np.ndarray | None:
-        """(n,) 0/1 complement mask of failed majority gates, or None."""
-        if not self.maj_flips:
-            return None
-        mask = np.zeros(g.n, dtype=np.uint8)
-        mask[list(self.maj_flips)] = 1
-        return mask
-
-
-_EMPTY_PLAN = GateFaultPlan()
+from .tanner import TannerGraph, as_word
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +153,12 @@ def _at_least(planes: np.ndarray, lo: int, hi: int) -> list:
     return at_least[lo:]
 
 
-def majority_packed(planes: np.ndarray, old: np.ndarray) -> np.ndarray:
-    """Bit-sliced majority over the planes ``planes[..., i, :]``: a bit is
-    set where more than half of them are, and where exactly half are (an
-    even plane count only) it keeps its value in ``old``."""
-    return majority_ties_packed(planes, old)[0]
-
-
 def majority_ties_packed(planes: np.ndarray, old: np.ndarray):
-    """majority_packed and its exact ties: (majority, ties), ``ties``
-    having a bit set where exactly half of the planes do, or None for an
-    odd plane count, which never ties."""
+    """Bit-sliced majority over the planes ``planes[..., i, :]`` and its
+    exact ties: (majority, ties).  A majority bit is set where more than
+    half of the planes are, and where exactly half are (an even plane
+    count only) it keeps its value in ``old``; ``ties`` has a bit set
+    there, or is None for an odd plane count, which never ties."""
     half, odd = divmod(planes.shape[-2], 2)
     if odd:
         return _at_least(planes, half + 1, half + 1)[0], None
@@ -241,29 +190,10 @@ def algorithm_a_round_packed(g: TannerGraph, words: np.ndarray,
     even gamma keeps its old value where exactly gamma/2 of them are set.
     """
     est = _check_estimates(words.take(g.slot_nbrs, axis=-1), xor_words)
-    new = majority_packed(_var_planes(g, est), words)
+    new = majority_ties_packed(_var_planes(g, est), words)[0]
     if maj_words is not None:
         new ^= maj_words
     return new
-
-
-def algorithm_a_round_many(g: TannerGraph, states: np.ndarray,
-                           xor_parity: np.ndarray | None = None,
-                           maj_flip: np.ndarray | None = None) -> np.ndarray:
-    """Refresh of a batch of states, shape (T, n), through the packed round.
-
-    xor_parity broadcasts over (m, rho) or (T, m, rho), the layout of
-    GateFaultPlan.xor_parity, and is packed slot-major; maj_flip is a
-    (n,) or (T, n) 0/1 complement mask applied to the updated values.
-    """
-    rows = states.shape[0]
-    if xor_parity is not None:
-        xor_parity = pack_rows(np.broadcast_to(xor_parity, (rows, g.m, g.rho))
-                               .swapaxes(-1, -2))
-    if maj_flip is not None:
-        maj_flip = pack_rows(np.broadcast_to(maj_flip, (rows, g.n)))
-    return unpack_rows(algorithm_a_round_packed(g, pack_rows(states), xor_parity,
-                                                maj_flip), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +230,9 @@ def parallel_bitflip_decode_many(g: TannerGraph, states: np.ndarray,
     """Iterate the flip rule to a fixpoint on each row of (T, n) ``states``.
 
     Returns (words, rounds_used, converged) arrays of shape (T, n), (T,)
-    and (T,); row t is parallel_bitflip_decode of row t.  A row stops
-    once a round confirms its fixpoint, the others keep going.
+    and (T,).  A row stops once a round confirms its fixpoint, the others
+    keep going; converged means a round confirmed it within max_rounds,
+    and rounds_used counts that confirming round.
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
@@ -358,48 +289,9 @@ def parallel_bitflip_decode_packed(g: TannerGraph, words: np.ndarray,
     return cur, live & ~pending
 
 
-def parallel_bitflip_decode(g: TannerGraph, state, max_rounds: int):
-    """Iterate the flip rule to a fixpoint.
-
-    Returns (word, rounds_used, converged); converged means a round
-    confirmed the fixpoint within the allowance, and rounds_used counts
-    that confirming round.
-    """
-    words, rounds, converged = parallel_bitflip_decode_many(
-        g, as_word(state, g.n)[None, :], max_rounds)
-    return words[0], int(rounds[0]), bool(converged[0])
-
-
 # ---------------------------------------------------------------------------
 # Bit-copy scheme
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class TkState:
-    """gamma bit-copies per variable; copy j of variable i rides edge j
-    of i's (sorted) edge list, the edge to the check excluded when that
-    copy is re-estimated."""
-
-    copies: np.ndarray  # (n, gamma) uint8, or (T, n, gamma) for T trials
-
-    @classmethod
-    def from_word(cls, g: TannerGraph, word) -> "TkState":
-        w = as_word(word, g.n)
-        return cls(np.repeat(w[:, None], g.gamma, axis=1))
-
-    def readout(self, prev: Word | None = None) -> Word:
-        """Per-variable majority over the copies; a tie (even copy counts
-        only) resolves to the previous readout, which must then be given."""
-        gamma = self.copies.shape[-1]
-        ones = self.copies.sum(axis=-1, dtype=np.int64)
-        out = (2 * ones > gamma).astype(np.uint8)
-        ties = 2 * ones == gamma
-        if ties.any():
-            if prev is None:
-                raise ValueError("tied copy sets need the previous readout")
-            out[ties] = prev[ties]
-        return out
 
 
 def tk_round_many(g: TannerGraph, copies: np.ndarray,
@@ -410,12 +302,12 @@ def tk_round_many(g: TannerGraph, copies: np.ndarray,
     Re-estimate every bit-copy from its gamma-1 non-excluded checks and
     flip it when at least half of them are unsatisfied (ties flip).
     Check c reads, from each neighbor variable, the copy riding that
-    edge; xor_parity and maj_flip broadcast as in algorithm_a_round_many,
-    a failed majority gate complementing all of its variable's copies.
+    edge.  xor_parity is a 0/1 array of chain parities, slot-major
+    (..., rho, m), and maj_flip a (..., n) one of majority complements,
+    a failed majority gate complementing all of its variable's copies;
+    both broadcast over the batch.
     """
     gamma = g.gamma
-    if xor_parity is not None:
-        xor_parity = np.swapaxes(xor_parity, -1, -2)
     est = _check_estimates(copies[..., g.check_nbrs.T, g.check_edge_pos.T],
                            xor_parity)
     est_v = est[..., g.var_edge_pos, g.var_nbrs]  # (..., n, gamma)
@@ -465,17 +357,6 @@ def tk_round_packed(g: TannerGraph, copies: np.ndarray,
     return new
 
 
-def tk_round(g: TannerGraph, state: TkState, faults: GateFaultPlan | None = None) -> TkState:
-    """One faulty bit-copy round on one copy set: the one-state case of
-    tk_round_many, gate faults entering exactly as in the
-    estimate-majority refresh."""
-    if faults is None:
-        faults = GateFaultPlan.empty()
-    faults.validate(g)
-    return TkState(tk_round_many(g, state.copies[None], faults.xor_parity(g),
-                                 faults.maj_mask(g))[0])
-
-
 # ---------------------------------------------------------------------------
 # Hard-decision message passing on edges (Gallager B)
 # ---------------------------------------------------------------------------
@@ -494,14 +375,22 @@ class EdgeMessages:
         v2c = np.repeat(w, g.gamma)
         return cls(v2c, np.zeros_like(v2c))
 
-    @classmethod
-    def from_copies(cls, g: TannerGraph, state: TkState) -> "EdgeMessages":
-        v2c = state.copies.reshape(-1).copy()
-        return cls(v2c, np.zeros_like(v2c))
+
+def _distinct_ids(ids, size: int, kind: str) -> set:
+    """The gate ids as a set, each checked to lie in [0, size) and to be
+    given once."""
+    out = set()
+    for i in map(int, ids):
+        if not 0 <= i < size:
+            raise ValueError(f"{kind} gate id {i} out of range")
+        if i in out:
+            raise ValueError(f"{kind} gate id {i} given twice")
+        out.add(i)
+    return out
 
 
 def gallager_b_round(g: TannerGraph, msgs: EdgeMessages,
-                     faults: GateFaultPlan | None = None) -> EdgeMessages:
+                     xor_ids=(), maj_ids=()) -> EdgeMessages:
     """One round of hard-decision message passing, written edge by edge.
 
     Check-to-variable: extrinsic mod-2 sum (with chain-fault complement).
@@ -511,18 +400,24 @@ def gallager_b_round(g: TannerGraph, msgs: EdgeMessages,
     majority gates then complement all of a variable's outgoing messages.
     Only the incoming var_to_check field of ``msgs`` is consumed.
 
+    xor_ids are the failed XOR gates as flat ids in PlanBatch's
+    convention, (check*rho + out_slot)*(rho-2) + chain_pos, and maj_ids
+    the failed majority gates' variables; an id out of range or given
+    twice raises ValueError.
+
     Deliberately loop-based and dictionary-driven: this is the
     independent reference against which the vectorized bit-copy round is
     checked edge for edge.
     """
-    if faults is None:
-        faults = GateFaultPlan.empty()
-    faults.validate(g)
     n, m, gamma, rho = g.n, g.m, g.gamma, g.rho
+    chain = rho - 2
+    xor_ids = _distinct_ids(xor_ids, m * rho * chain, "xor")
+    maj_ids = _distinct_ids(maj_ids, n, "majority")
     old = msgs.var_to_check
 
     chain_parity: dict[tuple[int, int], int] = {}
-    for c, k, _pos in faults.xor_flips:
+    for idx in xor_ids:
+        c, k = divmod(idx // chain, rho)
         chain_parity[(c, k)] = chain_parity.get((c, k), 0) ^ 1
 
     c2v = np.zeros_like(old)
@@ -554,6 +449,6 @@ def gallager_b_round(g: TannerGraph, msgs: EdgeMessages,
                     disagree += 1
             if disagree >= threshold:
                 new[base + j] = cur ^ 1
-        if i in faults.maj_flips:
+        if i in maj_ids:
             new[base:base + gamma] ^= 1
     return EdgeMessages(new, c2v)

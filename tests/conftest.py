@@ -3,8 +3,9 @@ import pytest
 from hypothesis import settings
 
 import faultmem as fm
-from faultmem.decoders import (GateFaultPlan, algorithm_a_round_many,
-                               parallel_bitflip_round_many)
+from faultmem.decoders import (algorithm_a_round_packed, pack_rows,
+                               parallel_bitflip_round_many, unpack_rows)
+from faultmem.faults import PlanBatch
 from faultmem.tanner import as_word
 
 # Property tests draw their examples from a fixed derandomized stream, so
@@ -32,17 +33,48 @@ def build_instance(inst):
     return g, fm.ExpansionProfile(alpha, gamma, eps)
 
 
-def algorithm_a_round(g, state, faults=None):
-    """One faulty refresh of one state: broadcast values, form check
-    estimates through the XOR chains, take per-variable majorities (ties
-    keep the previous value), then complement the outputs of failed
-    majority gates.  The one-state oracle over algorithm_a_round_many."""
-    w = as_word(state, g.n)
-    if faults is None:
-        faults = GateFaultPlan.empty()
-    faults.validate(g)
-    return algorithm_a_round_many(g, w[None, :], faults.xor_parity(g),
-                                  faults.maj_mask(g))[0]
+def xor_gate_id(g, check, slot, pos):
+    """The flat id of XOR gate ``pos`` of the chain behind check
+    ``check``'s edge ``slot``, PlanBatch's convention."""
+    return (check * g.rho + slot) * (g.rho - 2) + pos
+
+
+def gate_batch(xor_rows, maj_rows):
+    """A PlanBatch of gate faults, row r failing the flat XOR gate ids in
+    ``xor_rows[r]`` and the majority gates of ``maj_rows[r]``; a class
+    without a fault in any row is None."""
+    def pairs(rows):
+        cells = [(r, i) for r, ids in enumerate(rows) for i in sorted(ids)]
+        if not cells:
+            return None
+        return tuple(np.array(col, dtype=np.int64) for col in zip(*cells))
+    return PlanBatch(len(xor_rows), None, pairs(xor_rows), pairs(maj_rows))
+
+
+def gate_words(g, xor_ids=(), maj_ids=()):
+    """(xor_words, maj_words) of one state failing the flat XOR gate ids
+    and majority gates given, packed through a one-row PlanBatch."""
+    return gate_batch([xor_ids], [maj_ids]).packed(g)[1:]
+
+
+def algorithm_a_round(g, state, xor_ids=(), maj_ids=()):
+    """One faulty refresh of one state, the failed XOR gates as flat ids
+    and the failed majority gates as variables: the packed round on a
+    batch of one."""
+    words = pack_rows(as_word(state, g.n)[None, :])
+    return unpack_rows(algorithm_a_round_packed(
+        g, words, *gate_words(g, xor_ids, maj_ids)), 1)[0]
+
+
+def tk_words(copies):
+    """(T, n, gamma) 0/1 copy sets as tk_round_packed's (ceil(T/64),
+    gamma, n) words, plane j holding every variable's j-th copy."""
+    return pack_rows(copies.transpose(0, 2, 1))
+
+
+def tk_copies(words, rows):
+    """The first ``rows`` (n, gamma) copy sets of tk_round_packed words."""
+    return unpack_rows(words, rows).transpose(0, 2, 1)
 
 
 def parallel_bitflip_round(g, state):
@@ -61,13 +93,13 @@ def row_ids(pair, row):
 
 
 def plan_masks(batch, g, rows):
-    """The (rows, n) register flips, (rows, m, rho) chain parities and
-    (rows, n) majority complements of a PlanBatch as 0/1 uint8 arrays,
-    built pair by pair from its ragged (row, id) pairs: the oracle for
-    PlanBatch.packed.  A row's ids count once each; a chain's parity is
-    the parity of its failed gates."""
+    """The (rows, n) register flips, (rows, rho, m) slot-major chain
+    parities and (rows, n) majority complements of a PlanBatch as 0/1
+    uint8 arrays, built pair by pair from its ragged (row, id) pairs: the
+    oracle for PlanBatch.packed.  A row's ids count once each; a chain's
+    parity is the parity of its failed gates."""
     flips = np.zeros((rows, g.n), np.uint8)
-    parity = np.zeros((rows, g.m, g.rho), np.uint8)
+    parity = np.zeros((rows, g.rho, g.m), np.uint8)
     mask = np.zeros((rows, g.n), np.uint8)
     chain = g.rho - 2
     for name, out in (("reg", flips), ("xor", parity), ("maj", mask)):
@@ -76,7 +108,7 @@ def plan_masks(batch, g, rows):
             continue
         for r, idx in set(zip(pair[0].tolist(), pair[1].tolist())):
             if name == "xor":
-                parity[r, idx // chain // g.rho, idx // chain % g.rho] ^= 1
+                parity[r, idx // chain % g.rho, idx // chain // g.rho] ^= 1
             else:
                 out[r, idx] = 1
     return flips, parity, mask

@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 import faultmem as fm
-from faultmem.decoders import (EdgeMessages, GateFaultPlan, TkState,
-                               algorithm_a_round_many, gallager_b_round,
-                               parallel_bitflip_decode,
-                               parallel_bitflip_round_many, tk_round)
+from faultmem.decoders import (EdgeMessages, algorithm_a_round_packed,
+                               gallager_b_round, pack_rows,
+                               parallel_bitflip_decode_many,
+                               parallel_bitflip_round_many, tk_round_packed)
 from faultmem.faults import draw_adversarial_batch, exceedance_frequency, seed_key
 from faultmem.memsim import RunConfig, detect_cap, _detect_word
 
-from conftest import CERTIFIED_INSTANCES, build_instance
+from conftest import (CERTIFIED_INSTANCES, build_instance, gate_words,
+                      tk_copies, tk_words, xor_gate_id)
 
 # criterion-3 / criterion-8 fault budgets for the frozen instances
 I1 = CERTIFIED_INSTANCES[0]  # (36, 3, 6, seed 7,  eps 1/4)
@@ -36,10 +37,11 @@ def rounds_bound(epsilon: float, corrupt: int) -> int:
 
 def decode_rounds_to_codeword(g, word, original, allowance):
     """Rounds actually needed to reach the original codeword, or None."""
-    decoded, used, converged = parallel_bitflip_decode(g, word, allowance + 1)
-    if not converged or not np.array_equal(decoded, original):
+    decoded, used, converged = parallel_bitflip_decode_many(g, word[None],
+                                                            allowance + 1)
+    if not converged[0] or not np.array_equal(decoded[0], original):
         return None
-    return used - 1  # the final round only confirms the fixpoint
+    return int(used[0]) - 1  # the final round only confirms the fixpoint
 
 
 # ---------------------------------------------------------------------------
@@ -61,11 +63,13 @@ def test_criterion1_codeword_fixpoint():
                 words.append(fm.encode(
                     g, rng.integers(0, 2, size=k).astype(np.uint8)))
             stack = np.stack(words)
-            assert np.array_equal(algorithm_a_round_many(g, stack), stack)
+            packed = pack_rows(stack)
+            assert np.array_equal(algorithm_a_round_packed(g, packed), packed)
             assert np.array_equal(parallel_bitflip_round_many(g, stack), stack)
+            # every copy of every variable holds the stored bit
+            copies = pack_rows(np.repeat(stack[:, None, :], gamma, axis=1))
+            assert np.array_equal(tk_round_packed(g, copies), copies)
             for w in words:
-                tk = TkState.from_word(g, w)
-                assert np.array_equal(tk_round(g, tk).copies, tk.copies)
                 msgs = EdgeMessages.from_word(g, w)
                 out = gallager_b_round(g, msgs)
                 assert np.array_equal(out.var_to_check, msgs.var_to_check)
@@ -152,21 +156,22 @@ def test_criterion4_tk_equals_gallager_b():
         g = fm.build_random_regular(fm.CodeParams(n, gamma, rho),
                                     seed=instance)
         copies = rng.integers(0, 2, size=(n, gamma)).astype(np.uint8)
-        tk = TkState(copies.copy())
+        tk = tk_words(copies[None])  # one state as a batch of one
         em = EdgeMessages(copies.reshape(-1).copy(),
                           np.zeros(n * gamma, np.uint8))
         for _ in range(20):
             xor = frozenset(
-                (int(rng.integers(0, g.m)), int(rng.integers(0, g.rho)),
-                 int(rng.integers(0, g.rho - 2)))
+                xor_gate_id(g, int(rng.integers(0, g.m)),
+                            int(rng.integers(0, g.rho)),
+                            int(rng.integers(0, g.rho - 2)))
                 for _ in range(int(rng.integers(0, 4))))
             maj = frozenset(
                 int(v) for v in rng.choice(n, int(rng.integers(0, 3)),
                                            replace=False))
-            plan = GateFaultPlan(xor, maj)
-            tk = tk_round(g, tk, plan)
-            em = gallager_b_round(g, em, plan)
-            assert np.array_equal(tk.copies.reshape(-1), em.var_to_check)
+            tk = tk_round_packed(g, tk, *gate_words(g, xor, maj))
+            em = gallager_b_round(g, em, xor, maj)
+            assert np.array_equal(tk_copies(tk, 1)[0].reshape(-1),
+                                  em.var_to_check)
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,46 @@ def test_simulate_accounting_needs_profile_and_adversary(tmp_path, capsys):
     assert not (tmp_path / "result.json").exists()
 
 
+_CODE = {"n": 36, "gamma": 3, "rho": 6, "seed": 7, "reject_4cycles": True}
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"code": {**_CODE, "reject_4cycles": "false"}}, "'code.reject_4cycles'"),
+    ({"code": {**_CODE, "reject_4cycles": 0}}, "'code.reject_4cycles'"),
+    ({"check_accounting": "no"}, "'check_accounting'"),
+    ({"cycles": 2.9}, "'cycles'"),
+    ({"trials": 3.7}, "'trials'"),
+    ({"trials": True}, "'trials'"),
+    ({"root_seed": "1"}, "'root_seed'"),
+    ({"code": {**_CODE, "n": 36.0}}, "'code.n'"),
+    ({"code": {**_CODE, "gamma": True}}, "'code.gamma'"),
+    ({"code": {**_CODE, "rho": "6"}}, "'code.rho'"),
+    ({"code": {**_CODE, "seed": 7.5}}, "'code.seed'"),
+    ({"fault_model": {"type": "adversarial", "alpha_m": "0.01"}},
+     "'fault_model.alpha_m'"),
+    ({"fault_model": {"type": "independent", "p_m": True}}, "'fault_model.p_m'"),
+    ({"profile": {"alpha": False, "epsilon": 0.25}}, "'profile.alpha'"),
+    ({"profile": {"alpha": 0.05, "epsilon": "0.25"}}, "'profile.epsilon'"),
+])
+def test_config_fields_of_the_wrong_json_type_exit_2(tmp_path, capsys, doc, named):
+    # flags must be JSON booleans, counts and seeds JSON integers and
+    # rates JSON numbers: nothing is coerced
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **doc)
+    assert run_cli(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "result.json").exists()
+
+
+def test_config_accepts_integral_rates(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, fault_model={"type": "adversarial", "alpha_m": 0,
+                                   "strategy": "random"})
+    budget = cli.load_experiment_config(cfg).fault_model.budget
+    assert budget.alpha_m == 0.0 and isinstance(budget.alpha_m, float)
+
+
 def test_simulate_alist_config_and_relative_paths(tmp_path):
     sub = tmp_path / "sub"
     sub.mkdir()
@@ -255,6 +295,17 @@ def test_bounds_chernoff_table(tmp_path):
     assert len(rows) == 2
     for r in rows:
         assert float(r["exact_bound"]) <= float(r["loose_bound"])
+
+
+def test_bounds_creates_the_chernoff_table_directory(tmp_path):
+    out = tmp_path / "main" / "b.csv"
+    ch = tmp_path / "tables" / "deep" / "c.csv"
+    assert run_cli(["bounds", "--gamma", "3", "--rho", "6", "--out", out,
+                    "--chernoff-p", "0.01", "--chernoff-delta", "0.01",
+                    "--chernoff-n", "1000", "--chernoff-out", ch]) == 0
+    assert out.exists()
+    with ch.open() as fh:
+        assert len(list(csv.DictReader(fh))) == 1
 
 
 def test_bounds_constant_cost_model(tmp_path):

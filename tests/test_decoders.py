@@ -4,22 +4,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import faultmem as fm
-from faultmem.decoders import (EdgeMessages, GateFaultPlan, TkState,
-                               _check_estimates, algorithm_a_round_many,
-                               algorithm_a_round_packed, gallager_b_round,
-                               majority_packed, majority_ties_packed,
+from faultmem.decoders import (EdgeMessages, _check_estimates,
+                               algorithm_a_round_packed, broadcast_bits,
+                               gallager_b_round, majority_ties_packed,
                                pack_bits, pack_rows,
-                               parallel_bitflip_decode,
                                parallel_bitflip_decode_many,
                                parallel_bitflip_decode_packed,
                                parallel_bitflip_round_many,
                                parallel_bitflip_round_packed, popcounts,
-                               tk_round, tk_round_many, tk_round_packed,
+                               tk_round_many, tk_round_packed,
                                unpack_bits, unpack_rows)
-from faultmem.faults import PlanBatch, _pairs
+from faultmem.faults import (PlanBatch, _pairs, draw_adversarial_batch,
+                             draw_independent_batch, trial_keys)
 
-from conftest import (algorithm_a_round, parallel_bitflip_round, plan_masks,
-                      row_ids)
+from conftest import (algorithm_a_round, gate_batch, gate_words,
+                      parallel_bitflip_round, plan_masks, row_ids, tk_copies,
+                      tk_words, xor_gate_id)
 
 # (n, gamma, rho) of small random graphs, odd and even gamma
 GRAPH_PARAMS = ((12, 3, 6), (12, 4, 6), (20, 4, 5), (12, 5, 6), (16, 6, 8))
@@ -59,10 +59,9 @@ def reference_round_many(g, states, xor_parity=None, maj_flip=None):
     """The uint8 refresh of a (T, n) batch, one byte per bit: count the
     ones among each variable's gamma estimates, then take the majority,
     keeping the old value on a tie.  The oracle for the packed round;
-    xor_parity is (..., m, rho), the estimates slot-major (..., rho, m)."""
+    xor_parity and the estimates are slot-major, (..., rho, m)."""
     gamma = g.gamma
-    est = _check_estimates(states[..., g.check_nbrs.T],
-                           None if xor_parity is None else np.swapaxes(xor_parity, -1, -2))
+    est = _check_estimates(states[..., g.check_nbrs.T], xor_parity)
     recv = est[..., g.var_edge_pos, g.var_nbrs]
     ones = recv.sum(axis=-1, dtype=np.int16)
     new = np.where(ones > gamma // 2, 1,
@@ -70,6 +69,15 @@ def reference_round_many(g, states, xor_parity=None, maj_flip=None):
     if maj_flip is not None:
         new ^= maj_flip
     return new
+
+
+def reference_readout(copies, prev):
+    """The uint8 readout of (T, n, gamma) copy sets: the per-variable
+    majority over the copies, a tie (even copy counts only) keeping the
+    previous readout ``prev``.  The oracle for majority_ties_packed."""
+    ones = copies.sum(axis=-1, dtype=np.int64)
+    gamma = copies.shape[-1]
+    return np.where(2 * ones == gamma, prev, 2 * ones > gamma).astype(np.uint8)
 
 
 def reference_bitflip(g, state):
@@ -111,8 +119,8 @@ def test_codeword_fixpoints(seed7_graph):
         cw = random_codeword(g, rng)
         assert np.array_equal(algorithm_a_round(g, cw), cw)
         assert np.array_equal(parallel_bitflip_round(g, cw), cw)
-        tk = TkState.from_word(g, cw)
-        assert np.array_equal(tk_round(g, tk).copies, tk.copies)
+        words = tk_words(np.repeat(cw[None, :, None], g.gamma, axis=2))
+        assert np.array_equal(tk_round_packed(g, words), words)
         out = gallager_b_round(g, EdgeMessages.from_word(g, cw))
         assert np.array_equal(out.var_to_check, EdgeMessages.from_word(g, cw).var_to_check)
 
@@ -157,8 +165,7 @@ def test_refresh_matches_reference_with_xor_fault(seed7_graph):
     w = np.zeros(g.n, np.uint8)
     w[[2, 9]] = 1
     fault = {(3, 1, 2)}
-    plan = GateFaultPlan(frozenset(fault))
-    assert np.array_equal(algorithm_a_round(g, w, plan),
+    assert np.array_equal(algorithm_a_round(g, w, [xor_gate_id(g, 3, 1, 2)]),
                           reference_refresh(g, w, xor_flips=fault))
 
 
@@ -166,16 +173,15 @@ def test_two_faults_same_chain_cancel(seed7_graph):
     g = seed7_graph
     w = np.zeros(g.n, np.uint8)
     w[[1, 5]] = 1
-    plan = GateFaultPlan(frozenset({(2, 0, 0), (2, 0, 3)}))
-    assert np.array_equal(algorithm_a_round(g, w, plan),
+    same_chain = [xor_gate_id(g, 2, 0, 0), xor_gate_id(g, 2, 0, 3)]
+    assert np.array_equal(algorithm_a_round(g, w, same_chain),
                           algorithm_a_round(g, w))
 
 
 def test_majority_fault_complements_output(seed7_graph):
     g = seed7_graph
     w = np.zeros(g.n, np.uint8)
-    plan = GateFaultPlan(maj_flips=frozenset({4}))
-    out = algorithm_a_round(g, w, plan)
+    out = algorithm_a_round(g, w, maj_ids={4})
     expected = np.zeros(g.n, np.uint8)
     expected[4] = 1
     assert np.array_equal(out, expected)
@@ -189,27 +195,45 @@ def test_random_faulty_rounds_match_reference(seed7_graph):
         xor = {(int(rng.integers(0, g.m)), int(rng.integers(0, g.rho)),
                 int(rng.integers(0, g.rho - 2))) for _ in range(3)}
         maj = {int(rng.integers(0, g.n)) for _ in range(2)}
-        plan = GateFaultPlan(frozenset(xor), frozenset(maj))
-        assert np.array_equal(algorithm_a_round(g, w, plan),
+        ids = {xor_gate_id(g, *gate) for gate in xor}
+        assert np.array_equal(algorithm_a_round(g, w, ids, maj),
                               reference_refresh(g, w, xor, maj))
 
 
 def test_empty_plan_is_reliable(seed7_graph):
+    # a plan without gate faults packs to no masks, and all-zero masks
+    # and empty id lists are the reliable round
     g = seed7_graph
     rng = np.random.default_rng(8)
     w = rng.integers(0, 2, size=g.n).astype(np.uint8)
-    assert np.array_equal(algorithm_a_round(g, w, GateFaultPlan.empty()),
-                          algorithm_a_round(g, w))
-    tk = TkState(rng.integers(0, 2, size=(g.n, g.gamma)).astype(np.uint8))
-    assert np.array_equal(tk_round(g, tk, GateFaultPlan.empty()).copies,
-                          tk_round(g, tk).copies)
+    assert gate_words(g) == (None, None)
+    zero_xor = np.zeros((1, g.rho, g.m), np.uint64)
+    zero_maj = np.zeros((1, g.n), np.uint64)
+    words = pack_rows(w[None])
+    assert np.array_equal(algorithm_a_round_packed(g, words, zero_xor, zero_maj),
+                          algorithm_a_round_packed(g, words))
+    copies = rng.integers(0, 2, size=(1, g.n, g.gamma)).astype(np.uint8)
+    words = tk_words(copies)
+    assert np.array_equal(tk_round_packed(g, words, zero_xor, zero_maj),
+                          tk_round_packed(g, words))
+    msgs = EdgeMessages(copies.reshape(-1), np.zeros(copies.size, np.uint8))
+    assert np.array_equal(gallager_b_round(g, msgs, (), ()).var_to_check,
+                          gallager_b_round(g, msgs).var_to_check)
 
 
 def test_gate_plan_validation(seed7_graph):
-    with pytest.raises(ValueError):
-        GateFaultPlan(frozenset({(0, 0, 99)})).validate(seed7_graph)
-    with pytest.raises(ValueError):
-        GateFaultPlan(maj_flips=frozenset({99})).validate(seed7_graph)
+    g = seed7_graph
+    msgs = EdgeMessages.from_word(g, np.zeros(g.n, np.uint8))
+    gates = g.m * g.rho * (g.rho - 2)
+    for bad in ({"xor_ids": [gates]}, {"xor_ids": [-1]},
+                {"maj_ids": [99]}, {"maj_ids": [-1]}):
+        with pytest.raises(ValueError, match="out of range"):
+            gallager_b_round(g, msgs, **bad)
+    for twice in ({"xor_ids": [5, 5]}, {"maj_ids": [3, 3]}):
+        with pytest.raises(ValueError, match="twice"):
+            gallager_b_round(g, msgs, **twice)
+    # the largest ids are in range
+    gallager_b_round(g, msgs, [gates - 1], [g.n - 1])
 
 
 # -- parallel bit flipping --------------------------------------------------
@@ -237,18 +261,18 @@ def test_bitflip_two_errors_match_reference(seed7_graph):
 def test_decode_codeword_confirms_fixpoint(seed7_graph):
     g = seed7_graph
     cw = np.zeros(g.n, np.uint8)
-    out, rounds, converged = parallel_bitflip_decode(g, cw, 5)
-    assert np.array_equal(out, cw) and rounds == 1 and converged
+    out, rounds, converged = parallel_bitflip_decode_many(g, cw[None], 5)
+    assert np.array_equal(out[0], cw) and rounds[0] == 1 and converged[0]
 
 
 def test_decode_beyond_guarantee_reports_honestly(seed7_graph):
     g = seed7_graph
     rng = np.random.default_rng(9)
     w = rng.integers(0, 2, size=g.n).astype(np.uint8)
-    out, rounds, converged = parallel_bitflip_decode(g, w, 30)
-    assert rounds <= 30
-    if converged:
-        assert np.array_equal(parallel_bitflip_round(g, out), out)
+    out, rounds, converged = parallel_bitflip_decode_many(g, w[None], 30)
+    assert rounds[0] <= 30
+    if converged[0]:
+        assert np.array_equal(parallel_bitflip_round(g, out[0]), out[0])
 
 
 @settings(max_examples=60)
@@ -272,8 +296,6 @@ def test_decode_many_rows_equal_reference_decode(params, seed, rows,
         word, used, conv = reference_decode(g, states[t], max_rounds)
         assert np.array_equal(words[t], word)
         assert (rounds[t], converged[t]) == (used, conv)
-        single = parallel_bitflip_decode(g, states[t], max_rounds)
-        assert np.array_equal(single[0], word) and single[1:] == (used, conv)
 
 
 def test_batched_round_equals_loop(seed7_graph):
@@ -467,8 +489,6 @@ def test_packed_refresh_equals_uint8_round(params, seed, count, density, ragged,
         assert np.array_equal(unpack_rows(words, count), expected)
 
     once = reference_round_many(g, states, xor_parity, maj_flip)
-    assert np.array_equal(algorithm_a_round_many(g, states, xor_parity, maj_flip),
-                          once)
     # a leading batch axis, the masks broadcasting over it
     packed = pack_rows(states)
     stacked = algorithm_a_round_packed(g, np.stack([packed, ~packed]),
@@ -478,18 +498,15 @@ def test_packed_refresh_equals_uint8_round(params, seed, count, density, ragged,
                           reference_round_many(g, 1 - states, xor_parity,
                                                maj_flip))
     # one mask shared by every row
-    shared_xor = rng.integers(0, 2, (g.m, g.rho)).astype(np.uint8)
+    shared_xor = rng.integers(0, 2, (g.rho, g.m)).astype(np.uint8)
     shared_maj = rng.integers(0, 2, g.n).astype(np.uint8)
     assert np.array_equal(
-        algorithm_a_round_many(g, states, shared_xor, shared_maj),
+        unpack_rows(algorithm_a_round_packed(g, packed, broadcast_bits(shared_xor),
+                                             broadcast_bits(shared_maj)), count),
         reference_round_many(g, states, shared_xor, shared_maj))
     # the one-state round with the gate plan of row 0
-    chain = g.rho - 2
-    plan = GateFaultPlan(
-        frozenset((idx // chain // g.rho, idx // chain % g.rho, idx % chain)
-                  for idx in row_ids(plans.xor, 0)),
-        frozenset(row_ids(plans.maj, 0)))
-    assert np.array_equal(algorithm_a_round(g, states[0], plan),
+    assert np.array_equal(algorithm_a_round(g, states[0], row_ids(plans.xor, 0),
+                                            row_ids(plans.maj, 0)),
                           reference_round_many(
                               g, states[:1],
                               xor_parity[:1], maj_flip[:1])[0])
@@ -501,12 +518,11 @@ def test_packed_refresh_equals_uint8_round(params, seed, count, density, ragged,
 @pytest.mark.parametrize("gamma,rho", [(3, 6), (4, 6)])
 def test_refresh_equals_bitflip_exhaustive(gamma, rho):
     g = fm.build_random_regular(fm.CodeParams(12, gamma, rho), seed=7)
-    from faultmem.tanner import as_word
-    from faultmem.decoders import algorithm_a_round_many
     idx = np.arange(2 ** g.n, dtype=np.uint32)
     states = ((idx[:, None] >> np.arange(g.n)) & 1).astype(np.uint8)
-    assert np.array_equal(algorithm_a_round_many(g, states),
-                          parallel_bitflip_round_many(g, states))
+    refreshed = unpack_rows(algorithm_a_round_packed(g, pack_rows(states)),
+                            len(states))
+    assert np.array_equal(refreshed, parallel_bitflip_round_many(g, states))
 
 
 # -- bit-copy scheme --------------------------------------------------------
@@ -514,25 +530,23 @@ def test_refresh_equals_bitflip_exhaustive(gamma, rho):
 
 def test_tk_flipped_variable_restored(girth6_graph):
     g = girth6_graph
-    zero = np.zeros(g.n, np.uint8)
-    tk = TkState.from_word(g, zero)
-    tk.copies[7, :] ^= 1
-    out = tk_round(g, tk)
-    assert (out.copies[7] == 0).all()
+    copies = np.zeros((1, g.n, g.gamma), np.uint8)
+    copies[0, 7, :] ^= 1
+    out = tk_copies(tk_round_packed(g, tk_words(copies)), 1)
+    assert (out[0, 7] == 0).all()
 
 
 def test_tk_readout_majority_and_ties():
     g = fm.build_random_regular(fm.CodeParams(12, 4, 6), seed=4)
-    copies = np.zeros((g.n, 4), np.uint8)
-    copies[3] = [1, 1, 1, 0]
-    copies[5] = [1, 1, 0, 0]  # tie
-    st = TkState(copies)
-    prev = np.zeros(g.n, np.uint8)
-    prev[5] = 1
-    out = st.readout(prev=prev)
+    copies = np.zeros((1, g.n, 4), np.uint8)
+    copies[0, 3] = [1, 1, 1, 0]
+    copies[0, 5] = [1, 1, 0, 0]  # tie
+    prev = np.zeros((1, g.n), np.uint8)
+    prev[0, 5] = 1
+    out, ties = majority_ties_packed(tk_words(copies), pack_rows(prev))
+    out, ties = unpack_rows(out, 1)[0], unpack_rows(ties, 1)[0]
     assert out[3] == 1 and out[5] == 1
-    with pytest.raises(ValueError):
-        st.readout()
+    assert ties.nonzero()[0].tolist() == [5]
 
 
 def test_single_corrupt_edge_message_restored(girth6_graph):
@@ -547,18 +561,19 @@ def test_tk_equals_gallager_b_with_faults():
     rng = np.random.default_rng(42)
     for trial in range(25):
         g = fm.build_random_regular(fm.CodeParams(12, 3, 6), seed=trial)
-        tk = TkState(rng.integers(0, 2, size=(g.n, g.gamma)).astype(np.uint8))
-        em = EdgeMessages.from_copies(g, tk)
+        copies = rng.integers(0, 2, size=(1, g.n, g.gamma)).astype(np.uint8)
+        words = tk_words(copies)
+        em = EdgeMessages(copies.reshape(-1), np.zeros(copies.size, np.uint8))
         for _ in range(5):
-            xor = frozenset({(int(rng.integers(0, g.m)), int(rng.integers(0, g.rho)),
-                              int(rng.integers(0, g.rho - 2)))
-                             for _ in range(int(rng.integers(0, 4)))})
-            maj = frozenset(int(v) for v in
-                            rng.choice(g.n, int(rng.integers(0, 3)), replace=False))
-            plan = GateFaultPlan(xor, maj)
-            tk = tk_round(g, tk, plan)
-            em = gallager_b_round(g, em, plan)
-            assert np.array_equal(tk.copies.reshape(-1), em.var_to_check)
+            xor = {xor_gate_id(g, int(rng.integers(0, g.m)),
+                               int(rng.integers(0, g.rho)),
+                               int(rng.integers(0, g.rho - 2)))
+                   for _ in range(int(rng.integers(0, 4)))}
+            maj = {int(v) for v in
+                   rng.choice(g.n, int(rng.integers(0, 3)), replace=False)}
+            words = tk_round_packed(g, words, *gate_words(g, xor, maj))
+            em = gallager_b_round(g, em, xor, maj)
+            assert np.array_equal(tk_copies(words, 1).reshape(-1), em.var_to_check)
 
 
 @settings(max_examples=60)
@@ -570,28 +585,55 @@ def test_tk_round_many_rows_equal_gallager_b(params, seed, rows, xor_max,
     g = fm.build_random_regular(fm.CodeParams(*params), seed % 50)
     rng = np.random.default_rng(seed)
     copies = rng.integers(0, 2, size=(rows, g.n, g.gamma)).astype(np.uint8)
-    plans = [GateFaultPlan(
-        frozenset((int(rng.integers(0, g.m)), int(rng.integers(0, g.rho)),
-                   int(rng.integers(0, g.rho - 2)))
-                  for _ in range(int(rng.integers(0, xor_max + 1)))),
-        frozenset(int(v) for v in
-                  rng.choice(g.n, int(rng.integers(0, maj_max + 1)),
-                             replace=False)))
-        for _ in range(rows)]
-    xor_parity = maj_flip = None
-    if any(p.xor_flips for p in plans):
-        xor_parity = np.stack([p.xor_parity(g) if p.xor_flips
-                               else np.zeros((g.m, g.rho), np.uint8)
-                               for p in plans])
-    if any(p.maj_flips for p in plans):
-        maj_flip = np.stack([p.maj_mask(g) if p.maj_flips
-                             else np.zeros(g.n, np.uint8) for p in plans])
-    new = tk_round_many(g, copies, xor_parity, maj_flip)
-    for t, plan in enumerate(plans):
+    xor_rows, maj_rows = [], []
+    for _ in range(rows):
+        xor_rows.append({xor_gate_id(g, int(rng.integers(0, g.m)),
+                                     int(rng.integers(0, g.rho)),
+                                     int(rng.integers(0, g.rho - 2)))
+                         for _ in range(int(rng.integers(0, xor_max + 1)))})
+        maj_rows.append({int(v) for v in
+                         rng.choice(g.n, int(rng.integers(0, maj_max + 1)),
+                                    replace=False)})
+    _flips, xor_parity, maj_flip = plan_masks(gate_batch(xor_rows, maj_rows), g, rows)
+    new = tk_round_many(g, copies, xor_parity if xor_parity.any() else None,
+                        maj_flip if maj_flip.any() else None)
+    for t in range(rows):
         em = gallager_b_round(g, EdgeMessages(copies[t].reshape(-1).copy(),
                                               np.zeros(g.n * g.gamma, np.uint8)),
-                              plan)
+                              xor_rows[t], maj_rows[t])
         assert np.array_equal(new[t].reshape(-1), em.var_to_check)
+
+
+@settings(max_examples=20)
+@given(params=st.sampled_from(((12, 3, 6), (20, 4, 5), (16, 6, 8), (40, 4, 5))),
+       seed=st.integers(0, 2**32), rows=st.sampled_from((1, 64, 65)),
+       draw=st.sampled_from(("independent", "random", "cluster")))
+@example(params=(12, 3, 6), seed=1, rows=1, draw="cluster")
+@example(params=(20, 4, 5), seed=2, rows=64, draw="random")
+@example(params=(40, 4, 5), seed=3, rows=65, draw="independent")
+def test_packed_tk_round_rows_equal_gallager_b(params, seed, rows, draw):
+    # the engine's kernel on the engine's plans, row by row against the
+    # per-edge oracle fed the same flat gate ids
+    g = fm.build_random_regular(fm.CodeParams(*params), seed % 50)
+    rng = np.random.default_rng(seed)
+    keys = trial_keys(seed, np.arange(rows))
+    if draw == "independent":
+        plans = draw_independent_batch(fm.IndependentRates(0.0, 0.05, 0.1), g,
+                                       keys, 0)
+    else:
+        budget = fm.AdversarialBudget(alpha_xor=0.02, alpha_maj=0.1)
+        plans = draw_adversarial_batch(budget, g, draw, keys, 0,
+                                       np.zeros((rows, g.n), np.uint8))
+        assert plans.xor[1].size and plans.maj[1].size
+    copies = rng.integers(0, 2, size=(rows, g.n, g.gamma)).astype(np.uint8)
+    _reg, xor_words, maj_words = plans.packed(g)
+    new = tk_copies(tk_round_packed(g, tk_words(copies), xor_words, maj_words),
+                    rows)
+    for r in range(rows):
+        em = gallager_b_round(g, EdgeMessages(copies[r].reshape(-1),
+                                              np.zeros(g.n * g.gamma, np.uint8)),
+                              row_ids(plans.xor, r), row_ids(plans.maj, r))
+        assert np.array_equal(new[r].reshape(-1), em.var_to_check)
 
 
 @settings(max_examples=80)
@@ -605,7 +647,7 @@ def test_tk_round_many_rows_equal_gallager_b(params, seed, rows, xor_max,
 def test_packed_tk_round_equals_uint8_round(params, seed, count, density, ragged,
                                             rounds):
     # copy j of every variable is plane j of the packed words; the packed
-    # readout keeps the previous readout on a tie, as TkState.readout does
+    # readout keeps the previous readout on a tie, as reference_readout does
     g = fm.build_random_regular(fm.CodeParams(*params), seed % 50)
     rng = np.random.default_rng(seed)
     copies = (rng.random((count, g.n, g.gamma)) < density).astype(np.uint8)
@@ -614,7 +656,7 @@ def test_packed_tk_round_equals_uint8_round(params, seed, count, density, ragged
     _flips, xor_parity, maj_flip = plan_masks(plans, g, count)
     _reg, xor_words, maj_words = plans.packed(g)
 
-    expected, words = copies, pack_rows(copies.transpose(0, 2, 1))
+    expected, words = copies, tk_words(copies)
     readout = pack_rows(prev)
     for _ in range(rounds):
         expected = tk_round_many(g, expected, xor_parity, maj_flip)
@@ -623,17 +665,19 @@ def test_packed_tk_round_equals_uint8_round(params, seed, count, density, ragged
         assert words.shape == (-(-count // 64), g.gamma, g.n)
         assert np.array_equal(unpack_rows(words, count),
                               expected.transpose(0, 2, 1))
-        prev = TkState(expected).readout(prev=prev)
-        readout = majority_packed(words, readout)
+        prev = reference_readout(expected, prev)
+        readout = majority_ties_packed(words, readout)[0]
         assert np.array_equal(unpack_rows(readout, count), prev)
 
 
 def test_tk_initialization_equal_copies(seed7_graph):
+    # every copy of a variable, i.e. each of its outgoing edge messages,
+    # starts at the stored bit
     g = seed7_graph
     w = np.zeros(g.n, np.uint8)
-    w[3] = 0
-    tk = TkState.from_word(g, w)
-    assert (tk.copies == tk.copies[:, :1]).all()
+    w[3] = 1
+    copies = EdgeMessages.from_word(g, w).var_to_check.reshape(g.n, g.gamma)
+    assert (copies == w[:, None]).all()
 
 
 @settings(max_examples=60)
@@ -654,7 +698,6 @@ def test_register_flip_readout_needs_no_majority(gamma, words, n, seed):
     copies, prev, reg = (random_words(words, gamma, n), random_words(words, n),
                          random_words(words, n))
     state, ties = majority_ties_packed(copies, prev)
-    assert np.array_equal(state, majority_packed(copies, prev))
     ones = sum(unpack_rows(copies[:, j], 64 * words).astype(int)
                for j in range(gamma))
     if gamma % 2:
@@ -662,5 +705,5 @@ def test_register_flip_readout_needs_no_majority(gamma, words, n, seed):
         ties = np.zeros_like(state)
     else:
         assert np.array_equal(unpack_rows(ties, 64 * words), 2 * ones == gamma)
-    assert np.array_equal(majority_packed(copies ^ reg[:, None], state),
+    assert np.array_equal(majority_ties_packed(copies ^ reg[:, None], state)[0],
                           state ^ (reg & ~ties))

@@ -471,8 +471,6 @@ def test_gate_words_pack_the_gate_masks(small_graph, rows):
     for batch in batches:
         flips, parity, mask = plan_masks(batch, g, rows)
         assert parity.any() and mask.any()
-        # the xor words are slot-major, (W, rho, m)
-        parity = parity.swapaxes(-1, -2)
         for words, at, width in ((batch.packed(g), np.arange(rows), rows),
                                  (batch.packed(g, slots, count), slots, count)):
             reg_words, xor_words, maj_words = words
