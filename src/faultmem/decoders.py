@@ -13,10 +13,12 @@ bit:
   the uint8 refresh kept in the tests;
 * parallel bit flipping: flip every variable that sits in more
   unsatisfied than satisfied checks (the reliable-decoder reference
-  rule, no fault machinery).  Kernels ``parallel_bitflip_round_packed``
-  and ``parallel_bitflip_decode_packed``, which iterates it to a
-  fixpoint (the failure detector's decode); oracles the uint8
-  ``parallel_bitflip_round_many`` and ``parallel_bitflip_decode_many``;
+  rule, no fault machinery).  Kernels ``parallel_bitflip_round_packed``,
+  ``parallel_bitflip_decode_packed``, which iterates it to a fixpoint
+  (the failure detector's decode), and ``parallel_bitflip_round_var_major``
+  on variable-major (n, C) words (the greedy lookahead's candidate
+  pools); oracles the uint8 ``parallel_bitflip_round_many`` (of both
+  rounds) and ``parallel_bitflip_decode_many``;
 * the bit-copy scheme (``tk``): gamma copies per variable, copy j
   re-estimated from the checks other than its j-th.  Kernel
   ``tk_round_packed`` on (..., gamma, n) words, plane j holding every
@@ -223,6 +225,27 @@ def parallel_bitflip_round_packed(g: TannerGraph, words: np.ndarray) -> np.ndarr
     unsat = np.bitwise_xor.reduce(words.take(g.slot_nbrs, axis=-1), axis=-2)
     need = g.gamma // 2 + 1
     return words ^ _at_least(unsat.take(g.slot_checks, axis=-1), need, need)[0]
+
+
+def parallel_bitflip_round_var_major(g: TannerGraph, words: np.ndarray) -> np.ndarray:
+    """The flip rule on variable-major words: ``words`` is an (n, C)
+    uint64 array whose row v holds variable v of 64*C states, state
+    64*c + b in bit b of column c, and bit b of column c of the result is
+    parallel_bitflip_round_many's row for that state.
+
+    Each check's parity is the XOR of rho contiguous row gathers, and a
+    variable flips where at least gamma//2 + 1 of its gamma gathered
+    check planes are unsatisfied.  This layout suits many states over few
+    variables (the greedy lookahead's candidate pools);
+    parallel_bitflip_round_packed suits few rows of many variables.
+    """
+    slots = g.slot_nbrs
+    unsat = words[slots[0]]
+    for nbrs in slots[1:]:
+        unsat ^= words[nbrs]
+    need = g.gamma // 2 + 1
+    planes = unsat[g.slot_checks].swapaxes(0, 1)  # (n, gamma, C)
+    return words ^ _at_least(planes, need, need)[0]
 
 
 def parallel_bitflip_decode_many(g: TannerGraph, states: np.ndarray,

@@ -18,6 +18,17 @@ Plans are drawn as index sets, never as per-component masks: an
 independent class's fault count is Binomial(N, p), by inverting one keyed
 uniform, and its positions a uniform subset of that size.  Every plan is
 a PlanBatch of ragged (row, id) pairs per class, for both models.
+
+The greedy adversary scores a pool of candidate register-flip sets per
+trial by one reliable flip round.  The pools are scored over slabs of
+consecutive trials, each slab's pool-key array at most _POOL_BYTES, so a
+cycle's temporaries stay small enough to be reused rather than paged in
+afresh.  In a slab the candidate states are variable-major words, (n,
+T*W) with W = ceil(P/64): entry (v, t*W + p // 64) holds bit p % 64 for
+candidate p of trial t, rounded by
+decoders.parallel_bitflip_round_var_major.  A trial's choice is a pure
+function of its key and its observed row, so no result depends on
+_POOL_BYTES.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoders import broadcast_bits, parallel_bitflip_round_packed, popcounts
+from .decoders import broadcast_bits, parallel_bitflip_round_var_major, popcounts
 from .exceptions import BudgetViolationError
 from .expansion import ExpansionProfile
 from .tanner import TannerGraph, zero_word
@@ -60,15 +71,18 @@ def _mix(z: int) -> int:
 
 _U11, _U27, _U30, _U31 = (np.uint64(k) for k in (11, 27, 30, 31))
 _UM1, _UM2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_UGOLDEN = np.uint64(_GOLDEN)
 
 
 def _mix_rows(z: np.ndarray) -> np.ndarray:
-    """The same finalizer in place on a uint64 array (arrays wrap mod 2^64)."""
-    z ^= z >> _U30
+    """The same finalizer in place on a uint64 array (arrays wrap mod 2^64),
+    its shifts written into one scratch array."""
+    t = np.right_shift(z, _U30)
+    z ^= t
     z *= _UM1
-    z ^= z >> _U27
+    z ^= np.right_shift(z, _U27, out=t)
     z *= _UM2
-    z ^= z >> _U31
+    z ^= np.right_shift(z, _U31, out=t)
     return z
 
 
@@ -80,7 +94,9 @@ def _absorb(h, x):
         x = int(x) & _MASK
         if not isinstance(h, np.ndarray):
             return _mix(((h ^ x) + _GOLDEN) & _MASK)
-    return _mix_rows((h ^ x) + _GOLDEN)
+    z = h ^ x
+    z += _UGOLDEN
+    return _mix_rows(z)
 
 
 def _seed_parts(seed) -> list[int]:
@@ -122,32 +138,47 @@ def _offsets(base: int, size: int) -> np.ndarray:
 
 
 def _below(keys: np.ndarray, bound: int, pos: int, stride: int) -> np.ndarray:
-    """Exact uniform integers in [0, bound), one per key, read at stream
-    position ``pos``.  A value in the incomplete top block (probability
-    below bound/2^64) is redrawn at pos + stride, pos + 2*stride, ..."""
-    vals = _mix_rows(keys + ((pos + 1) * _GOLDEN & _MASK))
+    """Exact uniform integers in [0, bound), one per key (of any shape),
+    read at stream position ``pos``, as int64 (bound <= 2^63).  A value in
+    the incomplete top block (probability below bound/2^64) is redrawn at
+    pos + stride, pos + 2*stride, ..."""
+    vals = np.add(keys, np.uint64((pos + 1) * _GOLDEN & _MASK))
+    _mix_rows(vals)
     cut = (1 << 64) - (1 << 64) % bound
     if cut <= _MASK:
         bad = vals >= cut
         while bad.any():
             pos += stride
-            vals[bad] = _mix_rows(keys[bad] + ((pos + 1) * _GOLDEN & _MASK))
+            redo = keys[bad]
+            redo += np.uint64((pos + 1) * _GOLDEN & _MASK)
+            vals[bad] = _mix_rows(redo)
             bad &= vals >= cut
-    return (vals % bound).astype(np.int64)
+    # vals - (vals // bound) * bound: division by a scalar has a fast path
+    # that the remainder lacks
+    bound = np.uint64(bound)
+    quot = np.floor_divide(vals, bound)
+    quot *= bound
+    return np.subtract(vals, quot, out=vals).view(np.int64)
 
 
-def _floyd(keys: np.ndarray, base: int, total: int, count: int) -> np.ndarray:
-    """Uniform count-subsets of range(total), one per key, by Floyd's
-    algorithm (count hashes per key, from the class at ``base``); rows
-    sorted ascending."""
-    out = np.empty((keys.shape[0], count), dtype=np.int64)
+def _floyd(keys: np.ndarray, base: int, total: int, count: int,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Uniform count-subsets of range(total), one per key (of any shape),
+    by Floyd's algorithm (count hashes per key, from the class at
+    ``base``); each subset sorted ascending along the last axis of the
+    keys.shape + (count,) int64 result, written into ``out`` when given."""
+    if out is None:
+        if count == 1:
+            return _below(keys, total, base, 1)[..., None]
+        out = np.empty(keys.shape + (count,), dtype=np.int64)
     for i in range(count):
         top = total - count + i
         pick = _below(keys, top + 1, base + i, count)
         if i:
-            pick[(out[:, :i] == pick[:, None]).any(axis=1)] = top
-        out[:, i] = pick
-    out.sort(axis=1)
+            pick[(out[..., :i] == pick[..., None]).any(axis=-1)] = top
+        out[..., i] = pick
+    if count > 1:
+        out.sort(axis=-1)
     return out
 
 
@@ -409,6 +440,10 @@ def _cluster_rows(g: TannerGraph, keys, reg_count: int, xor_count: int,
 
 
 GREEDY_POOL_SIZE = 64
+# Bound on one slab's pool-key array in _greedy_rows: the slab's other
+# temporaries are of the same order, small enough that the allocator
+# reuses them from cycle to cycle instead of mapping fresh pages.
+_POOL_BYTES = 1 << 16
 
 
 def _greedy_rows(g: TannerGraph, keys, count: int, observed: np.ndarray,
@@ -417,36 +452,55 @@ def _greedy_rows(g: TannerGraph, keys, count: int, observed: np.ndarray,
     candidate 0 targets fresh registers first, the rest are uniform
     subsets.  The score is the post-correction corrupt count after one
     reliable flip round, then the pre-correction count; the first argmax
-    wins.  One bit-sliced round covers every trial's pool: candidate p of
-    a trial is bit p % 64 of word p // 64 of that trial's states."""
+    wins.  Scored over consecutive slabs of trials, each slab's pool keys
+    at most _POOL_BYTES; a row's choice is a pure function of its key and
+    its observed row, so the result does not depend on the bound."""
     rows = observed.shape[0]
+    slab = max(1, _POOL_BYTES // (8 * pool_size))
+    out = np.empty((rows, count), dtype=np.int64)
+    for lo in range(0, rows, slab):
+        hi = min(rows, lo + slab)
+        out[lo:hi] = _lookahead(g, keys[lo:hi], count, observed[lo:hi],
+                                original, pool_size)
+    return out
+
+
+def _lookahead(g: TannerGraph, keys, count: int, observed: np.ndarray,
+               original: np.ndarray, pool_size: int) -> np.ndarray:
+    """_greedy_rows on one slab.  One bit-sliced round covers every
+    trial's pool, on variable-major words: candidate p of trial t is bit
+    p % 64 of column t*W + p // 64, W = ceil(pool_size / 64)."""
+    rows, n = observed.shape
     corrupt = observed != original
-    first = np.sort(np.argsort(corrupt, axis=1, kind="stable")[:, :count], axis=1)
-    pool_keys = _absorb(keys[:, None],
-                        np.arange(1, pool_size, dtype=np.uint64))
-    rand = _floyd(pool_keys.ravel(), _POOL, g.n, count)
-    cands = np.concatenate(
-        [first[:, None, :], rand.reshape(rows, pool_size - 1, count)], axis=1)
-    row_ids = np.arange(rows)[:, None, None]
-    # flipping a fresh register adds one corrupt bit, a stale one removes it
-    stale = corrupt[row_ids, cands].sum(axis=2)
-    pre = corrupt.sum(axis=1)[:, None] + count - 2 * stale
-    # scatter-OR of each candidate's bit into the words of its registers;
-    # a candidate's registers are distinct and no two candidates share a
+    cands = np.empty((rows, pool_size, count), dtype=np.int64)
+    cands[:, 0] = np.sort(np.argsort(corrupt, axis=1, kind="stable")[:, :count],
+                          axis=1)
+    _floyd(_absorb(keys[:, None], np.arange(1, pool_size, dtype=np.uint64)), _POOL,
+           n, count, cands[:, 1:])
+    # flipping a fresh register adds one corrupt bit, a stale one removes
+    # it: the pre-correction count is corrupt.sum(axis=1) + count - 2 *
+    # stale, and its row constant moves no argmax
+    row_ids = np.arange(rows)
+    stale = corrupt.reshape(-1).take(cands + (row_ids * n)[:, None, None]).sum(axis=2)
+    # scatter-add of each candidate's bit into its registers' words: a
+    # candidate's registers are distinct and no two candidates share a
     # bit, so no bit is set twice and np.add.at (which has a fast path)
     # ORs exactly
     words = -(-pool_size // 64)
     slot = np.arange(pool_size)
-    at = (row_ids * words + (slot // 64)[:, None]) * g.n + cands
+    col = row_ids[:, None] * words + slot // 64
     bit = np.uint64(1) << (slot % 64).astype(np.uint64)
-    flips = np.zeros((rows, words, g.n), dtype=np.uint64)
-    np.add.at(flips.reshape(-1), at.ravel(),
+    at = cands * (rows * words)
+    at += col[..., None]
+    states = np.zeros((n, rows * words), dtype=np.uint64)
+    np.add.at(states.reshape(-1), at.ravel(),
               np.broadcast_to(bit[:, None], cands.shape).ravel())
-    states = flips ^ broadcast_bits(observed)[:, None, :]
-    wrong = parallel_bitflip_round_packed(g, states) ^ broadcast_bits(original)
-    post = popcounts(wrong).reshape(rows, -1)[:, :pool_size]
-    best = np.argmax(post * (g.n + 1) + pre, axis=1)
-    return cands[np.arange(rows), best]
+    states.reshape(n, rows, words)[...] ^= broadcast_bits(observed.T)[:, :, None]
+    wrong = parallel_bitflip_round_var_major(g, states)
+    wrong ^= broadcast_bits(original)[:, None]
+    post = popcounts(wrong.T).reshape(rows, -1)[:, :pool_size]
+    best = np.argmax(post * (n + 1) - 2 * stale, axis=1)
+    return cands[row_ids, best]
 
 
 def draw_adversarial_batch(budget: AdversarialBudget, g: TannerGraph,

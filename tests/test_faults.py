@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -13,7 +15,8 @@ from faultmem.faults import (PlanBatch, draw_adversarial_batch,
                              draw_independent_batch, exceedance_frequency,
                              seed_key, trial_keys)
 
-from conftest import parallel_bitflip_round, plan_masks, row_ids
+from conftest import (CERTIFIED_INSTANCES, build_instance,
+                      parallel_bitflip_round, plan_masks, row_ids)
 
 
 @pytest.fixture(scope="module")
@@ -354,6 +357,101 @@ def test_greedy_rows_match_uint8_lookahead_past_255_variables(corrupt):
         assert np.array_equal(
             faults._greedy_rows(g, keys, count, observed, original, pool_size),
             reference_greedy_rows(g, keys, count, observed, original, pool_size))
+
+
+# sha256 of greedy's register choices, taken before the lookahead was
+# scored in slabs.  The desk digest cannot see them: every desk trial
+# observes the stored word, so its trajectory is the same whatever greedy
+# picks.  Here the draws score observed rows from a fixed stream (130
+# trials: two full words and a partial third), and the runs follow the
+# choices (decoder algorithm_a: every trial survives; none: trials retire
+# at cycles 2-3).
+_GREEDY_DRAW_DIGEST = "3f398f1444e1e3c327531575786412a77f402d1369a6685182d309a4dfad649d"
+_GREEDY_RUN_DIGEST = "b104260e702eef47b540c354fd5e3a4330db78955e838415aaa627bba34eaaa1"
+
+
+@pytest.mark.parametrize("slab_trials", (1, None, 131))
+def test_greedy_digests_do_not_move_with_pool_bytes(monkeypatch, slab_trials):
+    if slab_trials is not None:
+        monkeypatch.setattr(faults, "_POOL_BYTES",
+                            slab_trials * 8 * faults.GREEDY_POOL_SIZE)
+    trials = 130
+    draws = hashlib.sha256()
+    for inst in (CERTIFIED_INSTANCES[0], CERTIFIED_INSTANCES[2]):
+        g, _ = build_instance(inst)
+        rng = np.random.default_rng(inst[3])
+        keys = trial_keys(inst[3], np.arange(trials))
+        for count in (1, 2, 3):
+            budget = fm.AdversarialBudget((count + 0.5) / g.n)
+            for cycle in range(1, 6):
+                observed = (rng.random((trials, g.n)) < 0.15).astype(np.uint8)
+                plans = draw_adversarial_batch(budget, g, "greedy", keys, cycle,
+                                               observed)
+                draws.update(plans.reg[1].tobytes())
+    assert draws.hexdigest() == _GREEDY_DRAW_DIGEST
+
+    g, prof = build_instance(CERTIFIED_INSTANCES[2])
+    model = fm.AdversarialModel(fm.AdversarialBudget(2.5 / 40), "greedy")
+    runs = hashlib.sha256()
+    for decoder in ("algorithm_a", "none"):
+        res = fm.monte_carlo(fm.RunConfig(g, decoder, model, 40, profile=prof),
+                             trials, 11, keep_reports=True)
+        runs.update(json.dumps([res.to_json_obj(), [
+            r.to_json_obj() for r in res.reports]]).encode())
+    assert runs.hexdigest() == _GREEDY_RUN_DIGEST
+
+
+_EDGE_WORDS = (0, 1, 2**63, 2**64 - 1)
+
+
+def test_mix_rows_equals_python_int_mix():
+    words = np.concatenate([np.array(_EDGE_WORDS, dtype=np.uint64),
+                            np.random.default_rng(8).integers(
+                                0, 2**64, 10_000, dtype=np.uint64, endpoint=False)])
+    # _mix_rows works in place, so it gets a copy
+    got = faults._mix_rows(words.copy())
+    assert got.dtype == np.uint64
+    assert got.tolist() == [faults._mix(w) for w in words.tolist()]
+
+
+def below_reference(key, bound, pos, stride):
+    """One exact uniform in [0, bound) on Python ints: the mixed key at
+    stream position pos, redrawn at pos + stride, ... while it falls in
+    the incomplete top block of 2^64 (at or above ``cut``)."""
+    cut = (1 << 64) - (1 << 64) % bound
+    while True:
+        value = faults._mix((key + (pos + 1) * faults._GOLDEN) & faults._MASK)
+        if value < cut:
+            return value % bound
+        pos += stride
+
+
+@settings(max_examples=60)
+@given(keys=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50),
+       bound=st.one_of(st.sampled_from((1, 2, 36, 2**62 + 1, 2**63)),
+                       st.integers(1, 2**63)),
+       pos=st.integers(0, 2**41), stride=st.integers(1, 5))
+def test_below_equals_python_int_reference(keys, bound, pos, stride):
+    arr = np.array(keys + list(_EDGE_WORDS), dtype=np.uint64)
+    before = arr.copy()
+    got = faults._below(arr, bound, pos, stride)
+    assert got.dtype == np.int64
+    assert got.tolist() == [below_reference(k, bound, pos, stride)
+                            for k in arr.tolist()]
+    assert np.array_equal(arr, before)  # the keys are read, not written
+
+
+def test_below_rejection_branch_at_a_quarter():
+    # 2^64 mod (2^62 + 1) = 2^62 - 3: about a quarter of the first draws
+    # fall in the incomplete top block and are redrawn
+    bound = 2**62 + 1
+    keys = np.random.default_rng(9).integers(0, 2**64, 2000, dtype=np.uint64,
+                                             endpoint=False)
+    cut = (1 << 64) - (1 << 64) % bound
+    first = faults._mix_rows(keys + np.uint64((5 + 1) * faults._GOLDEN & faults._MASK))
+    assert 0.2 < (first >= np.uint64(cut)).mean() < 0.3
+    got = faults._below(keys, bound, 5, 3)
+    assert got.tolist() == [below_reference(k, bound, 5, 3) for k in keys.tolist()]
 
 
 # -- model wrappers / margin -------------------------------------------------
