@@ -13,12 +13,16 @@ bit:
   the uint8 refresh kept in the tests;
 * parallel bit flipping: flip every variable that sits in more
   unsatisfied than satisfied checks (the reliable-decoder reference
-  rule, no fault machinery).  Kernels ``parallel_bitflip_round_packed``,
-  ``parallel_bitflip_decode_packed``, which iterates it to a fixpoint
-  (the failure detector's decode), and ``parallel_bitflip_round_var_major``
-  on variable-major (n, C) words (the greedy lookahead's candidate
-  pools); oracles the uint8 ``parallel_bitflip_round_many`` (of both
-  rounds) and ``parallel_bitflip_decode_many``;
+  rule, no fault machinery).  It is the refresh without gate faults (the
+  estimate variable v receives from check c is c's parity XOR v, so the
+  tie-keeping majority flips v exactly where more than half of its
+  checks are unsatisfied), so ``algorithm_a_round_packed`` is its
+  kernel too; ``parallel_bitflip_decode_packed`` iterates it to a
+  fixpoint (the failure detector's decode), and
+  ``parallel_bitflip_round_var_major`` runs it on variable-major (n, C)
+  words (the greedy lookahead's candidate pools); oracles the uint8
+  ``parallel_bitflip_round_many`` (of both rounds) and
+  ``parallel_bitflip_decode_many``;
 * the bit-copy scheme (``tk``): gamma copies per variable, copy j
   re-estimated from the checks other than its j-th.  Kernel
   ``tk_round_packed`` on (..., gamma, n) words, plane j holding every
@@ -29,16 +33,19 @@ bit:
 
 ``pack_rows`` / ``unpack_rows`` convert (T, ...) 0/1 arrays to and from
 the packed layout, ``pack_bits`` / ``unpack_bits`` one flag per state,
-and ``popcounts`` counts each state's set bits.
+and ``popcounts`` counts each state's set bits, unpacking only the
+nonzero words.
 
 Gate faults: the message a check sends on one edge is produced by a
 chain of rho-2 two-input XOR gates; a failed gate complements its own
 output, so the message flips iff an odd number of that chain's gates
 failed.  A failed majority gate complements the variable's updated
 value (for the bit-copy scheme, the updates of all of that variable's
-copies).  Chain parities have one layout, slot-major (..., rho, m),
-entry (k, c) being the chain of check c's k-th edge, as
-``faults.PlanBatch.packed`` builds them; ``gallager_b_round`` takes the
+copies).  The packed kernels take chain parities in variable-plane
+layout (..., gamma, n), entry (j, v) being the chain behind the edge of
+variable v's j-th check, as ``faults.PlanBatch.packed`` builds them; the
+uint8 oracles take them slot-major (..., rho, m), entry (k, c) being the
+chain of check c's k-th edge, and ``gallager_b_round`` takes the
 flat gate ids themselves.
 """
 
@@ -63,8 +70,7 @@ def _check_estimates(v2c: np.ndarray,
     """Extrinsic mod-2 estimates from the bits ``v2c`` that check c reads
     on each of its edges, slot-major, shape (..., rho, m): entry (k, c)
     is the sum of the bits on c's edges other than slot k, plus any chain
-    fault.  The bits may be 0/1 bytes or packed words, the sums being
-    XORs of rows of m."""
+    fault."""
     est = np.bitwise_xor.reduce(v2c, axis=-2, keepdims=True) ^ v2c
     if xor_parity is not None:
         est ^= xor_parity
@@ -119,23 +125,34 @@ def unpack_bits(words: np.ndarray) -> np.ndarray:
                          bitorder="little").view(bool)
 
 
+_POP_SLAB = 2048  # nonzero words unpacked at a time
+
+
 def popcounts(words: np.ndarray) -> np.ndarray:
     """Vertical popcount of packed (..., n) words, the leading axes taken
     as W rows of words: entry 64*w + b counts the variables at which bit b
     of row w is set, i.e. the ones of state 64*w + b.  Sparse: only the
-    nonzero words are unpacked, so mostly-zero differences are cheap."""
+    nonzero words are unpacked, _POP_SLAB of them at a time, so the cost
+    follows the nonzero words and the temporaries stay bounded (about
+    600 bytes per word of a slab) however many rows there are."""
     n = words.shape[-1]
     flat = words.reshape(-1)
-    nonzero = flat.nonzero()[0]
+    nonzero = (flat != 0).nonzero()[0]
     counts = np.zeros((flat.size // n, 64), dtype=np.int64)
-    if nonzero.size:
-        row = nonzero // n
+    for lo in range(0, nonzero.size, _POP_SLAB):
+        at = nonzero[lo:lo + _POP_SLAB]
+        row = at // n
         first = np.ones(row.size, dtype=bool)
         first[1:] = row[1:] != row[:-1]
         starts = first.nonzero()[0]
-        counts[row[starts]] = np.add.reduceat(
-            unpack_bits(flat[nonzero]).reshape(-1, 64), starts, axis=0,
-            dtype=np.int64)
+        # int64 sums: 16-bit lanes summed four to a word took 20-40 % less
+        # per call, but their smaller temporaries leave glibc's dynamic
+        # trim threshold at its default, and the greedy lookahead's
+        # per-cycle temporaries are then trimmed off the heap and faulted
+        # in again every cycle (desk-adversarial 10-20 % slower end to
+        # end).  A row split across slabs is added to, not overwritten.
+        counts[row[starts]] += np.add.reduceat(
+            unpack_bits(flat[at]).reshape(-1, 64), starts, axis=0, dtype=np.int64)
     return counts.reshape(-1)
 
 
@@ -169,30 +186,32 @@ def majority_ties_packed(planes: np.ndarray, old: np.ndarray):
     return more | (old & ties), ties
 
 
-def _var_planes(g: TannerGraph, est: np.ndarray) -> np.ndarray:
-    """The (..., gamma, n) planes of the (..., rho, m) check estimates as
-    the variables receive them: plane j holds every variable's j-th."""
-    edges = est.reshape(est.shape[:-2] + (est.shape[-2] * est.shape[-1],))
-    return edges.take(g.var_edge_ids, axis=-1)
-
-
 def algorithm_a_round_packed(g: TannerGraph, words: np.ndarray,
                              xor_words: np.ndarray | None = None,
                              maj_words: np.ndarray | None = None) -> np.ndarray:
     """The refresh bit-sliced over 64 states per word: ``words`` is a
     (..., n) uint64 array in which bit b of every entry belongs to state
-    b, and bit b of the result is the refresh of state b.
+    b, and bit b of the result is the refresh of state b.  Without gate
+    faults it is the parallel bit-flipping round as well
+    (parallel_bitflip_round_many's row for state b).
 
-    xor_words (..., rho, m) and maj_words (..., n) hold, bit for bit, the
+    xor_words (..., gamma, n) and maj_words (..., n) hold, bit for bit, the
     chain parities and majority complements of those states, the chain
-    parities slot-major: entry (k, c) is the chain of check c's slot k.
-    Each check estimate is an XOR of words gathered slot-major (row k of
-    the gather holds every check's k-th neighbor); a variable takes the
-    value of at least gamma//2 + 1 of its gamma received planes, and for
-    even gamma keeps its old value where exactly gamma/2 of them are set.
+    parities in variable-plane layout: entry (j, v) is the chain behind
+    the edge of v's j-th check.  Each check's parity is an XOR over its
+    rho words gathered slot-major (row k of the gather holds every
+    check's k-th neighbor).  The estimate v receives from its j-th check
+    c is parity(c) ^ v ^ chain(j, v), so v's majority over its gamma
+    estimates, keeping v on a tie, flips v exactly where at least
+    gamma//2 + 1 of the planes parity(c) ^ chain(j, v) are set, which a
+    bit-sliced at-least-k count decides with ANDs and ORs, plane by plane.
     """
-    est = _check_estimates(words.take(g.slot_nbrs, axis=-1), xor_words)
-    new = majority_ties_packed(_var_planes(g, est), words)[0]
+    parity = np.bitwise_xor.reduce(words.take(g.slot_nbrs, axis=-1), axis=-2)
+    planes = parity.take(g.slot_checks, axis=-1)
+    if xor_words is not None:
+        planes ^= xor_words
+    need = g.gamma // 2 + 1
+    new = words ^ _at_least(planes, need, need)[0]
     if maj_words is not None:
         new ^= maj_words
     return new
@@ -211,22 +230,6 @@ def parallel_bitflip_round_many(g: TannerGraph, states: np.ndarray) -> np.ndarra
     return (states ^ (2 * per_var > g.gamma)).astype(np.uint8)
 
 
-def parallel_bitflip_round_packed(g: TannerGraph, words: np.ndarray) -> np.ndarray:
-    """The flip rule bit-sliced over 64 states per word: ``words`` is a
-    (..., n) uint64 array in which bit b of every entry belongs to state
-    b, and bit b of the result is parallel_bitflip_round_many's row for
-    state b.
-
-    Each check's parity is an XOR over its rho gathered words; a variable
-    flips where at least gamma//2 + 1 of its gamma check planes are
-    unsatisfied, which a bit-sliced at-least-k count decides with ANDs
-    and ORs, plane by plane.
-    """
-    unsat = np.bitwise_xor.reduce(words.take(g.slot_nbrs, axis=-1), axis=-2)
-    need = g.gamma // 2 + 1
-    return words ^ _at_least(unsat.take(g.slot_checks, axis=-1), need, need)[0]
-
-
 def parallel_bitflip_round_var_major(g: TannerGraph, words: np.ndarray) -> np.ndarray:
     """The flip rule on variable-major words: ``words`` is an (n, C)
     uint64 array whose row v holds variable v of 64*C states, state
@@ -237,7 +240,7 @@ def parallel_bitflip_round_var_major(g: TannerGraph, words: np.ndarray) -> np.nd
     variable flips where at least gamma//2 + 1 of its gamma gathered
     check planes are unsatisfied.  This layout suits many states over few
     variables (the greedy lookahead's candidate pools);
-    parallel_bitflip_round_packed suits few rows of many variables.
+    algorithm_a_round_packed suits few rows of many variables.
     """
     slots = g.slot_nbrs
     unsat = words[slots[0]]
@@ -287,8 +290,11 @@ def parallel_bitflip_decode_packed(g: TannerGraph, words: np.ndarray,
     not converged.  Its "still changing" word, the OR over n of what the
     round flipped, is the fixpoint test: a live state whose bit in it is
     clear has converged, and a fixpoint stays one, so converged states
-    need no freezing.  Bits of states that are not live are rounded along
-    with their row but never read.
+    need no freezing.  A state that a round r < max_rounds leaves all
+    zero is converged too: zero is a fixpoint, which the oracle confirms
+    in round r + 1 <= max_rounds, so that round is skipped.  Bits of
+    states that are not live are rounded along with their row but never
+    read.
 
     Returns (words, converged): the (W, n) words after the rounds, and
     the (W,) words with the bit of every converged live state set.  For
@@ -300,12 +306,14 @@ def parallel_bitflip_decode_packed(g: TannerGraph, words: np.ndarray,
     cur = np.array(words, dtype=np.uint64)
     pending = np.array(live, dtype=np.uint64)
     rows = np.flatnonzero(pending)
-    for _ in range(max_rounds):
+    for r in range(1, max_rounds + 1):
         if rows.size == 0:
             break
         work = cur[rows]
-        nxt = parallel_bitflip_round_packed(g, work)
+        nxt = algorithm_a_round_packed(g, work)
         still = pending[rows] & np.bitwise_or.reduce(nxt ^ work, axis=-1)
+        if r < max_rounds:
+            still &= np.bitwise_or.reduce(nxt, axis=-1)
         pending[rows] = still
         cur[rows] = nxt
         rows = rows[still != 0]
@@ -359,21 +367,26 @@ def tk_round_packed(g: TannerGraph, copies: np.ndarray,
     """tk_round_many bit-sliced over 64 states per word: ``copies`` is a
     (..., gamma, n) uint64 array whose plane j holds every variable's
     j-th copy, bit b of every entry belonging to state b; xor_words and
-    maj_words are as in algorithm_a_round_packed (xor_words slot-major,
-    (..., rho, m)).
+    maj_words are as in algorithm_a_round_packed (xor_words in
+    variable-plane layout, (..., gamma, n)).
 
-    Check c reads the copy riding each edge through the flat ids
-    check_edge_pos * n + check_nbrs, gathered slot-major (slot_copy_ids).
-    Copy j flips where at least gamma//2 of the gamma-1 estimates other
-    than its own disagree with it: one at-least-k count over a
-    (..., gamma, gamma-1, n) stack.
+    Copy j of variable v rides the edge of v's j-th check, so each check
+    reads the copies riding its edges through the flat ids
+    check_edge_pos * n + check_nbrs, gathered slot-major (slot_copy_ids),
+    and the estimate copy j receives is that check's parity XOR copy j
+    (XOR its chain fault).  Copy j flips where at least gamma//2 of the
+    gamma-1 estimates other than its own disagree with it: one at-least-k
+    count over a (..., gamma, gamma-1, n) stack.
     """
     gamma = g.gamma
     flat = copies.reshape(copies.shape[:-2] + (gamma * g.n,))
-    est = _check_estimates(flat.take(g.slot_copy_ids, axis=-1), xor_words)
+    parity = np.bitwise_xor.reduce(flat.take(g.slot_copy_ids, axis=-1), axis=-2)
+    est = parity.take(g.slot_checks, axis=-1) ^ copies
+    if xor_words is not None:
+        est ^= xor_words
     # entry (i, j): copy j against the i-th estimate other than its own;
     # the count reads the swapped view, whose planes are contiguous
-    disagree = _var_planes(g, est)[..., _exclusion(gamma), :] ^ copies[..., None, :, :]
+    disagree = est[..., _exclusion(gamma), :] ^ copies[..., None, :, :]
     new = copies ^ _at_least(disagree.swapaxes(-3, -2), gamma // 2, gamma // 2)[0]
     if maj_words is not None:
         new ^= maj_words[..., None, :]

@@ -341,20 +341,21 @@ class PlanBatch:
         message flips (the parity of each chain's failed gates) and the
         majority complements, row r of the batch packed into bit
         slots[r] % 64 of word slots[r] // 64 (pack_rows' layout when the
-        slots are the rows themselves, the default): (W, n), (W, rho, m)
+        slots are the rows themselves, the default): (W, n), (W, gamma, n)
         and (W, n) uint64 words, W = ceil(count / 64), count defaulting to
-        the row count, the chain parities slot-major as the packed rounds
-        read them (entry (k, c) is check c's slot k).  A class without a
-        fault in the batch is None.  One XOR scatter fills all three: two
-        failed gates of one chain cancel, and a row's register and
-        majority ids are distinct, so XOR sets their bits."""
-        width = 2 * g.n + g.m * g.rho
+        the row count, the chain parities in the variable-plane layout the
+        packed rounds read (entry (j, v) is the chain behind the edge of
+        variable v's j-th check).  A class without a fault in the batch is
+        None.  One XOR scatter fills all three: two failed gates of one
+        chain cancel, and a row's register and majority ids are distinct,
+        so XOR sets their bits."""
+        width = (2 + g.gamma) * g.n
         parts, at, bits, offset = [], [], [], 0
         xor = self.xor
-        if xor is not None:  # gate id -> chain check*rho + slot -> slot*m + check
+        if xor is not None:  # gate id -> chain check*rho + slot -> plane*n + variable
             chain = xor[1] // (g.rho - 2)
-            xor = xor[0], chain % g.rho * g.m + chain // g.rho
-        for pair, size in ((self.reg, g.n), (xor, g.m * g.rho), (self.maj, g.n)):
+            xor = xor[0], g.slot_copy_ids[chain % g.rho, chain // g.rho]
+        for pair, size in ((self.reg, g.n), (xor, g.gamma * g.n), (self.maj, g.n)):
             part = None
             if pair is not None and pair[1].size:
                 row, ids = pair
@@ -370,7 +371,7 @@ class PlanBatch:
         words = np.zeros((-(-count // 64), width), dtype=np.uint64)
         np.bitwise_xor.at(words.reshape(-1), np.concatenate(at), np.concatenate(bits))
         reg, xor, maj = (None if part is None else words[:, part] for part in parts)
-        return reg, None if xor is None else xor.reshape(-1, g.rho, g.m), maj
+        return reg, None if xor is None else xor.reshape(-1, g.gamma, g.n), maj
 
 
 # ---------------------------------------------------------------------------

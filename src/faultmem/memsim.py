@@ -14,15 +14,17 @@ cycle-independent model's one block is reused for every cycle.  Only the
 greedy adversary, which reads the state, draws cycle by cycle.  For
 every decoder the state stays packed from the first cycle to the last,
 64 trials per uint64 word: the plans are scattered into each trial's own
-bit, the rounds run bit-sliced (the 'tk' bit-copies as gamma planes of
-words, read out by a bit-sliced majority), and the failure test decodes
-the words holding a suspect trial bit-sliced as well.  The differences
-of the observed words to the original are kept for a span of cycles,
-bounded in bytes, and the corrupt counts of a span are their popcounts,
-taken in one call.  Every trial's plans are a pure function of its
-(root_seed, trial, cycle) key, so a single run (``run_memory``) is the
-one-trial case of the same loop and reproduces trial t of
-``monte_carlo`` exactly.
+bit, and the rounds run bit-sliced (the 'tk' bit-copies as gamma planes
+of words, read out by a bit-sliced majority).  The loop itself only
+draws, decays, refreshes and keeps the differences of the observed words
+to the original; the per-trial bookkeeping is done once per span of
+cycles, bounded in bytes and in cycles.  A span's flush finds the
+suspects of all its cycles, decodes them bit-sliced in one call, retires
+the trials that failed (each at its first failing cycle), checks the
+accounting and takes the corrupt counts as popcounts, in one call.
+Every trial's plans are a pure function of its (root_seed, trial, cycle)
+key, so a single run (``run_memory``) is the one-trial case of the same
+loop and reproduces trial t of ``monte_carlo`` exactly.
 
 The failure test decodes only the suspects whose difference to the
 original changed since the previous cycle.  The decode is a pure
@@ -178,9 +180,10 @@ def _validate_run_args(config: RunConfig) -> None:
 
 
 _BLOCK_BYTES = 1 << 21  # bound on the packed plan words of one block
-# bound on the observed words of one corrupt-count span; popcounts
-# allocates about 72 times the bytes of their nonzero words
-_SPAN_BYTES = 1 << 14
+# bounds on the observed words of one span, in bytes and in cycles: the
+# loop runs up to _SPAN_CYCLES - 1 cycles past the last trial's failure
+_SPAN_BYTES = 1 << 18
+_SPAN_CYCLES = 32
 
 
 def _draw_block(model, g: TannerGraph, keys, idx: np.ndarray, words: int,
@@ -234,22 +237,30 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
     readout with the flipped bits off its exact ties complemented.
 
     The observed (pre, post) differences ``words ^ original`` go into a
-    buffer of S cycles, S the most whose words fit in _SPAN_BYTES, at
-    least 1.  When it is full, and once after the last cycle run, one
-    popcounts call over it fills the corrupt counts of those cycles for
-    every trial, and the accounting of those cycles is checked, cycle by
-    cycle, over the trials alive at each.  Counts past a trial's failure
-    cycle are set to -1 at the end.  Counts are pure functions of the
-    words, so results do not depend on S.
+    buffer of S cycles, S = min(L, _SPAN_CYCLES, the most cycles whose
+    words fit in _SPAN_BYTES), at least 1.  When it is full, and after
+    the last cycle, the span is flushed:
 
-    The suspects are the OR over n of ``words ^ original`` masked by the
-    alive words, and when there are any they are narrowed to the trials
-    whose difference changed since the previous cycle (whose difference
-    was zero or found inside the class, so an unchanged one needs no
-    decode).  The failure test decodes the words holding a remaining
-    suspect bit-sliced; a failed trial's bit is cleared in the alive
-    words.  Bits of retired trials keep being refreshed but are never
-    read.  The words are unpacked only for ``record_states`` and for a
+    1. the suspects of every cycle of the span: the bits of the trials
+       alive at the span's start whose post difference is nonzero and
+       changed since the previous cycle (an unchanged one was zero or
+       found inside the class, so it needs no decode);
+    2. one bit-sliced decode of every (cycle, word) row holding a
+       suspect (_failed_bits);
+    3. the retirement of the trials that failed, cycle by cycle, so a
+       trial's failure cycle is its first failing one, and their bits
+       cleared from the alive words;
+    4. the accounting check of the span's cycles, cycle by cycle over the
+       trials that ran each, and one popcounts call over the buffer for
+       the corrupt counts of every trial.
+
+    The loop stops after a flush that leaves no trial alive, so it runs
+    at most S - 1 cycles past the last failure.  Counts past a trial's
+    failure cycle are set to -1 at the end.  Bits of retired trials keep
+    being refreshed but are never read.  Suspects, decodes and counts
+    are pure functions of the words, so results do not depend on S.  The
+    words are unpacked only for ``record_states`` (each cycle's states
+    are recorded before a flush ending on that cycle) and for a
     state-dependent (greedy) adversary.
 
     Returns (corrupt, failure_cycle, recorded): (2, T, L) pre/post-correction
@@ -286,17 +297,36 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
     block_size = max(1, _BLOCK_BYTES // (8 * alive.size * (2 * g.n + g.m * g.rho)))
     block = []
     # the (pre, post) differences to the original of the cycles not yet
-    # counted
-    observed = np.empty((max(1, _SPAN_BYTES // (16 * state.size)), 2) + state.shape,
-                        dtype=np.uint64)
+    # flushed
+    span = max(1, min(L, _SPAN_CYCLES, _SPAN_BYTES // (16 * state.size)))
+    observed = np.empty((2, span) + state.shape, dtype=np.uint64)
     pending = 0
+    # the post difference of the cycle before the span: an alive trial's
+    # is zero or was found inside the decoding class
+    checked = np.zeros_like(state)
 
-    def count_span(last: int) -> None:
-        """Fill the corrupt counts of the ``pending`` cycles up to
-        ``last`` from ``observed`` and check their accounting."""
+    def flush(last: int) -> None:
+        """Retire the trials that failed in the ``pending`` cycles up to
+        ``last``, check those cycles' accounting and fill their corrupt
+        counts, all from ``observed``."""
         first = last - pending + 1
-        corrupt[:, :, first - 1:last] = popcounts(observed[:pending]) \
-            .reshape(pending, 2, -1)[:, :, :trials].transpose(1, 2, 0)
+        post = observed[1, :pending]
+        suspects = np.bitwise_or.reduce(post, axis=-1) & alive
+        if suspects.any():
+            changed = np.empty_like(suspects)
+            changed[0] = np.bitwise_or.reduce(post[0] ^ checked, axis=-1)
+            changed[1:] = np.bitwise_or.reduce(post[1:] ^ post[:-1], axis=-1)
+            suspects &= changed
+        if suspects.any():
+            failed = _failed_bits(g, post.reshape(-1, g.n), suspects.reshape(-1), cap)
+            if failed.any():
+                hit = unpack_bits(failed).reshape(pending, -1)[:, :trials]
+                out = hit.any(axis=0)
+                failure_cycle[out] = first + hit.argmax(axis=0)[out]
+                alive[:] &= ~np.bitwise_or.reduce(failed.reshape(pending, -1), axis=0)
+        checked[:] = post[-1]
+        corrupt[:, :, first - 1:last] = popcounts(observed[:, :pending]) \
+            .reshape(2, pending, -1)[:, :, :trials].transpose(0, 2, 1)
         if config.check_accounting and last > 1:
             lo = max(first, 2)
             prev, cur = corrupt[0, :, lo - 2:last - 1], corrupt[0, :, lo - 1:last]
@@ -311,10 +341,6 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
                 raise AccountingError(
                     f"{where}: corrupt count {cur[pos, col]} not below bound "
                     f"{bound[pos, col]:.6g} (previous count {prev[pos, col]})")
-
-    # the previous cycle's differences: an alive trial's is zero or was
-    # found inside the decoding class
-    checked = np.zeros_like(state)
 
     for cycle in range(1, L + 1):
         alive_keys = keys if idx.size == trials else keys[idx]
@@ -347,31 +373,19 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
             if config.decoder == "algorithm_a":
                 for _ in range(config.rounds_per_cycle):
                     state = algorithm_a_round_packed(g, state, xor_words, maj_words)
-        diff = state ^ original_words
-        np.bitwise_xor(pre, original_words, out=observed[pending, 0])
-        observed[pending, 1] = diff
+        np.bitwise_xor(pre, original_words, out=observed[0, pending])
+        np.bitwise_xor(state, original_words, out=observed[1, pending])
         pending += 1
-        if pending == len(observed):
-            count_span(cycle)
-            pending = 0
         if record_states:
             recorded[0, idx, cycle - 1] = unpack_rows(pre, trials)[idx]
             recorded[1, idx, cycle - 1] = unpack_rows(state, trials)[idx]
-        suspects = np.bitwise_or.reduce(diff, axis=1) & alive
-        if suspects.any():
-            suspects &= np.bitwise_or.reduce(diff ^ checked, axis=1)
-            failed = _failed_bits(g, diff, suspects, cap) if suspects.any() \
-                else suspects
-            if failed.any():
-                failure_cycle[unpack_bits(failed)[:trials]] = cycle
-                alive &= ~failed
-                idx = np.flatnonzero(unpack_bits(alive))
-                if idx.size == 0:
-                    break
-        checked = diff
+        if pending == span or cycle == L:
+            flush(cycle)
+            pending = 0
+            idx = np.flatnonzero(unpack_bits(alive))
+            if idx.size == 0:
+                break
 
-    if pending:
-        count_span(cycle)
     # retired trials' bits were counted along
     corrupt[:, np.arange(1, L + 1) > np.where(failure_cycle < 0, L,
                                               failure_cycle)[:, None]] = -1

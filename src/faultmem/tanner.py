@@ -174,12 +174,6 @@ class TannerGraph:
         return self.n * self.gamma
 
     @functools.cached_property
-    def var_edge_ids(self) -> np.ndarray:
-        """(gamma, n) flat edge ids slot*m + check into slot-major (rho, m)
-        per-edge check messages: row j holds every variable's j-th edge."""
-        return _frozen((self.var_edge_pos * self.m + self.var_nbrs).T)
-
-    @functools.cached_property
     def slot_nbrs(self) -> np.ndarray:
         """(rho, m) check_nbrs.T, contiguous: row k holds every check's
         k-th variable, for gathering per-edge words slot-major."""
@@ -194,8 +188,10 @@ class TannerGraph:
     @functools.cached_property
     def slot_copy_ids(self) -> np.ndarray:
         """(rho, m) flat ids check_edge_pos*n + check_nbrs, transposed: row
-        k holds, for every check, the bit-copy riding its k-th edge in a
-        (gamma, n) stack of copy planes."""
+        k holds, for every check, the plane entry j*n + v of its k-th edge
+        (v its variable, j the check's slot in v's list): the bit-copy
+        riding that edge in a (gamma, n) stack of copy planes, and where
+        its chain parity goes in variable-plane layout."""
         return _frozen((self.check_edge_pos * self.n + self.check_nbrs).T)
 
     def edges(self) -> list[tuple[int, int]]:

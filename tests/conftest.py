@@ -84,6 +84,15 @@ def parallel_bitflip_round(g, state):
     return parallel_bitflip_round_many(g, w[None, :])[0]
 
 
+def var_planes(g, parity):
+    """Slot-major (..., rho, m) chain parities, as the uint8 rounds and
+    plan_masks hold them, in the packed rounds' variable-plane layout
+    (..., gamma, n): entry (j, v) is the chain behind the edge of
+    variable v's j-th check, read edge by edge through var_nbrs and
+    var_edge_pos."""
+    return parity[..., g.var_edge_pos.T, g.var_nbrs.T]
+
+
 def row_ids(pair, row):
     """The set of ids that row ``row`` of one PlanBatch class holds (empty
     for a class drawn as None), read from its ragged (row, id) pairs."""

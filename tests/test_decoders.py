@@ -11,7 +11,6 @@ from faultmem.decoders import (EdgeMessages, _check_estimates,
                                parallel_bitflip_decode_many,
                                parallel_bitflip_decode_packed,
                                parallel_bitflip_round_many,
-                               parallel_bitflip_round_packed,
                                parallel_bitflip_round_var_major, popcounts,
                                tk_round_many, tk_round_packed,
                                unpack_bits, unpack_rows)
@@ -20,7 +19,7 @@ from faultmem.faults import (PlanBatch, _pairs, draw_adversarial_batch,
 
 from conftest import (algorithm_a_round, gate_batch, gate_words,
                       parallel_bitflip_round, plan_masks, row_ids, tk_copies,
-                      tk_words, xor_gate_id)
+                      tk_words, var_planes, xor_gate_id)
 
 # (n, gamma, rho) of small random graphs, odd and even gamma
 GRAPH_PARAMS = ((12, 3, 6), (12, 4, 6), (20, 4, 5), (12, 5, 6), (16, 6, 8))
@@ -208,7 +207,7 @@ def test_empty_plan_is_reliable(seed7_graph):
     rng = np.random.default_rng(8)
     w = rng.integers(0, 2, size=g.n).astype(np.uint8)
     assert gate_words(g) == (None, None)
-    zero_xor = np.zeros((1, g.rho, g.m), np.uint64)
+    zero_xor = np.zeros((1, g.gamma, g.n), np.uint64)
     zero_maj = np.zeros((1, g.n), np.uint64)
     words = pack_rows(w[None])
     assert np.array_equal(algorithm_a_round_packed(g, words, zero_xor, zero_maj),
@@ -338,11 +337,11 @@ def test_packed_round_equals_uint8_round(params, seed, count, density):
     states = (rng.random((count, g.n)) < density).astype(np.uint8)
     words = pack_states(states)
     expected = parallel_bitflip_round_many(g, states)
-    out = parallel_bitflip_round_packed(g, words)
+    out = algorithm_a_round_packed(g, words)
     assert out.dtype == np.uint64 and out.shape == words.shape
     assert np.array_equal(unpack_states(out, count), expected)
     # leading axes are batch axes
-    stacked = parallel_bitflip_round_packed(g, np.stack([words, ~words]))
+    stacked = algorithm_a_round_packed(g, np.stack([words, ~words]))
     assert np.array_equal(stacked[0], out)
     assert np.array_equal(unpack_states(stacked[1], count),
                           parallel_bitflip_round_many(g, 1 - states))
@@ -405,6 +404,30 @@ def test_packed_decode_equals_decode_many(params, seed, count, max_rounds,
     assert np.array_equal(unpack_rows(out, count)[live_rows], expected[live_rows])
 
 
+@pytest.mark.parametrize("max_rounds", (1, 2))
+def test_packed_decode_zero_at_the_cap_stays_unconverged(girth6_graph, max_rounds):
+    # the packed decode stops a state once a round leaves it all zero, but
+    # a state that reaches zero only in the last allowed round is not
+    # confirmed by the oracle, so it must stay unconverged; one round more
+    # confirms it
+    g = girth6_graph
+    pairs = [(a, b) for a in range(g.n) for b in range(a, g.n)]
+    states = np.zeros((len(pairs), g.n), np.uint8)
+    for t, (a, b) in enumerate(pairs):
+        states[t, [a, b]] = 1
+    words, _rounds, converged = parallel_bitflip_decode_many(g, states, max_rounds)
+    at_cap = ~converged & ~words.any(axis=1)
+    sooner = converged & ~words.any(axis=1) & states.any(axis=1)
+    assert at_cap.any() and (max_rounds == 1 or sooner.any())
+    live = pack_bits(np.ones(len(pairs), dtype=bool))
+    for cap in (max_rounds, max_rounds + 1):
+        expected, _rounds, converged = parallel_bitflip_decode_many(g, states, cap)
+        assert converged[at_cap].all() == (cap > max_rounds)
+        out, conv = parallel_bitflip_decode_packed(g, pack_rows(states), live, cap)
+        assert np.array_equal(unpack_bits(conv)[:len(pairs)], converged)
+        assert np.array_equal(unpack_rows(out, len(pairs)), expected)
+
+
 @settings(max_examples=40)
 @given(count=st.integers(1, 200), n=st.integers(1, 300), density=st.floats(0, 1),
        seed=st.integers(0, 2**32))
@@ -423,6 +446,20 @@ def test_popcounts_and_flag_words(count, n, density, seed):
     flags = states[:, 0].astype(bool)
     assert np.array_equal(pack_bits(flags), pack_rows(states[:, :1])[:, 0])
     assert np.array_equal(unpack_bits(pack_bits(flags))[:count], flags)
+
+
+def test_popcounts_of_rows_longer_than_a_slab():
+    # popcounts unpacks the nonzero words a slab at a time: rows whose
+    # nonzero words run across slab bounds, and full rows of set bits,
+    # must count every word once
+    rng = np.random.default_rng(4)
+    states = np.zeros((130, 5000), np.uint8)
+    states[:64] = rng.random((64, 5000)) < 0.5
+    states[64:128] = 1
+    states[128:, ::7] = 1
+    counts = popcounts(pack_rows(states))
+    assert np.array_equal(counts[:130], states.sum(axis=1))
+    assert not counts[130:].any()
 
 
 # (n, gamma, rho) with gamma 2..8, for the bit-sliced refresh
@@ -521,8 +558,9 @@ def test_packed_refresh_equals_uint8_round(params, seed, count, density, ragged,
     shared_xor = rng.integers(0, 2, (g.rho, g.m)).astype(np.uint8)
     shared_maj = rng.integers(0, 2, g.n).astype(np.uint8)
     assert np.array_equal(
-        unpack_rows(algorithm_a_round_packed(g, packed, broadcast_bits(shared_xor),
-                                             broadcast_bits(shared_maj)), count),
+        unpack_rows(algorithm_a_round_packed(
+            g, packed, broadcast_bits(var_planes(g, shared_xor)),
+            broadcast_bits(shared_maj)), count),
         reference_round_many(g, states, shared_xor, shared_maj))
     # the one-state round with the gate plan of row 0
     assert np.array_equal(algorithm_a_round(g, states[0], row_ids(plans.xor, 0),

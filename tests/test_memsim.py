@@ -584,7 +584,7 @@ def test_run_memory_unchanged_by_skipped_gate_masks(i1, monkeypatch):
     def swapped_block(*args):
         block = []
         for reg, *gates in draw(*args):
-            for i, shape in enumerate(((1, g.rho, g.m), (1, g.n))):
+            for i, shape in enumerate(((1, g.gamma, g.n), (1, g.n))):
                 if gates[i] is None:
                     seen["none"] += 1
                     gates[i] = np.zeros(shape, np.uint64)
@@ -647,9 +647,12 @@ def test_failure_cycle_is_first_failing_post_state(decoder, kind, monkeypatch):
     decoded_diffs = []
 
     def recording(g, diff, suspects, cap):
+        # the rows are (cycle, word) pairs: bit b of row r is state
+        # 64 * r + b, trial 64 * (r % W) + b of a run of W trial words
+        words = len(decoded_diffs) // 64
         rows = fm.decoders.unpack_rows(diff, 64 * diff.shape[0])
-        for t in np.flatnonzero(fm.decoders.unpack_bits(suspects)):
-            decoded_diffs[t].add(rows[t].tobytes())
+        for s in np.flatnonzero(fm.decoders.unpack_bits(suspects)):
+            decoded_diffs[s // 64 % words * 64 + s % 64].add(rows[s].tobytes())
         return real(g, diff, suspects, cap)
 
     monkeypatch.setattr(memsim, "_failed_bits", recording)
@@ -712,10 +715,12 @@ _SPANNED = {
 
 
 @pytest.mark.parametrize("decoder, kind", sorted(_SPANNED))
-def test_rows_do_not_depend_on_where_counts_are_taken(decoder, kind):
-    # corrupt counts are taken once per span of cycles, and a one-trial run
-    # has a longer span than a two-word run: failures inside a span must
-    # leave every row equal to its run_memory re-run
+def test_rows_do_not_depend_on_where_counts_are_taken(decoder, kind, monkeypatch):
+    # corrupt counts are taken once per span of cycles, and under a byte
+    # bound of 16 KB a one-trial run has a longer span than a two-word
+    # run: failures inside a span must leave every row equal to its
+    # run_memory re-run
+    monkeypatch.setattr(memsim, "_SPAN_BYTES", 1 << 14)
     g, prof = build_instance(CERTIFIED_INSTANCES[2])
     model = _SPANNED[decoder, kind]
     cycles, trials = 120, 65
@@ -727,3 +732,63 @@ def test_rows_do_not_depend_on_where_counts_are_taken(decoder, kind):
     assert any(c % span for c in failed)
     assert res.reports == [fm.run_memory(g, decoder, model, cycles, (5, t), prof)
                            for t in range(trials)]
+
+
+# sha256 of monte_carlo's payload and reports (root seed 5, 100 cycles)
+# on the (40,4,5) graph-seed-13 instance, taken when the loop still
+# tested for failure every cycle: per decoder and model, trials fail at
+# scattered cycles; every trial of "all-fail" fails by cycle 36;
+# "accounting" passes its check with three failures, and
+# "accounting-error" holds the message it raises
+_SPAN_CASES = {
+    "algorithm_a-adversarial": ("algorithm_a", adversarial(2.5 / 40, 1.5 / 480), 65, False),
+    "algorithm_a-greedy": ("algorithm_a", adversarial(2.5 / 40, 1.5 / 480,
+                                                      strategy="greedy"), 65, False),
+    "algorithm_a-independent": ("algorithm_a", independent(0.01, 1e-3, 1e-3), 65, False),
+    "tk-adversarial": ("tk", adversarial(1.5 / 40, 1.5 / 480), 65, False),
+    "tk-independent": ("tk", independent(0.002, 1e-4, 1e-4), 65, False),
+    "none-adversarial": ("none", adversarial(1.5 / 40), 65, False),
+    "none-independent": ("none", independent(0.001), 65, False),
+    "all-fail": ("algorithm_a", independent(0.05), 64, False),
+    "accounting": ("algorithm_a", adversarial(2.5 / 40, 1.5 / 480, strategy="repeat"),
+                   65, True),
+    "accounting-error": ("tk", adversarial(1.5 / 40, 3.5 / 480), 65, True),
+}
+_SPAN_DIGESTS = {
+    "algorithm_a-adversarial": "46b89ec0bd90422b576f58d40537e787c6de7616fd6d56746c6ba251939c73ea",
+    "algorithm_a-greedy": "1c8d2abf5c4b0c18c69651d649987d08e51dde9d8fa67b869ae838a2d9b2be53",
+    "algorithm_a-independent": "90e22f84e2c478a2dba900c2234034e4d05cc562594d25c55092d602f800c733",
+    "tk-adversarial": "517da055dec29238a16212eb365ded65865125d1ff5307731e5616f38f5aff09",
+    "tk-independent": "18108cbb2397110ee8ed0adbef3dd0f8f9241d50f50006871551b438052fc8a6",
+    "none-adversarial": "32a34c7c2a1cb9e0945c89de85f642da7a2320ef9d481ba52462e34e44840d79",
+    "none-independent": "f6c7739cb016088a345fe8469e3c29619a5f2ac213d4148220cae1176e7b81e2",
+    "all-fail": "074e82940926d7f2ddd27d20a0d0b0117abcbe9525f1ba55fdd70e69d2dd3a9d",
+    "accounting": "16c2c15467d7f41245f87378e191fa8c9648f184e9885a6707097f794e63c7da",
+    "accounting-error": "cycle 5, trial 54: corrupt count 7 not below bound 5.52 "
+                        "(previous count 1)",
+}
+
+
+@pytest.mark.parametrize("span_cycles, span_bytes", (
+    (1, memsim._SPAN_BYTES), (3, memsim._SPAN_BYTES),
+    (memsim._SPAN_CYCLES, memsim._SPAN_BYTES), (10**6, 1 << 40)),
+    ids=("one", "three", "default", "whole-run"))
+def test_results_do_not_depend_on_the_span(span_cycles, span_bytes, monkeypatch):
+    # failures are found, trials retired and counts taken once per span:
+    # failure cycles, counts and the accounting verdict must not move with
+    # its length, from one cycle to the whole run
+    monkeypatch.setattr(memsim, "_SPAN_CYCLES", span_cycles)
+    monkeypatch.setattr(memsim, "_SPAN_BYTES", span_bytes)
+    g, prof = build_instance(CERTIFIED_INSTANCES[2])
+    got = {}
+    for name, (decoder, model, trials, accounting) in _SPAN_CASES.items():
+        cfg = RunConfig(g, decoder, model, 100, profile=prof,
+                        check_accounting=accounting)
+        try:
+            res = fm.monte_carlo(cfg, trials, 5, keep_reports=True)
+        except AccountingError as exc:
+            got[name] = str(exc)
+            continue
+        got[name] = hashlib.sha256(json.dumps([res.to_json_obj(), [
+            r.to_json_obj() for r in res.reports]]).encode()).hexdigest()
+    assert got == _SPAN_DIGESTS
