@@ -31,6 +31,17 @@ original changed since the previous cycle.  The decode is a pure
 function of the difference, and an alive trial's previous difference
 was zero or found inside the class, so an unchanged one is inside again:
 a residual that persists through many cycles is decoded once.
+
+A cycle-independent model (repeat, cluster) applies the same plans every
+cycle, so each trial's cycle map is one fixed function of its state and
+its trajectory is eventually periodic.  The loop finds each trial's
+period against one snapshot of the state, retaken at cycles 1, 2, 4, 8,
+... (Brent's cycle detection), and once every alive trial has one it
+flushes, repeats each trial's last period over the remaining cycles,
+checks their accounting and stops.  This is exact: a state that recurs
+repeats every later state, so every later observation repeats one
+already taken, and every post difference of the period was already
+decoded and found inside the class, so no later cycle fails.
 """
 
 from __future__ import annotations
@@ -255,13 +266,32 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
        the corrupt counts of every trial.
 
     The loop stops after a flush that leaves no trial alive, so it runs
-    at most S - 1 cycles past the last failure.  Counts past a trial's
+    at most S - 1 cycles past the last failure, or at the periodic exit
+    of a cycle-independent model (below).  Counts past a trial's
     failure cycle are set to -1 at the end.  Bits of retired trials keep
     being refreshed but are never read.  Suspects, decodes and counts
     are pure functions of the words, so results do not depend on S.  The
     words are unpacked only for ``record_states`` (each cycle's states
     are recorded before a flush ending on that cycle) and for a
     state-dependent (greedy) adversary.
+
+    A cycle-independent model applies one map to a trial's state every
+    cycle: its full state (the registers, or for 'tk' the copy words and
+    the readout) after cycle l fixes every later cycle.  So one snapshot
+    of the state is kept, taken at cycle 0 and retaken after cycles 1, 2,
+    4, 8, ..., and a trial whose state after cycle l equals the snapshot
+    of cycle s gets the period p = l - s, kept from then on (Brent's
+    cycle detection: it finds a period of any length, one comparison per
+    cycle).  Once every alive trial has a period, the span is flushed,
+    each alive trial's counts (and recorded states) of every cycle c past
+    that one are those of cycle c - p, the accounting of the filled
+    cycles is checked, and the loop stops.  This is exact: s_l = s_{l-p} under one map gives
+    s_c = s_{c-p} for every c >= l, so the observations of cycle c > l
+    are those of cycle c - p >= 1.  Those post differences were decoded
+    (or were unchanged from a decoded one) and found inside the class,
+    else the flush retired the trial, so no filled cycle fails; and the
+    check over the filled cycles raises any violation first reached
+    there, as running them would.
 
     Returns (corrupt, failure_cycle, recorded): (2, T, L) pre/post-correction
     corrupt counts, -1 where a cycle did not run; (T,) failure cycles, -1
@@ -305,6 +335,12 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
     # is zero or was found inside the decoding class
     checked = np.zeros_like(state)
 
+    def full_state() -> list:
+        """What the next cycles read of the state, as (W, ...) words."""
+        if config.decoder == "tk":
+            return [state, copies.reshape(copies.shape[0], -1)]
+        return [state]
+
     def flush(last: int) -> None:
         """Retire the trials that failed in the ``pending`` cycles up to
         ``last``, check those cycles' accounting and fill their corrupt
@@ -327,20 +363,48 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
         checked[:] = post[-1]
         corrupt[:, :, first - 1:last] = popcounts(observed[:, :pending]) \
             .reshape(2, pending, -1)[:, :, :trials].transpose(0, 2, 1)
-        if config.check_accounting and last > 1:
-            lo = max(first, 2)
-            prev, cur = corrupt[0, :, lo - 2:last - 1], corrupt[0, :, lo - 1:last]
-            bound = prev * contraction + spend
-            ran = (failure_cycle[:, None] < 0) \
-                | (np.arange(lo, last + 1) <= failure_cycle[:, None])
-            broken = ran & (prev < threshold) & ~(cur < bound)
-            if broken.any():
-                col = int(np.argmax(broken.any(axis=0)))
-                pos = int(np.argmax(broken[:, col]))
-                where = f"cycle {lo + col}" + (f", trial {pos}" if name_trials else "")
-                raise AccountingError(
-                    f"{where}: corrupt count {cur[pos, col]} not below bound "
-                    f"{bound[pos, col]:.6g} (previous count {prev[pos, col]})")
+        check(first, last)
+
+    def check(first: int, last: int) -> None:
+        """The accounting check of cycles ``first`` .. ``last``, cycle by
+        cycle over the trials that ran each, from ``corrupt``."""
+        lo = max(first, 2)
+        if not config.check_accounting or lo > last:
+            return
+        prev, cur = corrupt[0, :, lo - 2:last - 1], corrupt[0, :, lo - 1:last]
+        bound = prev * contraction + spend
+        ran = (failure_cycle[:, None] < 0) \
+            | (np.arange(lo, last + 1) <= failure_cycle[:, None])
+        broken = ran & (prev < threshold) & ~(cur < bound)
+        if broken.any():
+            col = int(np.argmax(broken.any(axis=0)))
+            pos = int(np.argmax(broken[:, col]))
+            where = f"cycle {lo + col}" + (f", trial {pos}" if name_trials else "")
+            raise AccountingError(
+                f"{where}: corrupt count {cur[pos, col]} not below bound "
+                f"{bound[pos, col]:.6g} (previous count {prev[pos, col]})")
+
+    def fill(last: int) -> None:
+        """Repeat each alive trial's last period of counts (and recorded
+        states) over cycles last+1 .. L, and check their accounting."""
+        rows = idx[:, None]
+        cols = np.arange(last, L)
+        p = period[rows]
+        src = last - p + (cols - last) % p
+        corrupt[:, rows, cols] = corrupt[:, rows, src]
+        if record_states:
+            recorded[:, rows, cols] = recorded[:, rows, src]
+        check(last + 1, L)
+
+    # a cycle-independent model applies one map every cycle: a trial whose
+    # full state recurs is periodic from there on, its period found against
+    # one snapshot retaken at cycles 1, 2, 4, 8, ... (Brent)
+    settles = not model.cycle_dependent
+    settled = False
+    if settles:
+        period = np.zeros(trials, dtype=np.int64)
+        periodic = np.zeros_like(alive)
+        snapshot, snapshot_cycle = [a.copy() for a in full_state()], 0
 
     for cycle in range(1, L + 1):
         alive_keys = keys if idx.size == trials else keys[idx]
@@ -379,11 +443,25 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
         if record_states:
             recorded[0, idx, cycle - 1] = unpack_rows(pre, trials)[idx]
             recorded[1, idx, cycle - 1] = unpack_rows(state, trials)[idx]
-        if pending == span or cycle == L:
+        if settles:
+            differs = np.zeros_like(periodic)
+            for now, then in zip(full_state(), snapshot):
+                differs |= np.bitwise_or.reduce(now ^ then, axis=-1)
+            found = ~(differs | periodic)
+            if found.any():
+                period[unpack_bits(found)[:trials]] = cycle - snapshot_cycle
+                periodic |= found
+            if cycle & (cycle - 1) == 0:
+                snapshot, snapshot_cycle = [a.copy() for a in full_state()], cycle
+            settled = not (alive & ~periodic).any()
+        if pending == span or cycle == L or settled:
             flush(cycle)
             pending = 0
             idx = np.flatnonzero(unpack_bits(alive))
             if idx.size == 0:
+                break
+            if settled:
+                fill(cycle)
                 break
 
     # retired trials' bits were counted along

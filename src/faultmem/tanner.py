@@ -74,8 +74,9 @@ def as_word(bits, n: int | None = None) -> Word:
 
 
 def _frozen(ids: np.ndarray) -> np.ndarray:
-    """An index array as a read-only contiguous array."""
-    out = np.ascontiguousarray(ids)
+    """An index array as a read-only contiguous intp array, the index type
+    that ``take`` and fancy indexing use without converting."""
+    out = np.ascontiguousarray(ids, dtype=np.intp)
     out.setflags(write=False)
     return out
 

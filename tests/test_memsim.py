@@ -792,3 +792,141 @@ def test_results_do_not_depend_on_the_span(span_cycles, span_bytes, monkeypatch)
         got[name] = hashlib.sha256(json.dumps([res.to_json_obj(), [
             r.to_json_obj() for r in res.reports]]).encode()).hexdigest()
     assert got == _SPAN_DIGESTS
+
+
+# -- periodic exit of cycle-independent models ------------------------------
+
+
+def _periodic_graph(n):
+    """The (36,3,6) seed-7, (40,4,5) seed-13 or (200,3,6) seed-0 girth-6
+    graph."""
+    params, seed = {36: ((36, 3, 6), 7), 40: ((40, 4, 5), 13),
+                    200: ((200, 3, 6), 0)}[n]
+    if (params, seed, "girth-6") not in _GRAPHS:
+        _GRAPHS[params, seed, "girth-6"] = fm.build_random_regular(
+            fm.CodeParams(*params), seed, reject_4cycles=True)
+    return _GRAPHS[params, seed, "girth-6"]
+
+
+def _count_calls(monkeypatch, names):
+    """Patch each memsim name in ``names`` with a wrapper counting its
+    calls into the returned list (one total)."""
+    calls = [0]
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(memsim, name, counted(getattr(memsim, name)))
+    return calls
+
+
+_ROUNDS = ("algorithm_a_round_packed", "tk_round_packed")
+
+# (n, decoder, strategy, (registers, xor gates, majority gates) per use):
+# each runs 65 trials of root seed 5 for 100 cycles without a profile, on
+# the graph _periodic_graph(n).  All but tk-cluster fail some trials, and every alive trial's
+# state recurs long before cycle 100.  "gates-period-4", the first graph
+# seed of (200,3,6) girth-6 graphs whose survivors under one register and
+# two XOR faults include one of period >= 2 (trial 18, period 4), makes
+# the loop find a period against a snapshot other than cycle 0's.
+_PERIODIC_CASES = {
+    "algorithm_a-repeat": (36, "algorithm_a", "repeat", (1, 2, 0)),
+    "algorithm_a-cluster": (40, "algorithm_a", "cluster", (3, 2, 1)),
+    "tk-repeat": (40, "tk", "repeat", (1, 2, 0)),
+    "tk-cluster": (40, "tk", "cluster", (1, 2, 1)),
+    "none-repeat": (40, "none", "repeat", (3, 0, 0)),
+    "none-cluster": (36, "none", "cluster", (1, 0, 0)),
+    "gates-period-4": (200, "algorithm_a", "repeat", (1, 2, 0)),
+}
+# sha256 of monte_carlo's payload and reports, and ("states") of trial
+# 18's report and recorded states, taken when the loop still ran every
+# cycle up to the last trial's failure
+_PERIODIC_DIGESTS = {
+    "algorithm_a-cluster": "2b2f9fa352031c4ac047266829ff58d140590c2e9cc979925f81ebfcf9180424",
+    "algorithm_a-repeat": "4c316094ac88291c0d0d4c78bf17dfbd0f7976ca4d0b360331bd22094cd87941",
+    "gates-period-4": "ea0fd4c4dbd552da9247dd04e0d0652278d694e5a2ac7e0134e1738b0a4f478a",
+    "none-cluster": "f60b1d932cd08fdb690fc9b4cfb2651eb04b8fd1867deee6681557cc82e2ffcb",
+    "none-repeat": "99f889467bc602a05851a8d9b6dcff4fa05cad8cab3b53e8a01385180df6829e",
+    "tk-cluster": "34be875a94973a8caeb9452a877c950be993b037c8c621e3addf1b9b5edad426",
+    "tk-repeat": "dd873008e90cbef2542b4eb146ec8eaca5334daae537e76b75e783a5d5e6c384",
+    "states": "3502403483ef9c73459fd53f8345a5f7d293feeaa0f501bee34cd1e325feeb30",
+}
+
+
+def _periodic_config(name, cycles=100):
+    n, decoder, strategy, faults = _PERIODIC_CASES[name]
+    g = _periodic_graph(n)
+    return RunConfig(g, decoder, _budget(g, *faults, strategy), cycles)
+
+
+@pytest.mark.parametrize("name", sorted(_PERIODIC_CASES))
+def test_periodic_exit_is_exact(name, monkeypatch):
+    # repeat and cluster apply one map every cycle, so the loop stops once
+    # every alive trial's state has recurred and fills in the remaining
+    # cycles: payload and reports must equal those of the loop that ran
+    # them, and fewer cycles must run ('none' has no round to count, so
+    # its flushes are counted against one per span of the full run)
+    cfg = _periodic_config(name)
+    rounds = _count_calls(monkeypatch, _ROUNDS)
+    flushes = _count_calls(monkeypatch, ("popcounts",))
+    res = fm.monte_carlo(cfg, 65, 5, keep_reports=True)
+    assert hashlib.sha256(json.dumps([res.to_json_obj(), [
+        r.to_json_obj() for r in res.reports]]).encode()).hexdigest() \
+        == _PERIODIC_DIGESTS[name]
+    assert res.failures < 65
+    if cfg.decoder == "none":
+        span = min(memsim._SPAN_CYCLES, memsim._SPAN_BYTES // (16 * 2 * cfg.graph.n))
+        assert flushes[0] < -(-cfg.cycles // span)
+    else:
+        assert 0 < rounds[0] < cfg.cycles
+
+
+def test_periodic_exit_fills_recorded_states(monkeypatch):
+    # the recorded states of the filled cycles repeat the period: trial 18
+    # of "gates-period-4" settles into a cycle of four states
+    cfg = _periodic_config("gates-period-4")
+    rounds = _count_calls(monkeypatch, _ROUNDS)
+    rep = fm.run_memory(cfg.graph, cfg.decoder, cfg.fault_model, cfg.cycles,
+                        (5, 18), record_states=True)
+    post = np.array(rep.states_post)
+    assert not rep.failed and rounds[0] < cfg.cycles
+    assert (post[-4:] == post[-8:-4]).all() and (post[-1] != post[-2]).any()
+    assert hashlib.sha256(json.dumps(rep.to_json_obj()).encode()
+                          + np.array(rep.states_pre).tobytes()
+                          + post.tobytes()).hexdigest() == _PERIODIC_DIGESTS["states"]
+
+
+@pytest.mark.parametrize("model", (adversarial(2.5 / 40, 1.5 / 480),
+                                   independent(0.002, 1e-4, 1e-4)),
+                         ids=("random", "independent"))
+def test_cycle_dependent_models_run_every_cycle(model, monkeypatch):
+    # a cycle-dependent model draws new plans each cycle, so no state
+    # recurrence ends its loop: with survivors left it runs one round per
+    # cycle, as the loop always did
+    g = _periodic_graph(40)
+    rounds = _count_calls(monkeypatch, _ROUNDS)
+    res = fm.monte_carlo(RunConfig(g, "algorithm_a", model, 100), 65, 5)
+    assert res.failures < 65 and rounds[0] == 100
+
+
+def test_accounting_violation_in_filled_cycles(i1, monkeypatch):
+    # at epsilon = 1/4 the contraction is 0, so the accounting bound is the
+    # spend, one register flip here; the refresh removes the one repeated
+    # flip every cycle, so every trial's state recurs at cycle 1, the loop
+    # stops there, and the pair of cycles (1, 2) that breaks the bound is
+    # first met in the filled cycles: the message must be the one the
+    # loop raised when it ran cycle 2
+    g, prof = i1
+    model = fm.AdversarialModel(fm.AdversarialBudget(1 / 36, 0.0, 0.0), "repeat")
+    assert model.budget.register_count(g) == 1
+    rounds = _count_calls(monkeypatch, _ROUNDS)
+    cfg = RunConfig(g, "algorithm_a", model, 50, profile=prof, check_accounting=True)
+    with pytest.raises(AccountingError) as exc:
+        fm.monte_carlo(cfg, 65, 5)
+    assert str(exc.value) == ("cycle 2, trial 0: corrupt count 1 not below "
+                              "bound 1 (previous count 1)")
+    assert rounds[0] == 1
