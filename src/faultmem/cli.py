@@ -373,7 +373,8 @@ def cmd_compare_tk(args) -> int:
     results = {
         decoder: memsim.monte_carlo(
             memsim.RunConfig(cfg.graph, decoder, cfg.fault_model, cfg.cycles,
-                             profile=cfg.profile),
+                             profile=cfg.profile,
+                             check_accounting=cfg.check_accounting),
             cfg.trials, cfg.root_seed, keep_reports=True)
         for decoder in ("algorithm_a", "tk")
     }

@@ -376,7 +376,11 @@ def tk_round_packed(g: TannerGraph, copies: np.ndarray,
     and the estimate copy j receives is that check's parity XOR copy j
     (XOR its chain fault).  Copy j flips where at least gamma//2 of the
     gamma-1 estimates other than its own disagree with it: one at-least-k
-    count over a (..., gamma, gamma-1, n) stack.
+    count over a (..., gamma, gamma-1, n) stack.  At odd gamma that is
+    half of them, so a copy flips on a tie.  One flipped copy (no faults,
+    girth 6) gives each copy sharing a check with it one wrong estimate,
+    which flips it only when gamma//2 = 1: the flipped copy is restored
+    in one round at gamma >= 4 and spreads at gamma = 3.
     """
     gamma = g.gamma
     flat = copies.reshape(copies.shape[:-2] + (gamma * g.n,))

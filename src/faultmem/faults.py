@@ -42,7 +42,7 @@ import numpy as np
 from .decoders import broadcast_bits, parallel_bitflip_round_var_major, popcounts
 from .exceptions import BudgetViolationError
 from .expansion import ExpansionProfile
-from .tanner import TannerGraph, zero_word
+from .tanner import TannerGraph
 
 STRATEGIES = ("random", "repeat", "cluster", "greedy")
 
@@ -448,7 +448,7 @@ _POOL_BYTES = 1 << 16
 
 
 def _greedy_rows(g: TannerGraph, keys, count: int, observed: np.ndarray,
-                 original: np.ndarray, pool_size: int) -> np.ndarray:
+                 pool_size: int) -> np.ndarray:
     """One-step lookahead per trial over a pool of register-flip sets:
     candidate 0 targets fresh registers first, the rest are uniform
     subsets.  The score is the post-correction corrupt count after one
@@ -462,17 +462,17 @@ def _greedy_rows(g: TannerGraph, keys, count: int, observed: np.ndarray,
     for lo in range(0, rows, slab):
         hi = min(rows, lo + slab)
         out[lo:hi] = _lookahead(g, keys[lo:hi], count, observed[lo:hi],
-                                original, pool_size)
+                                pool_size)
     return out
 
 
 def _lookahead(g: TannerGraph, keys, count: int, observed: np.ndarray,
-               original: np.ndarray, pool_size: int) -> np.ndarray:
+               pool_size: int) -> np.ndarray:
     """_greedy_rows on one slab.  One bit-sliced round covers every
     trial's pool, on variable-major words: candidate p of trial t is bit
     p % 64 of column t*W + p // 64, W = ceil(pool_size / 64)."""
     rows, n = observed.shape
-    corrupt = observed != original
+    corrupt = observed != 0
     cands = np.empty((rows, pool_size, count), dtype=np.int64)
     cands[:, 0] = np.sort(np.argsort(corrupt, axis=1, kind="stable")[:, :count],
                           axis=1)
@@ -498,15 +498,13 @@ def _lookahead(g: TannerGraph, keys, count: int, observed: np.ndarray,
               np.broadcast_to(bit[:, None], cands.shape).ravel())
     states.reshape(n, rows, words)[...] ^= broadcast_bits(observed.T)[:, :, None]
     wrong = parallel_bitflip_round_var_major(g, states)
-    wrong ^= broadcast_bits(original)[:, None]
     post = popcounts(wrong.T).reshape(rows, -1)[:, :pool_size]
     best = np.argmax(post * (n + 1) - 2 * stale, axis=1)
     return cands[row_ids, best]
 
 
 def draw_adversarial_batch(budget: AdversarialBudget, g: TannerGraph,
-                           strategy: str, keys, cycle, observed,
-                           original=None) -> PlanBatch:
+                           strategy: str, keys, cycle, observed) -> PlanBatch:
     """Plans exactly at budget for the trials with the given keys (a
     uint64 array, or one int key); ``observed`` holds their (T, n)
     register states (read by greedy only).  For random, a (B, 1) uint64
@@ -520,8 +518,8 @@ def draw_adversarial_batch(budget: AdversarialBudget, g: TannerGraph,
     * greedy  -- register flips chosen by one-step lookahead against one
       reliable correction round (bounded candidate pool), gates random.
 
-    The adversary sees the current register state and, for greedy
-    scoring, the originally stored word (worst-case, information
+    The adversary sees the current register state, whose difference to
+    the stored zero word is the state itself (worst-case, information
     unrestricted); it never sees future randomness.
     """
     if strategy not in STRATEGIES:
@@ -532,9 +530,8 @@ def draw_adversarial_batch(budget: AdversarialBudget, g: TannerGraph,
         reg, xor, maj = _cluster_rows(g, keyed, rc, xc, mc)
     else:
         if strategy == "greedy":
-            original = zero_word(g.n) if original is None else original
-            reg = (_greedy_rows(g, keyed, rc, observed, original,
-                                GREEDY_POOL_SIZE) if rc else None)
+            reg = (_greedy_rows(g, keyed, rc, observed, GREEDY_POOL_SIZE)
+                   if rc else None)
         else:
             reg = _subsets(keyed, _REG, g.n, rc)
         xor = _subsets(keyed, _XOR, g.n * g.gamma * (g.rho - 2), xc)
@@ -569,9 +566,9 @@ class AdversarialModel:
     def cycle_dependent(self) -> bool:
         return self.strategy in ("random", "greedy")
 
-    def draw_batch(self, g, keys, cycle, observed, original) -> PlanBatch:
+    def draw_batch(self, g, keys, cycle, observed) -> PlanBatch:
         return draw_adversarial_batch(self.budget, g, self.strategy, keys,
-                                      cycle, observed, original)
+                                      cycle, observed)
 
 
 @dataclass(frozen=True)
@@ -581,7 +578,7 @@ class IndependentModel:
     state_dependent = False
     cycle_dependent = True
 
-    def draw_batch(self, g, keys, cycle, observed, original) -> PlanBatch:
+    def draw_batch(self, g, keys, cycle, observed) -> PlanBatch:
         return draw_independent_batch(self.rates, g, keys, cycle)
 
 

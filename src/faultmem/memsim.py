@@ -3,9 +3,18 @@
 Each cycle collapses one decay interval and one correction: apply the
 interval's register-fault plan, observe the pre-correction corrupt
 fraction, run one faulty correction round, observe again, and test for
-memory failure.  Failure means leaving the original codeword's decoding
+memory failure.  Failure means leaving the stored codeword's decoding
 class, the class being defined operationally by the reliable parallel
 bit-flipping decoder under a round cap.
+
+The stored codeword is the zero word, and each cycle runs the correcting
+circuit once.  No output is lost: a check's estimate of a variable is the
+XOR of its other variables, so adding a codeword c shifts every estimate,
+and with it every round (gate faults included), by c; the failure test
+and greedy read only the difference to the stored word.  A memory storing
+c runs through the zero-word states plus c (the symmetry of Richardson
+and Urbanke, IEEE Trans. IT 47(2), 2001), and every observed word is its
+own difference to the stored word.
 
 One cycle loop serves every run.  A state-independent fault model draws
 the plans of all alive trials for a block of cycles in one call and
@@ -16,9 +25,9 @@ every decoder the state stays packed from the first cycle to the last,
 64 trials per uint64 word: the plans are scattered into each trial's own
 bit, and the rounds run bit-sliced (the 'tk' bit-copies as gamma planes
 of words, read out by a bit-sliced majority).  The loop itself only
-draws, decays, refreshes and keeps the differences of the observed words
-to the original; the per-trial bookkeeping is done once per span of
-cycles, bounded in bytes and in cycles.  A span's flush finds the
+draws, decays, refreshes and keeps the observed words; the per-trial
+bookkeeping is done once per span of cycles, bounded in bytes and in
+cycles.  A span's flush finds the
 suspects of all its cycles, decodes them bit-sliced in one call, retires
 the trials that failed (each at its first failing cycle), checks the
 accounting and takes the corrupt counts as popcounts, in one call.
@@ -26,11 +35,11 @@ Every trial's plans are a pure function of its (root_seed, trial, cycle)
 key, so a single run (``run_memory``) is the one-trial case of the same
 loop and reproduces trial t of ``monte_carlo`` exactly.
 
-The failure test decodes only the suspects whose difference to the
-original changed since the previous cycle.  The decode is a pure
-function of the difference, and an alive trial's previous difference
-was zero or found inside the class, so an unchanged one is inside again:
-a residual that persists through many cycles is decoded once.
+The failure test decodes only the suspects whose post-correction state
+changed since the previous cycle.  The decode is a pure function of the
+state, and an alive trial's previous state was zero or found inside the
+class, so an unchanged one is inside again: a residual that persists
+through many cycles is decoded once.
 
 A cycle-independent model (repeat, cluster) applies the same plans every
 cycle, so each trial's cycle map is one fixed function of its state and
@@ -40,8 +49,8 @@ period against one snapshot of the state, retaken at cycles 1, 2, 4, 8,
 flushes, repeats each trial's last period over the remaining cycles,
 checks their accounting and stops.  This is exact: a state that recurs
 repeats every later state, so every later observation repeats one
-already taken, and every post difference of the period was already
-decoded and found inside the class, so no later cycle fails.
+already taken, and every post word of the period was already decoded
+and found inside the class, so no later cycle fails.
 """
 
 from __future__ import annotations
@@ -51,14 +60,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoders import (algorithm_a_round_packed, broadcast_bits,
-                       majority_ties_packed, pack_bits, pack_rows,
+from .decoders import (algorithm_a_round_packed, majority_ties_packed,
+                       pack_bits, pack_rows,
                        parallel_bitflip_decode_packed, popcounts,
                        tk_round_packed, unpack_bits, unpack_rows)
 from .exceptions import AccountingError, ConfigError
 from .expansion import ExpansionProfile
 from .faults import AdversarialModel, IndependentModel, seed_key, trial_keys
-from .tanner import TannerGraph, Word, as_word, zero_word
+from .tanner import TannerGraph, Word
 
 DECODERS = ("algorithm_a", "tk", "none")
 
@@ -157,9 +166,7 @@ class RunConfig:
     fault_model: object
     cycles: int
     profile: ExpansionProfile | None = None
-    rounds_per_cycle: int = 1
     check_accounting: bool = False
-    initial_word: object = None
 
 
 def _validate_run_args(config: RunConfig) -> None:
@@ -168,8 +175,6 @@ def _validate_run_args(config: RunConfig) -> None:
         raise ConfigError(f"unknown decoder {decoder!r}; expected one of {DECODERS}")
     if config.cycles < 1:
         raise ConfigError(f"cycles must be at least 1, got {config.cycles}")
-    if config.rounds_per_cycle < 1:
-        raise ConfigError("rounds_per_cycle must be at least 1")
     if not isinstance(fault_model, (AdversarialModel, IndependentModel)):
         raise ConfigError("fault_model must be AdversarialModel or IndependentModel")
     if config.check_accounting and not (config.profile is not None
@@ -207,7 +212,7 @@ def _draw_block(model, g: TannerGraph, keys, idx: np.ndarray, words: int,
     b*words + idx[t] // 64."""
     cycles = np.arange(first, first + size, dtype=np.uint64)[:, None]
     slots = (np.arange(size)[:, None] * (64 * words) + idx).ravel()
-    packed = model.draw_batch(g, keys, cycles, None, None) \
+    packed = model.draw_batch(g, keys, cycles, None) \
         .packed(g, slots, size * 64 * words)
     return [tuple(None if w is None else w[b * words:(b + 1) * words]
                   for w in packed) for b in range(size)]
@@ -220,9 +225,11 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
 
     Per cycle, for every trial still alive: take its (register, gate)
     plans for (key, cycle), apply register decay, observe the
-    pre-correction word, run the faulty correction rounds (none for
+    pre-correction word, run one faulty correction round (none for
     decoder 'none'), observe again, then test for failure and retire the
-    trials that failed.
+    trials that failed.  The stored word is zero, which loses no output
+    because every round commutes with adding a codeword (module
+    docstring).
 
     Plans of a state-independent model are drawn a block at a time
     (_draw_block): one draw for the trials alive at the block's first
@@ -247,13 +254,13 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
     last readout a tie and flips every other majority, so it is the last
     readout with the flipped bits off its exact ties complemented.
 
-    The observed (pre, post) differences ``words ^ original`` go into a
-    buffer of S cycles, S = min(L, _SPAN_CYCLES, the most cycles whose
-    words fit in _SPAN_BYTES), at least 1.  When it is full, and after
+    The observed (pre, post) words, each its own difference to the stored
+    word, go into a buffer of S cycles, S = min(L, _SPAN_CYCLES, the most
+    cycles whose words fit in _SPAN_BYTES), at least 1.  When it is full, and after
     the last cycle, the span is flushed:
 
     1. the suspects of every cycle of the span: the bits of the trials
-       alive at the span's start whose post difference is nonzero and
+       alive at the span's start whose post word is nonzero and
        changed since the previous cycle (an unchanged one was zero or
        found inside the class, so it needs no decode);
     2. one bit-sliced decode of every (cycle, word) row holding a
@@ -287,7 +294,7 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
     that one are those of cycle c - p, the accounting of the filled
     cycles is checked, and the loop stops.  This is exact: s_l = s_{l-p} under one map gives
     s_c = s_{c-p} for every c >= l, so the observations of cycle c > l
-    are those of cycle c - p >= 1.  Those post differences were decoded
+    are those of cycle c - p >= 1.  Those post words were decoded
     (or were unchanged from a decoded one) and found inside the class,
     else the flush retired the trial, so no filled cycle fails; and the
     check over the filled cycles raises any violation first reached
@@ -302,10 +309,6 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
     """
     _validate_run_args(config)
     g, model, L = config.graph, config.fault_model, config.cycles
-    original = zero_word(g.n) if config.initial_word is None \
-        else as_word(config.initial_word, g.n)
-    if not g.is_codeword(original):
-        raise ConfigError("the stored word must be a codeword")
     cap = detect_cap(config.profile, g.n)
     if config.check_accounting:
         b, contraction = model.budget, config.profile.contraction
@@ -313,10 +316,9 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
         spend = (g.gamma * (g.rho - 2) * b.alpha_xor + b.alpha_maj + b.alpha_m) * g.n
 
     trials = np.size(keys)
-    original_words = broadcast_bits(original)
     alive = pack_bits(np.ones(trials, dtype=bool))
     idx = np.arange(trials)
-    state = np.tile(original_words, (alive.size, 1))
+    state = np.zeros((alive.size, g.n), dtype=np.uint64)
     if config.decoder == "tk":
         copies = np.repeat(state[:, None], g.gamma, axis=1)
         ties = None  # the last readout's exact ties; equal copies never tie
@@ -326,13 +328,12 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
     # the bytes of one cycle's (reg, xor, maj) words
     block_size = max(1, _BLOCK_BYTES // (8 * alive.size * (2 * g.n + g.m * g.rho)))
     block = []
-    # the (pre, post) differences to the original of the cycles not yet
-    # flushed
+    # the (pre, post) words of the cycles not yet flushed
     span = max(1, min(L, _SPAN_CYCLES, _SPAN_BYTES // (16 * state.size)))
     observed = np.empty((2, span) + state.shape, dtype=np.uint64)
     pending = 0
-    # the post difference of the cycle before the span: an alive trial's
-    # is zero or was found inside the decoding class
+    # the post word of the cycle before the span: an alive trial's is zero
+    # or was found inside the decoding class
     checked = np.zeros_like(state)
 
     def full_state() -> list:
@@ -410,7 +411,7 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
         alive_keys = keys if idx.size == trials else keys[idx]
         if model.state_dependent:
             seen = unpack_rows(state, trials)[idx]
-            words = model.draw_batch(g, alive_keys, cycle, seen, original) \
+            words = model.draw_batch(g, alive_keys, cycle, seen) \
                 .packed(g, idx, trials)
         else:
             if not block:
@@ -427,18 +428,16 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
                 # complementing every copy keeps a tie a tie and flips
                 # every other majority
                 pre = state ^ (reg_words if ties is None else reg_words & ~ties)
-            for _ in range(config.rounds_per_cycle):
-                copies = tk_round_packed(g, copies, xor_words, maj_words)
+            copies = tk_round_packed(g, copies, xor_words, maj_words)
             state, ties = majority_ties_packed(copies, pre)
         else:
             if reg_words is not None:
                 state ^= reg_words
             pre = state
             if config.decoder == "algorithm_a":
-                for _ in range(config.rounds_per_cycle):
-                    state = algorithm_a_round_packed(g, state, xor_words, maj_words)
-        np.bitwise_xor(pre, original_words, out=observed[0, pending])
-        np.bitwise_xor(state, original_words, out=observed[1, pending])
+                state = algorithm_a_round_packed(g, state, xor_words, maj_words)
+        observed[0, pending] = pre
+        observed[1, pending] = state
         pending += 1
         if record_states:
             recorded[0, idx, cycle - 1] = unpack_rows(pre, trials)[idx]
@@ -492,10 +491,8 @@ def _report(config: RunConfig, corrupt: np.ndarray, failure_cycle: int,
 
 def run_memory(g: TannerGraph, decoder: str, fault_model, cycles: int, seed,
                profile: ExpansionProfile | None = None, *,
-               rounds_per_cycle: int = 1,
                check_accounting: bool = False,
-               record_states: bool = False,
-               initial_word=None) -> SimReport:
+               record_states: bool = False) -> SimReport:
     """Run one trial of L correction cycles; deterministic per seed.
 
     Per cycle: draw the (register, gate) plans for this (seed, cycle),
@@ -505,8 +502,7 @@ def run_memory(g: TannerGraph, decoder: str, fault_model, cycles: int, seed,
     case of the Monte Carlo cycle loop: trial t of monte_carlo equals
     run_memory with seed (root_seed, t).
     """
-    config = RunConfig(g, decoder, fault_model, cycles, profile,
-                       rounds_per_cycle, check_accounting, initial_word)
+    config = RunConfig(g, decoder, fault_model, cycles, profile, check_accounting)
     corrupt, failure_cycle, recorded = _simulate(
         config, seed_key(seed), record_states=record_states, name_trials=False)
     return _report(config, corrupt[:, 0], failure_cycle[0],

@@ -57,10 +57,6 @@ class CodeParams:
         return 1.0 - self.gamma / self.rho
 
 
-def zero_word(n: int) -> Word:
-    return np.zeros(n, dtype=np.uint8)
-
-
 def as_word(bits, n: int | None = None) -> Word:
     """Validate and normalize a bit vector to uint8."""
     w = np.asarray(bits, dtype=np.uint8)
@@ -169,10 +165,6 @@ class TannerGraph:
     @property
     def rho(self) -> int:
         return self.params.rho
-
-    @property
-    def num_edges(self) -> int:
-        return self.n * self.gamma
 
     @functools.cached_property
     def slot_nbrs(self) -> np.ndarray:

@@ -259,7 +259,7 @@ def test_criterion8_no_correction_baseline():
     predicted = None
     for cycle in range(1, 201):
         _rows, flips = draw_adversarial_batch(budget, g, "greedy", seed_key(55),
-                                              cycle, state[None], zero).reg
+                                              cycle, state[None]).reg
         assert flips.size == 1  # exactly the budget arithmetic
         state[flips] ^= 1
         if _detect_word(g, state, zero, cap):

@@ -346,6 +346,23 @@ def test_compare_tk_paired_traces(tmp_path):
     assert set(s) == {"algorithm_a", "tk"}
 
 
+def test_compare_tk_checks_the_accounting(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    doc = dict(code={"n": 40, "gamma": 4, "rho": 5, "seed": 13,
+                     "reject_4cycles": True},
+               profile={"alpha": 2.9 / 40, "epsilon": 0.12}, decoder="tk",
+               fault_model={"type": "adversarial", "alpha_m": 1.5 / 40,
+                            "alpha_xor": 3.5 / 480, "strategy": "random"},
+               trials=65, root_seed=5)
+    out = tmp_path / "paired.csv"
+    write_config(cfg, check_accounting=True, **doc)
+    assert run_cli(["compare-tk", "--config", cfg, "--out", out]) == 1
+    assert "runtime error: cycle" in capsys.readouterr().err
+    assert not out.exists()
+    write_config(cfg, **doc)
+    assert run_cli(["compare-tk", "--config", cfg, "--out", out]) == 0
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "b.csv"
     proc = subprocess.run(

@@ -570,6 +570,32 @@ def test_packed_refresh_equals_uint8_round(params, seed, count, density, ragged,
                               xor_parity[:1], maj_flip[:1])[0])
 
 
+@settings(max_examples=40)
+@given(params=st.sampled_from(GRAPH_PARAMS), seed=st.integers(0, 2**32),
+       count=st.sampled_from((1, 64, 65)), ragged=st.booleans())
+@example(params=(20, 4, 5), seed=1, count=65, ragged=False)
+def test_rounds_commute_with_adding_a_codeword(params, seed, count, ragged):
+    # a check's estimate of a variable is the XOR of its other variables,
+    # which adding a codeword shifts by the variable's own bit; so both
+    # rounds, gate faults included, commute with adding a codeword, and the
+    # engine can store the zero word without changing any output
+    g = fm.build_random_regular(fm.CodeParams(*params), seed % 50)
+    rng = np.random.default_rng(seed)
+    cw = np.zeros(g.n, np.uint8)
+    while not cw.any():
+        cw = random_codeword(g, rng)
+    shift = broadcast_bits(cw)
+    _reg, xor_words, maj_words = random_gate_batch(g, rng, count, ragged).packed(g)
+    words = pack_rows(rng.integers(0, 2, (count, g.n)).astype(np.uint8))
+    assert np.array_equal(
+        algorithm_a_round_packed(g, words ^ shift, xor_words, maj_words),
+        algorithm_a_round_packed(g, words, xor_words, maj_words) ^ shift)
+    copies = tk_words(rng.integers(0, 2, (count, g.n, g.gamma)).astype(np.uint8))
+    assert np.array_equal(
+        tk_round_packed(g, copies ^ shift, xor_words, maj_words),
+        tk_round_packed(g, copies, xor_words, maj_words) ^ shift)
+
+
 # -- refresh / bit-flipping agreement ----------------------------------------
 
 
@@ -592,6 +618,24 @@ def test_tk_flipped_variable_restored(girth6_graph):
     copies[0, 7, :] ^= 1
     out = tk_copies(tk_round_packed(g, tk_words(copies)), 1)
     assert (out[0, 7] == 0).all()
+
+
+@pytest.mark.parametrize("params,seed,restored", (
+    ((40, 4, 5), 13, True), ((600, 5, 10), 1, True), ((120, 6, 8), 3, True),
+    ((36, 3, 6), 7, False)), ids=("gamma4", "gamma5", "gamma6", "gamma3"))
+def test_tk_single_flipped_copy(params, seed, restored):
+    # with no faults, one flipped copy gives each copy sharing a check with
+    # it one wrong estimate (never two at girth 6); the flip threshold is
+    # gamma//2 of the gamma-1 other estimates, so that one estimate flips a
+    # copy only at gamma = 3, where the flipped copy spreads instead
+    g = fm.build_random_regular(fm.CodeParams(*params), seed,
+                                reject_4cycles=True)
+    cases = g.n * g.gamma  # case v*gamma + j flips copy j of variable v
+    copies = np.zeros((cases, g.n * g.gamma), np.uint8)
+    copies[np.arange(cases), np.arange(cases)] = 1
+    out = tk_round_packed(g, tk_words(copies.reshape(cases, g.n, g.gamma)))
+    wrong = unpack_rows(out, cases).any(axis=(1, 2))
+    assert (~wrong).all() if restored else wrong.all()
 
 
 def test_tk_readout_majority_and_ties():

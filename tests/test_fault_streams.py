@@ -43,8 +43,7 @@ def batches(draw):
     cycle = draw(st.integers(1, 10**6))
     bits = np.random.default_rng(draw(st.integers(0, 2**32)))
     observed = bits.integers(0, 2, size=(trials, g.n)).astype(np.uint8)
-    original = bits.integers(0, 2, size=g.n).astype(np.uint8)
-    return g, trials, np.array(alive), root, cycle, observed, original
+    return g, trials, np.array(alive), root, cycle, observed
 
 
 def row_pairs(batch, row):
@@ -59,16 +58,16 @@ def row_pairs(batch, row):
 @given(batch=batches(), strategy=st.sampled_from(STRATEGIES),
        counts=st.tuples(st.integers(0, 4), st.integers(0, 5), st.integers(0, 3)))
 def test_adversarial_rows_match_single_draws(batch, strategy, counts):
-    g, trials, alive, root, cycle, observed, original = batch
+    g, trials, alive, root, cycle, observed = batch
     budget = budget_for(g, *counts)
     assert (budget.register_count(g), budget.xor_count(g),
             budget.maj_count(g)) == counts
     plans = draw_adversarial_batch(budget, g, strategy,
                                    trial_keys(root, alive), cycle,
-                                   observed[alive], original)
+                                   observed[alive])
     full = draw_adversarial_batch(budget, g, strategy,
                                   trial_keys(root, np.arange(trials)), cycle,
-                                  observed, original)
+                                  observed)
     totals = (g.n, g.n * g.gamma * (g.rho - 2), g.n)
     assert plans.rows == alive.size
     for pair, count, total in zip((plans.reg, plans.xor, plans.maj), counts,
@@ -84,7 +83,7 @@ def test_adversarial_rows_match_single_draws(batch, strategy, counts):
     for row, t in enumerate(alive):
         single = draw_adversarial_batch(budget, g, strategy,
                                         seed_key((root, int(t))), cycle,
-                                        observed[t][None], original)
+                                        observed[t][None])
         assert single.rows == 1
         assert row_pairs(plans, row) == row_pairs(single, 0)
         assert row_pairs(full, int(t)) == row_pairs(single, 0)
@@ -96,7 +95,7 @@ def test_adversarial_rows_match_single_draws(batch, strategy, counts):
                        st.sampled_from([0.0, 0.001, 0.05]),
                        st.sampled_from([0.0, 0.01, 0.3])))
 def test_independent_rows_match_single_draws(batch, rates):
-    g, trials, alive, root, cycle, _observed, _original = batch
+    g, trials, alive, root, cycle, _observed = batch
     rates = fm.IndependentRates(*rates)
     plans = draw_independent_batch(rates, g, trial_keys(root, alive), cycle)
     assert plans.rows == alive.size

@@ -280,14 +280,14 @@ def test_greedy_beats_random_on_average(small_graph):
     assert np.mean(diffs) > 0.1  # strictly better on average, paired
 
 
-def reference_lookahead(g, keys, count, observed, original, pool_size):
+def reference_lookahead(g, keys, count, observed, pool_size):
     """The greedy lookahead on uint8 states: every candidate's state
     materialized, one parallel_bitflip_round_many over all of them, and a
     per-state corrupt count.  Returns the (T, P, count) candidates of
     faults._greedy_rows with their (T, P) pre- and post-correction
     corrupt counts."""
     rows = observed.shape[0]
-    corrupt = observed != original
+    corrupt = observed != 0
     first = np.sort(np.argsort(corrupt, axis=1, kind="stable")[:, :count], axis=1)
     pool_keys = faults._absorb(keys[:, None],
                                np.arange(1, pool_size, dtype=np.uint64))
@@ -300,41 +300,39 @@ def reference_lookahead(g, keys, count, observed, original, pool_size):
     states[np.arange(rows * pool_size)[:, None],
            cands.reshape(rows * pool_size, count)] ^= 1
     corrected = parallel_bitflip_round_many(g, states)
-    post = np.einsum("ij->i", (corrected != original).view(np.uint8),
-                     dtype=np.int64).reshape(rows, pool_size)
+    post = np.einsum("ij->i", corrected, dtype=np.int64).reshape(rows, pool_size)
     return cands, pre, post
 
 
-def reference_greedy_rows(g, keys, count, observed, original, pool_size):
+def reference_greedy_rows(g, keys, count, observed, pool_size):
     """Per trial, the candidate with the most corrupt bits after the
     round, then before it; the first such candidate wins."""
-    cands, pre, post = reference_lookahead(g, keys, count, observed, original,
-                                           pool_size)
+    cands, pre, post = reference_lookahead(g, keys, count, observed, pool_size)
     best = np.argmax(post * (g.n + 1) + pre, axis=1)
     return cands[np.arange(observed.shape[0]), best]
 
 
-@pytest.mark.parametrize("nonzero_original", (False, True))
+@pytest.mark.parametrize("dense", (False, True))
 @pytest.mark.parametrize("pool_size", (1, 63, 64, 65, 130))
 @pytest.mark.parametrize("count", (1, 2, 3, 4, 5))
-def test_greedy_rows_match_uint8_lookahead(count, pool_size, nonzero_original):
-    rng = np.random.default_rng(1000 * count + 2 * pool_size + nonzero_original)
+def test_greedy_rows_match_uint8_lookahead(count, pool_size, dense):
+    # the rows start from the stored zero word or, when dense, from a
+    # nonzero codeword, which the lookahead scores as a dense state
+    rng = np.random.default_rng(1000 * count + 2 * pool_size + dense)
     for params, seed in (((36, 3, 6), 7), ((20, 4, 5), 3), ((16, 7, 8), 5)):
         g = fm.build_random_regular(fm.CodeParams(*params), seed)
-        original = zeros(g)
-        if nonzero_original:
-            message = np.ones(fm.code_dimension(g), np.uint8)
-            original = fm.encode(g, message)
-            assert original.any()
+        start = zeros(g)
+        if dense:
+            start = fm.encode(g, np.ones(fm.code_dimension(g), np.uint8))
+            assert start.any()
         rows = 7
-        observed = np.repeat(original[None], rows, axis=0)
-        for t in range(1, rows):  # row 0 holds the stored word itself
+        observed = np.repeat(start[None], rows, axis=0)
+        for t in range(1, rows):  # row 0 holds the start word itself
             hits = rng.choice(g.n, int(rng.integers(1, g.n // 2)), replace=False)
             observed[t, hits] ^= 1
         keys = trial_keys(int(rng.integers(2**31)), np.arange(rows))
-        got = faults._greedy_rows(g, keys, count, observed, original, pool_size)
-        want = reference_greedy_rows(g, keys, count, observed, original,
-                                     pool_size)
+        got = faults._greedy_rows(g, keys, count, observed, pool_size)
+        want = reference_greedy_rows(g, keys, count, observed, pool_size)
         assert np.array_equal(got, want)
 
 
@@ -348,16 +346,15 @@ def test_greedy_rows_match_uint8_lookahead_past_255_variables(corrupt):
     observed = np.zeros((3, g.n), np.uint8)
     for row in observed:
         row[rng.choice(g.n, corrupt, replace=False)] = 1
-    original = zeros(g)
     keys = trial_keys(3, np.arange(3))
     for count, pool_size in ((5, 64), (4, 100)):
         _cands, _pre, post = reference_lookahead(g, keys, count, observed,
-                                                 original, pool_size)
+                                                 pool_size)
         if corrupt == 284:
             assert ((post.min(axis=1) < 256) & (post.max(axis=1) >= 256)).all()
         assert np.array_equal(
-            faults._greedy_rows(g, keys, count, observed, original, pool_size),
-            reference_greedy_rows(g, keys, count, observed, original, pool_size))
+            faults._greedy_rows(g, keys, count, observed, pool_size),
+            reference_greedy_rows(g, keys, count, observed, pool_size))
 
 
 # sha256 of greedy's register choices, taken before the lookahead was
@@ -466,8 +463,8 @@ def test_model_wrappers(small_graph):
     assert ind.kind == "independent" and ind.cycle_dependent
     with pytest.raises(ValueError):
         fm.AdversarialModel(fm.AdversarialBudget(), "nope")
-    r1 = adv.draw_batch(g, seed_key(1), 1, zeros(g)[None], zeros(g))
-    r2 = adv.draw_batch(g, seed_key(1), 2, zeros(g)[None], zeros(g))
+    r1 = adv.draw_batch(g, seed_key(1), 1, zeros(g)[None])
+    r2 = adv.draw_batch(g, seed_key(1), 2, zeros(g)[None])
     assert np.array_equal(r1.reg, r2.reg)
 
 

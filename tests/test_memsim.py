@@ -52,47 +52,8 @@ def test_run_validation_errors(i1):
     with pytest.raises(ConfigError):
         fm.run_memory(g, "none", adversarial(alpha_xor=0.05), 5, seed=1)
     with pytest.raises(ConfigError):
-        bad = np.zeros(g.n, np.uint8)
-        bad[0] = 1
-        fm.run_memory(g, "algorithm_a", adversarial(), 5, seed=1,
-                      initial_word=bad)
-    with pytest.raises(ConfigError):
         fm.run_memory(g, "algorithm_a", adversarial(), 5, seed=1,
                       check_accounting=True)  # needs profile
-
-
-def test_stored_codeword_mode(i1):
-    g, prof = i1
-    rng = np.random.default_rng(0)
-    cw = fm.encode(g, rng.integers(0, 2, fm.code_dimension(g)).astype(np.uint8))
-    rep = fm.run_memory(g, "algorithm_a", adversarial(alpha_m=1.5 / 36), 60,
-                        seed=4, profile=prof, initial_word=cw)
-    assert not rep.failed
-    assert max(rep.alpha_post) == 0.0
-
-
-def test_tk_stored_codeword_shifts_the_trajectory(i1):
-    # every 'tk' round commutes with adding a codeword, so a nonzero stored
-    # word gives the zero word's counts and failures, and its observed
-    # words shifted by that codeword
-    g, prof = i1
-    rng = np.random.default_rng(2)
-    cw = np.zeros(g.n, np.uint8)
-    while not cw.any():
-        cw = fm.encode(g, rng.integers(0, 2, fm.code_dimension(g)).astype(np.uint8))
-    model = independent(0.0003, 3e-5, 3e-4)
-    runs = [fm.monte_carlo(RunConfig(g, "tk", model, 60, profile=prof,
-                                     initial_word=word), 70, 3, keep_reports=True)
-            for word in (None, cw)]
-    assert 0 < runs[0].failures < 70
-    assert runs[1].reports == runs[0].reports
-    loud = independent(0.003, 3e-4, 1e-3)
-    base, moved = (fm.run_memory(g, "tk", loud, 20, 3, prof, record_states=True,
-                                 initial_word=word) for word in (None, cw))
-    assert moved.corrupt_pre == base.corrupt_pre and max(base.corrupt_pre) > 0
-    for a, b in zip(base.states_pre + base.states_post,
-                    moved.states_pre + moved.states_post):
-        assert np.array_equal(a ^ cw, b)
 
 
 # -- failure detection ------------------------------------------------------
@@ -380,24 +341,27 @@ def fault_models(draw, g, kind, gates):
 
 
 @pytest.mark.parametrize("kind", fm.faults.STRATEGIES + ("independent",))
-@pytest.mark.parametrize("rounds", (1, 2))
+@pytest.mark.parametrize("span", (1, 2))
 @pytest.mark.parametrize("decoder", ("algorithm_a", "tk", "none"))
 @settings(max_examples=8)
 @given(data=st.data(), trials=st.integers(1, 6), root=st.integers(0, 2**40),
        cycles=st.integers(1, 12),
        params=st.sampled_from(((24, 3, 6), (20, 4, 5), (24, 4, 6))),
        graph_seed=st.integers(0, 4))
-def test_monte_carlo_row_equals_run_memory(decoder, rounds, kind, data, trials,
+def test_monte_carlo_row_equals_run_memory(decoder, span, kind, data, trials,
                                            root, cycles, params, graph_seed):
+    # spans of 1 and 2 cycles flush after every cycle or every other one,
+    # where the default span would hold all of at most 12 cycles
     g = small_graph(params, graph_seed)
     model = data.draw(fault_models(g, kind, decoder != "none"))
-    cfg = RunConfig(g, decoder, model, cycles, rounds_per_cycle=rounds)
-    res = fm.monte_carlo(cfg, trials, root, keep_reports=True)
-    for t in range(trials):
-        rep = fm.run_memory(g, decoder, model, cycles, (root, t),
-                            rounds_per_cycle=rounds)
-        assert res.reports[t] == rep
-        assert res.failure_cycle_by_trial[t] == rep.failure_cycle
+    cfg = RunConfig(g, decoder, model, cycles)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(memsim, "_SPAN_CYCLES", span)
+        res = fm.monte_carlo(cfg, trials, root, keep_reports=True)
+        for t in range(trials):
+            rep = fm.run_memory(g, decoder, model, cycles, (root, t))
+            assert res.reports[t] == rep
+            assert res.failure_cycle_by_trial[t] == rep.failure_cycle
 
 
 def test_monotone_degradation(i1):
@@ -453,13 +417,6 @@ def test_tk_memory_runs():
     assert not rep.failed
     assert max(rep.alpha_pre) > 0  # register decay visible before correction
     assert max(rep.alpha_post) == 0.0  # and corrected away each cycle
-
-
-def test_rounds_per_cycle_knob(i1):
-    g, prof = i1
-    rep = fm.run_memory(g, "algorithm_a", adversarial(alpha_m=1.5 / 36), 20,
-                        seed=2, profile=prof, rounds_per_cycle=2)
-    assert not rep.failed
 
 
 def test_wilson_interval_sanity():
