@@ -16,7 +16,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 
@@ -88,18 +88,20 @@ def _cost_model(text: str) -> metrics.GateCostModel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ExperimentConfig:
-    graph: tanner.TannerGraph
-    decoder: str
-    fault_model: object
-    cycles: int
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(memsim.RunConfig):
+    """A run as a config file describes it: the RunConfig, how many trials
+    to run from which root seed, and where the results go."""
+
     trials: int
     root_seed: int
-    profile: expansion.ExpansionProfile | None
     output_json: Path | None
     output_traces: Path | None
-    check_accounting: bool = False
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.trials < 1:
+            raise ConfigError(f"trials must be at least 1, got {self.trials}")
 
 
 _REQUIRED = object()
@@ -177,10 +179,6 @@ def load_experiment_config(path: Path) -> ExperimentConfig:
                                       "code.reject_4cycles", False))
 
         decoder = doc["decoder"]
-        if decoder not in memsim.DECODERS:
-            raise ConfigError(
-                f"decoder must be one of {memsim.DECODERS}, got {decoder!r}")
-
         fm = _object(doc["fault_model"], "config field 'fault_model'")
         kind = fm.get("type")
 
@@ -205,29 +203,18 @@ def load_experiment_config(path: Path) -> ExperimentConfig:
                 _field(prof, "alpha", float, "profile.alpha"), graph.gamma,
                 _field(prof, "epsilon", float, "profile.epsilon"))
 
-        cycles = _field(doc, "cycles", int, "cycles")
-        trials = _field(doc, "trials", int, "trials", 1)
-        if cycles < 1 or trials < 1:
-            raise ConfigError("cycles and trials must be at least 1")
         out = _object(doc.get("output", {}), "config field 'output'")
-        output_json = rel(out, "json", "output.json")
-        output_traces = rel(out, "traces_csv", "output.traces_csv")
-        check_accounting = _field(doc, "check_accounting", bool,
-                                  "check_accounting", False)
-        cfg = ExperimentConfig(graph, decoder, model, cycles, trials,
-                               _field(doc, "root_seed", int, "root_seed", 0),
-                               profile, output_json, output_traces,
-                               check_accounting)
+        return ExperimentConfig(
+            graph, decoder, model, _field(doc, "cycles", int, "cycles"), profile,
+            _field(doc, "check_accounting", bool, "check_accounting", False),
+            trials=_field(doc, "trials", int, "trials", 1),
+            root_seed=_field(doc, "root_seed", int, "root_seed", 0),
+            output_json=rel(out, "json", "output.json"),
+            output_traces=rel(out, "traces_csv", "output.traces_csv"))
     except KeyError as exc:
         raise ConfigError(f"config is missing required field {exc}") from exc
     except (ValueError, AlistFormatError) as exc:
         raise ConfigError(str(exc)) from exc
-
-    # surface decoder/fault-model/accounting inconsistencies now, not mid-run
-    memsim._validate_run_args(memsim.RunConfig(
-        cfg.graph, cfg.decoder, cfg.fault_model, cfg.cycles,
-        profile=cfg.profile, check_accounting=cfg.check_accounting))
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +283,7 @@ def _write_traces(path: Path, header: list[str], runs: list, n: int) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = load_experiment_config(Path(args.config))
-    run = memsim.RunConfig(cfg.graph, cfg.decoder, cfg.fault_model, cfg.cycles,
-                           profile=cfg.profile,
-                           check_accounting=cfg.check_accounting)
-    result = memsim.monte_carlo(run, cfg.trials, cfg.root_seed,
+    result = memsim.monte_carlo(cfg, cfg.trials, cfg.root_seed,
                                 keep_reports=cfg.output_traces is not None)
     obj = result.to_json_obj()
     obj["config"] = {
@@ -327,40 +311,40 @@ def cmd_bounds(args) -> int:
     if not gammas or not rhos:
         raise ConfigError("gamma and rho lists must be non-empty")
     cost = _cost_model(args.cost)
-    out = _out_path(args.out)
-    with _new_file(out) as fh:
-        w = csv.writer(fh)
-        w.writerow(["gamma", "rho", "redundancy", "redundancy_tk",
-                    "alpha_total_lower", "alpha_total_upper"])
-        for gamma in gammas:
-            for rho in rhos:
-                if rho <= gamma:
-                    continue
-                bounds = expansion.alpha_total_bounds(gamma, rho)
-                w.writerow([
-                    gamma, rho,
-                    repr(metrics.redundancy(gamma, rho, cost)),
-                    repr(metrics.redundancy_tk(gamma, rho, cost)),
-                    "" if bounds.lower is None else repr(bounds.lower),
-                    repr(bounds.upper),
-                ])
-    print(f"wrote {out}")
+    # every row of both tables is computed before either file is opened,
+    # so a bad input exits with no file written
+    rows = [["gamma", "rho", "redundancy", "redundancy_tk",
+             "alpha_total_lower", "alpha_total_upper"]]
+    for gamma in gammas:
+        for rho in rhos:
+            if rho <= gamma:
+                continue
+            bounds = expansion.alpha_total_bounds(gamma, rho)
+            rows.append([
+                gamma, rho,
+                repr(metrics.redundancy(gamma, rho, cost)),
+                repr(metrics.redundancy_tk(gamma, rho, cost)),
+                "" if bounds.lower is None else repr(bounds.lower),
+                repr(bounds.upper),
+            ])
+    tables = [(_out_path(args.out), rows)]
     if args.chernoff_out:
         ps = _float_list(args.chernoff_p)
         deltas = _float_list(args.chernoff_delta)
         ns = _int_list(args.chernoff_n)
         if not (ps and deltas and ns):
             raise ConfigError("chernoff tables need p, delta, and n lists")
-        cpath = _out_path(args.chernoff_out)
-        with _new_file(cpath) as fh:
-            w = csv.writer(fh)
-            w.writerow(["p", "delta", "n", "exact_bound", "loose_bound"])
-            for p in ps:
-                for d in deltas:
-                    for n in ns:
-                        exact, loose = metrics.chernoff_tail(p, d, n)
-                        w.writerow([p, d, n, repr(exact), repr(loose)])
-        print(f"wrote {cpath}")
+        rows = [["p", "delta", "n", "exact_bound", "loose_bound"]]
+        for p in ps:
+            for d in deltas:
+                for n in ns:
+                    exact, loose = metrics.chernoff_tail(p, d, n)
+                    rows.append([p, d, n, repr(exact), repr(loose)])
+        tables.append((_out_path(args.chernoff_out), rows))
+    for path, rows in tables:
+        with _new_file(path) as fh:
+            csv.writer(fh).writerows(rows)
+        print(f"wrote {path}")
     return 0
 
 
@@ -371,11 +355,8 @@ def cmd_compare_tk(args) -> int:
             "compare-tk needs state-independent fault streams; the greedy "
             "strategy adapts to the decoder and cannot be shared")
     results = {
-        decoder: memsim.monte_carlo(
-            memsim.RunConfig(cfg.graph, decoder, cfg.fault_model, cfg.cycles,
-                             profile=cfg.profile,
-                             check_accounting=cfg.check_accounting),
-            cfg.trials, cfg.root_seed, keep_reports=True)
+        decoder: memsim.monte_carlo(replace(cfg, decoder=decoder),
+                                    cfg.trials, cfg.root_seed, keep_reports=True)
         for decoder in ("algorithm_a", "tk")
     }
     out = _out_path(args.out)

@@ -291,11 +291,6 @@ def admissible_epsilons(gamma: int) -> list[float]:
     return sorted(out)
 
 
-def _is_admissible(eps: float, gamma: int) -> bool:
-    t = (0.25 - eps) * gamma
-    return t > 0 and abs(t - round(t)) <= 1e-9 and round(t) >= 2
-
-
 @dataclass(frozen=True)
 class AlphaTotalBounds:
     lower: float | None
@@ -315,31 +310,20 @@ class AlphaTotalBounds:
 DEFAULT_EPS_GRID = tuple(k / 100 for k in range(1, 26))
 
 
-def alpha_total_bounds(gamma: int, rho: int, eps_grid=None) -> AlphaTotalBounds:
+def alpha_total_bounds(gamma: int, rho: int) -> AlphaTotalBounds:
     """Bounds on the tolerable fault budget alpha*(1+4e)*(4e)/2.
 
-    The upper bound maximizes, over an epsilon grid, the budget implied by
-    the largest alpha the neighbor-count ceiling allows.  The lower bound
-    maximizes over the epsilons where the existence formula applies; when
-    the grid is defaulted those exact admissible epsilons (one per integer
-    (1/4-eps)*gamma >= 2) are always included, since for most gamma none
-    of them falls on a round-number grid.  lower is None when no
-    admissible epsilon exists.
+    The upper bound maximizes, over DEFAULT_EPS_GRID and the admissible
+    epsilons, the budget implied by the largest alpha the neighbor-count
+    ceiling allows.  The lower bound maximizes over the admissible
+    epsilons (one per integer (1/4-eps)*gamma >= 2), where the existence
+    formula applies; for most gamma none of them falls on the
+    round-number grid.  lower is None when no admissible epsilon exists.
     """
     if gamma < 2 or rho <= gamma:
         raise ValueError("need gamma >= 2 and rho > gamma")
-    admissible = admissible_epsilons(gamma)
-    if eps_grid is None:
-        upper_grid = sorted(set(DEFAULT_EPS_GRID) | set(admissible))
-        lower_grid = admissible
-    else:
-        upper_grid = sorted(eps_grid)
-        if not upper_grid:
-            raise ValueError("eps_grid must be non-empty")
-        for e in upper_grid:
-            if not 0.0 < e <= EPSILON_MAX:
-                raise ValueError(f"grid epsilon {e} outside (0, 1/4]")
-        lower_grid = [e for e in upper_grid if _is_admissible(e, gamma)]
+    lower_grid = admissible_epsilons(gamma)
+    upper_grid = sorted(set(DEFAULT_EPS_GRID) | set(lower_grid))
 
     upper, upper_eps = max(
         ((alpha_total_from(invert_expansion_upper_bound(gamma, rho, e), e), e)

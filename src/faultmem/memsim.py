@@ -168,31 +168,31 @@ class RunConfig:
     profile: ExpansionProfile | None = None
     check_accounting: bool = False
 
-
-def _validate_run_args(config: RunConfig) -> None:
-    g, decoder, fault_model = config.graph, config.decoder, config.fault_model
-    if decoder not in DECODERS:
-        raise ConfigError(f"unknown decoder {decoder!r}; expected one of {DECODERS}")
-    if config.cycles < 1:
-        raise ConfigError(f"cycles must be at least 1, got {config.cycles}")
-    if not isinstance(fault_model, (AdversarialModel, IndependentModel)):
-        raise ConfigError("fault_model must be AdversarialModel or IndependentModel")
-    if config.check_accounting and not (config.profile is not None
-                                        and isinstance(fault_model, AdversarialModel)):
-        raise ConfigError("check_accounting needs a profile and an adversarial model")
-    if decoder == "none":
-        gates_active = (
-            isinstance(fault_model, AdversarialModel)
-            and (fault_model.budget.xor_count(g) > 0 or fault_model.budget.maj_count(g) > 0)
-        ) or (
-            isinstance(fault_model, IndependentModel)
-            and (fault_model.rates.p_xor > 0 or fault_model.rates.p_maj > 0)
-        )
-        if gates_active:
-            raise ConfigError(
-                "decoder 'none' has no correcting circuit, so gate-fault "
-                "budgets/rates must be zero"
+    def __post_init__(self) -> None:
+        """Reject a run that cannot mean what it says, when it is built."""
+        g, decoder, fault_model = self.graph, self.decoder, self.fault_model
+        if decoder not in DECODERS:
+            raise ConfigError(f"unknown decoder {decoder!r}; expected one of {DECODERS}")
+        if self.cycles < 1:
+            raise ConfigError(f"cycles must be at least 1, got {self.cycles}")
+        if not isinstance(fault_model, (AdversarialModel, IndependentModel)):
+            raise ConfigError("fault_model must be AdversarialModel or IndependentModel")
+        if self.check_accounting and not (self.profile is not None
+                                          and isinstance(fault_model, AdversarialModel)):
+            raise ConfigError("check_accounting needs a profile and an adversarial model")
+        if decoder == "none":
+            gates_active = (
+                isinstance(fault_model, AdversarialModel)
+                and (fault_model.budget.xor_count(g) > 0 or fault_model.budget.maj_count(g) > 0)
+            ) or (
+                isinstance(fault_model, IndependentModel)
+                and (fault_model.rates.p_xor > 0 or fault_model.rates.p_maj > 0)
             )
+            if gates_active:
+                raise ConfigError(
+                    "decoder 'none' has no correcting circuit, so gate-fault "
+                    "budgets/rates must be zero"
+                )
 
 
 _BLOCK_BYTES = 1 << 21  # bound on the packed plan words of one block
@@ -307,7 +307,6 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
     for the lowest violating trial of the first violating cycle, naming
     that trial when ``name_trials`` is set.
     """
-    _validate_run_args(config)
     g, model, L = config.graph, config.fault_model, config.cycles
     cap = detect_cap(config.profile, g.n)
     if config.check_accounting:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -13,6 +14,7 @@ import pytest
 import faultmem as fm
 from faultmem import cli
 from faultmem.cli import main
+from faultmem.exceptions import ConfigError
 from faultmem.memsim import RunConfig
 
 from conftest import CERTIFIED_INSTANCES, build_instance
@@ -190,6 +192,20 @@ def test_simulate_accounting_needs_profile_and_adversary(tmp_path, capsys):
     assert not (tmp_path / "result.json").exists()
 
 
+def test_loaded_config_is_a_run_config_checked_when_built(tmp_path):
+    path = tmp_path / "cfg.json"
+    write_config(path)
+    cfg = cli.load_experiment_config(path)
+    assert isinstance(cfg, RunConfig)
+    for bad in ({"trials": 0}, {"cycles": 0}, {"decoder": "bogus"},
+                {"fault_model": fm.IndependentModel(fm.IndependentRates(0.0)),
+                 "check_accounting": True}):
+        with pytest.raises(ConfigError):
+            dataclasses.replace(cfg, **bad)
+    tk = dataclasses.replace(cfg, decoder="tk")
+    assert (tk.decoder, tk.graph, tk.trials) == ("tk", cfg.graph, cfg.trials)
+
+
 _CODE = {"n": 36, "gamma": 3, "rho": 6, "seed": 7, "reject_4cycles": True}
 
 
@@ -282,6 +298,20 @@ def test_bounds_empty_rho_rejected(tmp_path, capsys):
     rc = run_cli(["bounds", "--gamma", "9", "--rho", "", "--out",
                   tmp_path / "x.csv"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--gamma", "1:3", "--rho", "6", "--out", "b.csv"],
+    ["--gamma", "3", "--rho", "6", "--out", "b.csv", "--chernoff-p", "0.1",
+     "--chernoff-delta", "0.2,0.95", "--chernoff-n", "10",
+     "--chernoff-out", "ch.csv"],
+])
+def test_bounds_bad_input_leaves_no_file(tmp_path, capsys, argv):
+    argv = [tmp_path / a if a.endswith(".csv") else a for a in argv]
+    assert run_cli(["bounds"] + argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "b.csv").exists()
+    assert not (tmp_path / "ch.csv").exists()
 
 
 def test_bounds_chernoff_table(tmp_path):
@@ -382,8 +412,9 @@ def package_env() -> dict:
     return env
 
 
-# a wrong JSON shape in a config, or an alist that cannot be read, is a
-# validation error: exit 2 with one "error:" line naming the field
+# a wrong JSON shape or value in a config, or an alist that cannot be
+# read, is a validation error: exit 2 with one "error:" line naming the
+# field or the value
 _BAD_INPUTS = [
     ("simulate", [], "config must be a JSON object"),
     ("simulate", {"code": {"n": None, "gamma": 3, "rho": 6}}, "'code.n'"),
@@ -392,6 +423,9 @@ _BAD_INPUTS = [
     ("simulate", {"output": {"json": 5}}, "'output.json'"),
     ("simulate", {"code": {"alist": "missing.alist"}}, "missing.alist"),
     ("certify", None, "missing.alist"),
+    ("simulate", {"decoder": "x"}, "unknown decoder 'x'; expected one of ("),
+    ("simulate", {"cycles": 0}, "cycles must be at least 1, got 0"),
+    ("simulate", {"trials": 0}, "trials must be at least 1, got 0"),
 ]
 
 

@@ -214,14 +214,6 @@ def test_alpha_total_bounds_ordered_on_grid():
             assert b.lower is None or b.lower <= b.upper
 
 
-def test_dense_grid_dominates_single_point():
-    single = fm.alpha_total_bounds(20, 40, eps_grid=[0.10])
-    dense = fm.alpha_total_bounds(20, 40)
-    assert dense.upper >= single.upper
-    if single.lower is not None:
-        assert dense.lower >= single.lower
-
-
 def test_lower_bound_absent_when_no_admissible_eps():
     # gamma=8: (1/4 - eps)*8 >= 2 forces eps <= 0, so no admissible eps
     assert admissible_epsilons(8) == []

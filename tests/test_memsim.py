@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -54,6 +55,22 @@ def test_run_validation_errors(i1):
     with pytest.raises(ConfigError):
         fm.run_memory(g, "algorithm_a", adversarial(), 5, seed=1,
                       check_accounting=True)  # needs profile
+
+
+@pytest.mark.parametrize("bad", [
+    {"decoder": "bogus"},
+    {"cycles": 0},
+    {"decoder": "none", "fault_model": adversarial(alpha_xor=0.05)},
+    {"check_accounting": True},  # needs profile
+], ids=["decoder", "cycles", "none-gates", "accounting"])
+def test_inconsistent_run_cannot_be_built(i1, bad):
+    g, _ = i1
+    fields = {"graph": g, "decoder": "algorithm_a",
+              "fault_model": adversarial(), "cycles": 5}
+    with pytest.raises(ConfigError):
+        RunConfig(**{**fields, **bad})
+    with pytest.raises(ConfigError):
+        dataclasses.replace(RunConfig(**fields), **bad)
 
 
 # -- failure detection ------------------------------------------------------
