@@ -236,18 +236,17 @@ def parallel_bitflip_round_var_major(g: TannerGraph, words: np.ndarray) -> np.nd
     64*c + b in bit b of column c, and bit b of column c of the result is
     parallel_bitflip_round_many's row for that state.
 
-    Each check's parity is the XOR of rho contiguous row gathers, and a
-    variable flips where at least gamma//2 + 1 of its gamma gathered
-    check planes are unsatisfied.  This layout suits many states over few
-    variables (the greedy lookahead's candidate pools);
+    One take gathers every check's rho variable rows slot-major, (rho, m,
+    C), and one XOR reduce over the slots gives the check parities; one
+    more take gathers them into gamma planes, plane j holding each
+    variable's j-th check, and a variable flips where at least gamma//2 +
+    1 of its planes are unsatisfied.  This layout suits many states over
+    few variables (the greedy lookahead's candidate pools);
     algorithm_a_round_packed suits few rows of many variables.
     """
-    slots = g.slot_nbrs
-    unsat = words[slots[0]]
-    for nbrs in slots[1:]:
-        unsat ^= words[nbrs]
+    unsat = np.bitwise_xor.reduce(words.take(g.slot_nbrs, axis=0), axis=0)
     need = g.gamma // 2 + 1
-    planes = unsat[g.slot_checks].swapaxes(0, 1)  # (n, gamma, C)
+    planes = unsat.take(g.slot_checks, axis=0).swapaxes(0, 1)  # (n, gamma, C)
     return words ^ _at_least(planes, need, need)[0]
 
 

@@ -21,14 +21,19 @@ a PlanBatch of ragged (row, id) pairs per class, for both models.
 
 The greedy adversary scores a pool of candidate register-flip sets per
 trial by one reliable flip round.  The pools are scored over slabs of
-consecutive trials, each slab's pool-key array at most _POOL_BYTES, so a
-cycle's temporaries stay small enough to be reused rather than paged in
-afresh.  In a slab the candidate states are variable-major words, (n,
-T*W) with W = ceil(P/64): entry (v, t*W + p // 64) holds bit p % 64 for
-candidate p of trial t, rounded by
-decoders.parallel_bitflip_round_var_major.  A trial's choice is a pure
-function of its key and its observed row, so no result depends on
-_POOL_BYTES.
+consecutive trials, each slab's pool-key array at most _POOL_BYTES.  That
+bounds a slab's temporaries (for one register flip at n = 36-40, about
+0.45-0.55 MB at the peak, the largest single one a 110-160 KB gather in
+the round), but it does not keep them off fresh pages: glibc reuses them
+from cycle to cycle only while its dynamic mmap and trim thresholds,
+raised by an earlier free of a large mapped block, sit above them.  In a
+slab the candidate states are variable-major words, (n, T*W) with W =
+ceil(P/64): entry (v, t*W + p // 64) holds bit p % 64 for candidate p of
+trial t, rounded by decoders.parallel_bitflip_round_var_major.  Only the
+rows with a corrupt bit read their state; a clean row (every row while
+the memory holds its stored word) needs no argsort, stale count or XOR
+of its observed word.  A trial's choice is a pure function of its key
+and its observed row, so no result depends on _POOL_BYTES.
 """
 
 from __future__ import annotations
@@ -441,9 +446,10 @@ def _cluster_rows(g: TannerGraph, keys, reg_count: int, xor_count: int,
 
 
 GREEDY_POOL_SIZE = 64
-# Bound on one slab's pool-key array in _greedy_rows: the slab's other
-# temporaries are of the same order, small enough that the allocator
-# reuses them from cycle to cycle instead of mapping fresh pages.
+# Bound on one slab's pool-key array in _greedy_rows; the slab's other
+# temporaries are of the same order.  Whether the allocator reuses them
+# or maps fresh pages each cycle depends on its thresholds (module
+# docstring), not on this bound.
 _POOL_BYTES = 1 << 16
 
 
@@ -458,49 +464,80 @@ def _greedy_rows(g: TannerGraph, keys, count: int, observed: np.ndarray,
     its observed row, so the result does not depend on the bound."""
     rows = observed.shape[0]
     slab = max(1, _POOL_BYTES // (8 * pool_size))
+    layout = _pool_layout(pool_size, count, slab)
     out = np.empty((rows, count), dtype=np.int64)
     for lo in range(0, rows, slab):
         hi = min(rows, lo + slab)
         out[lo:hi] = _lookahead(g, keys[lo:hi], count, observed[lo:hi],
-                                pool_size)
+                                pool_size, layout)
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _pool_layout(pool_size: int, count: int, rows: int):
+    """The part of _lookahead's pool layout that reads no key or state,
+    for slabs of up to ``rows`` trials (a smaller slab takes a prefix):
+    the pool ids 1..pool_size-1, the (rows, pool_size, 1) column t*W +
+    p // 64 of candidate p of trial t, and candidate p's bit p % 64 for
+    every (trial, candidate, register), raveled."""
+    words = -(-pool_size // 64)
+    slot = np.arange(pool_size)
+    col = (np.arange(rows)[:, None] * words + slot // 64)[..., None]
+    bit = np.uint64(1) << (slot % 64).astype(np.uint64)
+    bits = np.broadcast_to(bit[:, None], (rows, pool_size, count)).ravel()
+    ids = np.arange(1, pool_size, dtype=np.uint64)
+    for arr in (ids, col, bits):
+        arr.flags.writeable = False
+    return ids, col, bits
+
+
 def _lookahead(g: TannerGraph, keys, count: int, observed: np.ndarray,
-               pool_size: int) -> np.ndarray:
-    """_greedy_rows on one slab.  One bit-sliced round covers every
-    trial's pool, on variable-major words: candidate p of trial t is bit
-    p % 64 of column t*W + p // 64, W = ceil(pool_size / 64)."""
+               pool_size: int, layout) -> np.ndarray:
+    """_greedy_rows on one slab, ``layout`` being _pool_layout's for at
+    least as many rows.  One bit-sliced round covers every trial's pool,
+    on variable-major words: candidate p of trial t is bit p % 64 of
+    column t*W + p // 64, W = ceil(pool_size / 64).
+
+    Only the rows with a corrupt bit read their state.  A clean row's
+    candidate 0 is registers 0..count-1 (the stable argsort of an
+    all-False row), none of its candidates flips a stale register, and
+    XOR-ing its observed word into its states changes nothing, so its
+    score is the post-correction count alone."""
     rows, n = observed.shape
-    corrupt = observed != 0
+    ids, col, bits = layout
     cands = np.empty((rows, pool_size, count), dtype=np.int64)
-    cands[:, 0] = np.sort(np.argsort(corrupt, axis=1, kind="stable")[:, :count],
-                          axis=1)
-    _floyd(_absorb(keys[:, None], np.arange(1, pool_size, dtype=np.uint64)), _POOL,
-           n, count, cands[:, 1:])
-    # flipping a fresh register adds one corrupt bit, a stale one removes
-    # it: the pre-correction count is corrupt.sum(axis=1) + count - 2 *
-    # stale, and its row constant moves no argmax
-    row_ids = np.arange(rows)
-    stale = corrupt.reshape(-1).take(cands + (row_ids * n)[:, None, None]).sum(axis=2)
+    cands[:, 0] = np.arange(count)
+    _floyd(_absorb(keys[:, None], ids), _POOL, n, count, cands[:, 1:])
+    hit = observed.any(axis=1)
+    # a slab of corrupt rows only is read through views
+    dirty = slice(None) if hit.all() else np.flatnonzero(hit)
+    seen = observed[dirty]
+    corrupt = seen != 0
+    if len(seen):
+        cands[dirty, 0] = np.sort(
+            np.argsort(corrupt, axis=1, kind="stable")[:, :count], axis=1)
     # scatter-add of each candidate's bit into its registers' words: a
     # candidate's registers are distinct and no two candidates share a
     # bit, so no bit is set twice and np.add.at (which has a fast path)
     # ORs exactly
     words = -(-pool_size // 64)
-    slot = np.arange(pool_size)
-    col = row_ids[:, None] * words + slot // 64
-    bit = np.uint64(1) << (slot % 64).astype(np.uint64)
     at = cands * (rows * words)
-    at += col[..., None]
+    at += col[:rows]
     states = np.zeros((n, rows * words), dtype=np.uint64)
-    np.add.at(states.reshape(-1), at.ravel(),
-              np.broadcast_to(bit[:, None], cands.shape).ravel())
-    states.reshape(n, rows, words)[...] ^= broadcast_bits(observed.T)[:, :, None]
+    np.add.at(states.reshape(-1), at.ravel(), bits[:cands.size])
+    if len(seen):
+        states.reshape(n, rows, words)[:, dirty] ^= broadcast_bits(seen.T)[:, :, None]
     wrong = parallel_bitflip_round_var_major(g, states)
     post = popcounts(wrong.T).reshape(rows, -1)[:, :pool_size]
-    best = np.argmax(post * (n + 1) - 2 * stale, axis=1)
-    return cands[row_ids, best]
+    best = np.argmax(post, axis=1)
+    if len(seen):
+        # flipping a fresh register adds one corrupt bit, a stale one
+        # removes it: the pre-correction count is corrupt.sum(axis=1) +
+        # count - 2 * stale, and its row constant moves no argmax
+        dirty_cands = cands[dirty] + (np.arange(len(seen)) * n)[:, None, None]
+        stale = corrupt.reshape(-1).take(dirty_cands).sum(axis=2)
+        best[dirty] = np.argmax(post[dirty] * (n + 1) - 2 * stale, axis=1)
+    return cands[np.arange(rows), best]
 
 
 def draw_adversarial_batch(budget: AdversarialBudget, g: TannerGraph,

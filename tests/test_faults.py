@@ -357,6 +357,46 @@ def test_greedy_rows_match_uint8_lookahead_past_255_variables(corrupt):
             reference_greedy_rows(g, keys, count, observed, pool_size))
 
 
+def clean_and_mixed_slabs(rng, n):
+    """Observed slabs that mix clean (all-zero) rows with corrupt ones:
+    all clean; clean rows at random among corrupt ones; one corrupt row,
+    the last; and four clean rows, four corrupt and two clean, so that
+    slabs of three trials straddle both boundaries."""
+    def corrupt_rows(rows):
+        out = np.zeros((rows, n), np.uint8)
+        for row in out:
+            row[rng.choice(n, int(rng.integers(1, n // 2)), replace=False)] = 1
+        return out
+
+    mixed = corrupt_rows(12)
+    mixed[rng.choice(12, 5, replace=False)] = 0
+    last = np.zeros((6, n), np.uint8)
+    last[-1] = corrupt_rows(1)[0]
+    split = np.zeros((10, n), np.uint8)
+    split[4:8] = corrupt_rows(4)
+    return np.zeros((9, n), np.uint8), mixed, last, split
+
+
+@pytest.mark.parametrize("slab_trials", (None, 1, 3))
+@pytest.mark.parametrize("pool_size", (1, 64, 65, 130))
+@pytest.mark.parametrize("count", (1, 2, 3, 4, 5))
+def test_greedy_rows_match_uint8_lookahead_on_clean_and_mixed_slabs(
+        monkeypatch, count, pool_size, slab_trials):
+    # a clean row skips the argsort, the stale count and the XOR of its
+    # observed word, so a corrupt row taken for clean would misrank
+    if slab_trials is not None:
+        monkeypatch.setattr(faults, "_POOL_BYTES", slab_trials * 8 * pool_size)
+    rng = np.random.default_rng(100 * count + pool_size)
+    for params, seed in (((36, 3, 6), 7), ((40, 4, 5), 13)):
+        g = fm.build_random_regular(fm.CodeParams(*params), seed,
+                                    reject_4cycles=True)
+        for observed in clean_and_mixed_slabs(rng, g.n):
+            keys = trial_keys(int(rng.integers(2**31)), np.arange(len(observed)))
+            got = faults._greedy_rows(g, keys, count, observed, pool_size)
+            want = reference_greedy_rows(g, keys, count, observed, pool_size)
+            assert np.array_equal(got, want)
+
+
 # sha256 of greedy's register choices, taken before the lookahead was
 # scored in slabs.  The desk digest cannot see them: every desk trial
 # observes the stored word, so its trajectory is the same whatever greedy
