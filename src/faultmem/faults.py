@@ -17,7 +17,10 @@ what else is in the batch, so one trial is a batch of one key.
 Plans are drawn as index sets, never as per-component masks: an
 independent class's fault count is Binomial(N, p), by inverting one keyed
 uniform, and its positions a uniform subset of that size.  Every plan is
-a PlanBatch of ragged (row, id) pairs per class, for both models.
+a PlanBatch of ragged (row, id) pairs per class, for both models.  Every
+uniform subset is one draw, _subset_draw: the first k distinct values of
+a keyed sequence of ids, so a key's k-subset is a prefix of its
+(k+1)-subset and curves in the budget or in p share random numbers.
 
 The greedy adversary scores a pool of candidate register-flip sets per
 trial by one reliable flip round.  The pools are scored over slabs of
@@ -65,6 +68,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # Each component class reads its own segment of a key's sequence:
 # component j of the class at base b is output b + j + 1.
 _REG, _XOR, _MAJ, _ORDER, _POOL, _COUNT = (c << 40 for c in range(6))
+_REDRAW = 1 << 32  # _below's redraw step, past every draw position
 
 
 def _mix(z: int) -> int:
@@ -142,21 +146,19 @@ def _offsets(base: int, size: int) -> np.ndarray:
     return out
 
 
-def _below(keys: np.ndarray, bound: int, pos: int, stride: int) -> np.ndarray:
-    """Exact uniform integers in [0, bound), one per key (of any shape),
-    read at stream position ``pos``, as int64 (bound <= 2^63).  A value in
-    the incomplete top block (probability below bound/2^64) is redrawn at
-    pos + stride, pos + 2*stride, ..."""
-    vals = np.add(keys, np.uint64((pos + 1) * _GOLDEN & _MASK))
-    _mix_rows(vals)
+def _below(keys: np.ndarray, bound: int, pos) -> np.ndarray:
+    """Exact uniform integers in [0, bound) as int64 (bound <= 2^63), read at
+    stream position ``pos`` (an int, or a uint64 array broadcast against
+    keys of any shape).  A value in the incomplete top block (probability
+    below bound/2^64) is redrawn at pos + _REDRAW, pos + 2*_REDRAW, ..."""
+    step = np.multiply(np.add(pos, 1, dtype=np.uint64), _UGOLDEN)  # wraps
+    vals = _mix_rows(np.add(keys, step))
     cut = (1 << 64) - (1 << 64) % bound
     if cut <= _MASK:
         bad = vals >= cut
         while bad.any():
-            pos += stride
-            redo = keys[bad]
-            redo += np.uint64((pos + 1) * _GOLDEN & _MASK)
-            vals[bad] = _mix_rows(redo)
+            step = np.add(step, _REDRAW * _GOLDEN & _MASK, dtype=np.uint64)
+            vals[bad] = _mix_rows(np.add(keys, step)[bad])
             bad &= vals >= cut
     # vals - (vals // bound) * bound: division by a scalar has a fast path
     # that the remainder lacks
@@ -166,43 +168,57 @@ def _below(keys: np.ndarray, bound: int, pos: int, stride: int) -> np.ndarray:
     return np.subtract(vals, quot, out=vals).view(np.int64)
 
 
-def _floyd(keys: np.ndarray, base: int, total: int, count: int,
-           out: np.ndarray | None = None) -> np.ndarray:
-    """Uniform count-subsets of range(total), one per key (of any shape),
-    by Floyd's algorithm (count hashes per key, from the class at
-    ``base``); each subset sorted ascending along the last axis of the
-    keys.shape + (count,) int64 result, written into ``out`` when given."""
-    if out is None:
-        if count == 1:
-            return _below(keys, total, base, 1)[..., None]
-        out = np.empty(keys.shape + (count,), dtype=np.int64)
-    for i in range(count):
-        top = total - count + i
-        pick = _below(keys, top + 1, base + i, count)
-        if i:
-            pick[(out[..., :i] == pick[..., None]).any(axis=-1)] = top
-        out[..., i] = pick
-    if count > 1:
-        out.sort(axis=-1)
+def _first_distinct(seq: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` distinct values of each row, in order of first
+    appearance; all -1 in a row that holds fewer."""
+    rows, width = seq.shape
+    order = np.argsort(seq, axis=1, kind="stable")
+    srt = np.take_along_axis(seq, order, axis=1)
+    first = np.ones((rows, width), dtype=bool)
+    np.put_along_axis(first, order[:, 1:], srt[:, 1:] != srt[:, :-1], axis=1)
+    seen = np.cumsum(first, axis=1)
+    full = seen[:, -1] >= count
+    out = np.full((rows, count), -1, dtype=seq.dtype)
+    out[full] = seq[first & (seen <= count) & full[:, None]].reshape(-1, count)
     return out
 
 
+def _subset_draw(keys: np.ndarray, base: int, total: int, count: int) -> np.ndarray:
+    """Uniform count-subsets of range(total), one per key (of any shape), as
+    keys.shape + (count,) int64: the first count distinct values of the
+    sequence _below(key, total, base + j), j = 0, 1, ..., in order of
+    appearance (a smaller count's subset is a prefix).  Rows hash count +
+    count^2 // total positions, a row holding fewer twice as many, ..."""
+    if count == 1:
+        return _below(keys, total, base)[..., None]
+    flat = keys.reshape(-1)
+    out = np.empty((flat.size, count), dtype=np.int64)
+    rows, width = slice(None), count + count * count // total
+    while True:
+        pos = np.arange(base, base + width, dtype=np.uint64)
+        out[rows] = got = _first_distinct(_below(flat[rows, None], total, pos), count)
+        short = np.flatnonzero(got[:, -1] < 0)
+        if not short.size:
+            return out.reshape(keys.shape + (count,))
+        rows, width = np.arange(flat.size)[rows][short], 2 * width
+
+
 def _subsets(keys, base: int, total: int, count: int):
-    return None if count == 0 else _floyd(keys, base, total, count)
+    """_subset_draw sorted along the last axis; None at count 0."""
+    return None if count == 0 else np.sort(_subset_draw(keys, base, total, count))
 
 
 def _ragged_subsets(keys: np.ndarray, base: int, total: int,
                     counts: np.ndarray):
-    """(row, id) pairs of a uniform counts[r]-subset of range(total) for
-    each key r: _floyd on each group of rows that share a count."""
-    rows = np.repeat(np.arange(counts.size), counts)
-    ids = np.empty(rows.size, dtype=np.int64)
-    start = np.cumsum(counts) - counts
-    for count in (np.flatnonzero(np.bincount(counts)[1:]) + 1).tolist():
-        sel = np.flatnonzero(counts == count)
-        ids[start[sel, None] + np.arange(count)] = _floyd(keys[sel], base,
-                                                          total, count)
-    return rows, ids
+    """(row, id) pairs, sorted within a row, of a uniform counts[r]-subset
+    of range(total) per key r: its prefix of one _subset_draw at the top."""
+    hit = np.flatnonzero(counts)
+    if not hit.size:
+        return hit, hit
+    counts = counts[hit]
+    ids = _subset_draw(keys[hit], base, total, int(counts.max()))
+    keep = np.arange(ids.shape[1]) < counts[:, None]
+    return np.repeat(hit, counts), np.sort(np.where(keep, ids, total))[keep]
 
 
 @functools.lru_cache(maxsize=64)
@@ -232,20 +248,6 @@ def _binomial_counts(keys: np.ndarray, pos: int, total: int, p: float) -> np.nda
     ``pos`` of the key's count segment inverted against _binomial_table."""
     u = _mix_rows(keys + np.uint64((_COUNT + pos + 1) * _GOLDEN & _MASK))
     return np.searchsorted(_binomial_table(total, p), u >> _U11, side="right")
-
-
-def _first_distinct(seq: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` distinct values of each row, in order of first
-    appearance; every row must hold at least that many."""
-    rows, width = seq.shape
-    order = np.argsort(seq, axis=1, kind="stable")
-    srt = np.take_along_axis(seq, order, axis=1)
-    first_sorted = np.ones((rows, width), dtype=bool)
-    first_sorted[:, 1:] = srt[:, 1:] != srt[:, :-1]
-    first = np.empty_like(first_sorted)
-    np.put_along_axis(first, order, first_sorted, axis=1)
-    keep = first & (np.cumsum(first, axis=1) <= count)
-    return seq[keep].reshape(rows, count)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +393,10 @@ def draw_independent_batch(rates: IndependentRates, g: TannerGraph, keys,
     uint64 array of cycles gives row b*T + t for trial t at cycle b.  A
     class's fault count is Binomial(N, p), its 53-bit count uniform
     inverted against _binomial_table, and its faults a uniform subset of
-    that size (_floyd): the law of N iid Bernoulli(p) components, at
-    2^-53 resolution.  A zero-rate class draws nothing."""
+    that size: the law of N iid Bernoulli(p) components, at 2^-53
+    resolution.  A zero-rate class draws nothing.  A row's faults are the
+    prefix of its _subset_draw at the batch's largest count, so they nest
+    in p: the count inversion is monotone in p (up to 2^-53 rounding)."""
     keyed = _rows(_absorb(keys, cycle))
     classes = []
     for pos, (base, total, p) in enumerate(
@@ -507,15 +511,14 @@ def _lookahead(g: TannerGraph, keys, count: int, observed: np.ndarray,
     ids, col, bits = layout
     cands = np.empty((rows, pool_size, count), dtype=np.int64)
     cands[:, 0] = np.arange(count)
-    _floyd(_absorb(keys[:, None], ids), _POOL, n, count, cands[:, 1:])
+    cands[:, 1:] = _subset_draw(_absorb(keys[:, None], ids), _POOL, n, count)
     hit = observed.any(axis=1)
     # a slab of corrupt rows only is read through views
     dirty = slice(None) if hit.all() else np.flatnonzero(hit)
     seen = observed[dirty]
     corrupt = seen != 0
     if len(seen):
-        cands[dirty, 0] = np.sort(
-            np.argsort(corrupt, axis=1, kind="stable")[:, :count], axis=1)
+        cands[dirty, 0] = np.argsort(corrupt, axis=1, kind="stable")[:, :count]
     # scatter-add of each candidate's bit into its registers' words: a
     # candidate's registers are distinct and no two candidates share a
     # bit, so no bit is set twice and np.add.at (which has a fast path)
@@ -537,7 +540,7 @@ def _lookahead(g: TannerGraph, keys, count: int, observed: np.ndarray,
         dirty_cands = cands[dirty] + (np.arange(len(seen)) * n)[:, None, None]
         stale = corrupt.reshape(-1).take(dirty_cands).sum(axis=2)
         best[dirty] = np.argmax(post[dirty] * (n + 1) - 2 * stale, axis=1)
-    return cands[np.arange(rows), best]
+    return np.sort(cands[np.arange(rows), best])
 
 
 def draw_adversarial_batch(budget: AdversarialBudget, g: TannerGraph,

@@ -377,13 +377,15 @@ def test_compare_tk_paired_traces(tmp_path):
 
 
 def test_compare_tk_checks_the_accounting(tmp_path, capsys):
+    # root seed 0, the first of seeds 0-29 whose run breaks the accounting
+    # bound: with the check on compare-tk stops, without it completes
     cfg = tmp_path / "cfg.json"
     doc = dict(code={"n": 40, "gamma": 4, "rho": 5, "seed": 13,
                      "reject_4cycles": True},
                profile={"alpha": 2.9 / 40, "epsilon": 0.12}, decoder="tk",
                fault_model={"type": "adversarial", "alpha_m": 1.5 / 40,
                             "alpha_xor": 3.5 / 480, "strategy": "random"},
-               trials=65, root_seed=5)
+               trials=65, root_seed=0)
     out = tmp_path / "paired.csv"
     write_config(cfg, check_accounting=True, **doc)
     assert run_cli(["compare-tk", "--config", cfg, "--out", out]) == 1
@@ -502,8 +504,8 @@ _PINNED_MODELS = {
                     "856aeb5ee8909cfef4f288f57fe8e3bb014c6ae9900287b430fea243aec2a426"),
     "independent": ({"type": "independent", "p_m": 0.004, "p_xor": 3e-4,
                      "p_maj": 1e-3},
-                    "aba3533c9aab0c6340e5d9d9375da7ba9dba0bdd8c95cd335a2e9f3e53cece84",
-                    "5a40b9e3878d018b279dc1fbaae25cc3abef08c9d6cdb4f00d4688a33f3762d1",
+                    "9a7d810bea5633c8bad2fa6d403e810b5cf57bc3b69bca41dfc29240efff4409",
+                    "11cf406c7e3a8ca72486406f12ba2446dadd2255ab5d5a92e338b02ef42b07cd",
                     "f9dc674122557f89bdce343dc356572616679a14b862df286e27d59f604822d8"),
 }
 

@@ -1,6 +1,8 @@
+import bisect
 import hashlib
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -291,7 +293,7 @@ def reference_lookahead(g, keys, count, observed, pool_size):
     first = np.sort(np.argsort(corrupt, axis=1, kind="stable")[:, :count], axis=1)
     pool_keys = faults._absorb(keys[:, None],
                                np.arange(1, pool_size, dtype=np.uint64))
-    rand = faults._floyd(pool_keys.ravel(), faults._POOL, g.n, count)
+    rand = np.sort(faults._subset_draw(pool_keys.ravel(), faults._POOL, g.n, count))
     cands = np.concatenate(
         [first[:, None, :], rand.reshape(rows, pool_size - 1, count)], axis=1)
     stale = corrupt[np.arange(rows)[:, None, None], cands].sum(axis=2)
@@ -397,15 +399,15 @@ def test_greedy_rows_match_uint8_lookahead_on_clean_and_mixed_slabs(
             assert np.array_equal(got, want)
 
 
-# sha256 of greedy's register choices, taken before the lookahead was
-# scored in slabs.  The desk digest cannot see them: every desk trial
-# observes the stored word, so its trajectory is the same whatever greedy
-# picks.  Here the draws score observed rows from a fixed stream (130
-# trials: two full words and a partial third), and the runs follow the
-# choices (decoder algorithm_a: every trial survives; none: trials retire
-# at cycles 2-3).
-_GREEDY_DRAW_DIGEST = "3f398f1444e1e3c327531575786412a77f402d1369a6685182d309a4dfad649d"
-_GREEDY_RUN_DIGEST = "b104260e702eef47b540c354fd5e3a4330db78955e838415aaa627bba34eaaa1"
+# sha256 of greedy's register choices, taken with one slab for all 130
+# trials (where the draws equal reference_greedy_rows' too).  The desk
+# digest cannot see them: every desk trial observes the stored word, so
+# its trajectory is the same whatever greedy picks.  Here the draws score
+# observed rows from a fixed stream (130 trials: two full words and a
+# partial third), and the runs follow the choices (decoder algorithm_a:
+# every trial survives; none: trials retire at cycles 2-3).
+_GREEDY_DRAW_DIGEST = "4514a2b192b668296c713b254e0f449a20a0b82b732705380f6d7a64a95c5b78"
+_GREEDY_RUN_DIGEST = "a9a252e009c9c296101564f3c9a2b15de1984a35e69ba8fcc9f14914ee3a91d6"
 
 
 @pytest.mark.parametrize("slab_trials", (1, None, 131))
@@ -452,30 +454,35 @@ def test_mix_rows_equals_python_int_mix():
     assert got.tolist() == [faults._mix(w) for w in words.tolist()]
 
 
-def below_reference(key, bound, pos, stride):
+def below_reference(key, bound, pos):
     """One exact uniform in [0, bound) on Python ints: the mixed key at
-    stream position pos, redrawn at pos + stride, ... while it falls in
+    stream position pos, redrawn at pos + _REDRAW, ... while it falls in
     the incomplete top block of 2^64 (at or above ``cut``)."""
     cut = (1 << 64) - (1 << 64) % bound
     while True:
         value = faults._mix((key + (pos + 1) * faults._GOLDEN) & faults._MASK)
         if value < cut:
             return value % bound
-        pos += stride
+        pos += faults._REDRAW
 
 
 @settings(max_examples=60)
 @given(keys=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50),
        bound=st.one_of(st.sampled_from((1, 2, 36, 2**62 + 1, 2**63)),
                        st.integers(1, 2**63)),
-       pos=st.integers(0, 2**41), stride=st.integers(1, 5))
-def test_below_equals_python_int_reference(keys, bound, pos, stride):
+       pos=st.integers(0, 2**41), width=st.integers(1, 5))
+def test_below_equals_python_int_reference(keys, bound, pos, width):
     arr = np.array(keys + list(_EDGE_WORDS), dtype=np.uint64)
     before = arr.copy()
-    got = faults._below(arr, bound, pos, stride)
+    got = faults._below(arr, bound, pos)
     assert got.dtype == np.int64
-    assert got.tolist() == [below_reference(k, bound, pos, stride)
-                            for k in arr.tolist()]
+    want = [[below_reference(k, bound, pos + j) for j in range(width)]
+            for k in arr.tolist()]
+    assert got.tolist() == [row[0] for row in want]
+    # an array of positions broadcast against the keys, either way round
+    at = np.arange(pos, pos + width, dtype=np.uint64)
+    assert faults._below(arr[:, None], bound, at).tolist() == want
+    assert faults._below(arr, bound, at[:, None]).T.tolist() == want
     assert np.array_equal(arr, before)  # the keys are read, not written
 
 
@@ -488,8 +495,156 @@ def test_below_rejection_branch_at_a_quarter():
     cut = (1 << 64) - (1 << 64) % bound
     first = faults._mix_rows(keys + np.uint64((5 + 1) * faults._GOLDEN & faults._MASK))
     assert 0.2 < (first >= np.uint64(cut)).mean() < 0.3
-    got = faults._below(keys, bound, 5, 3)
-    assert got.tolist() == [below_reference(k, bound, 5, 3) for k in keys.tolist()]
+    got = faults._below(keys, bound, 5)
+    assert got.tolist() == [below_reference(k, bound, 5) for k in keys.tolist()]
+    at = np.arange(5, 9, dtype=np.uint64)
+    assert faults._below(keys[:, None], bound, at).tolist() == [
+        [below_reference(k, bound, pos) for pos in range(5, 9)] for k in keys.tolist()]
+
+
+# -- the subset draw --------------------------------------------------------
+
+
+def first_distinct_reference(key, base, total, count):
+    """A key's count-subset of range(total) from the class at ``base``, on
+    Python ints: the first count distinct values of the sequence of mixed
+    values at positions base, base + 1, ..., each reduced mod total (the
+    rejection of _below is taken with probability below total / 2^64, and
+    never at these totals and keys)."""
+    seen = {}
+    pos = base
+    while len(seen) < count:
+        value = faults._mix((key + (pos + 1) * faults._GOLDEN) & faults._MASK)
+        assert value < (1 << 64) - (1 << 64) % total
+        seen.setdefault(value % total, None)
+        pos += 1
+    return list(seen)
+
+
+# (total, count, keys): counts 1 to 100 on totals 5 to 48 000; small
+# totals at large counts need many positions, so their rows widen
+_SUBSET_CASES = ((5, 1, 40), (5, 2, 40), (5, 5, 40), (7, 6, 40), (36, 2, 300),
+                 (36, 5, 300), (36, 30, 20), (40, 39, 10), (432, 4, 100),
+                 (4000, 12, 100), (4000, 100, 5), (48_000, 3, 100),
+                 (48_000, 100, 3))
+
+
+@pytest.mark.parametrize("total, count, rows", _SUBSET_CASES)
+def test_subset_draw_equals_python_first_distinct(total, count, rows):
+    keys = trial_keys(total + count, np.arange(rows))
+    for base in (faults._REG, faults._XOR, faults._POOL):
+        got = faults._subset_draw(keys, base, total, count)
+        assert got.shape == (rows, count) and got.dtype == np.int64
+        assert got.tolist() == [first_distinct_reference(k, base, total, count)
+                                for k in keys.tolist()]
+    # keys of any shape: the pool's (trials, candidates) keys
+    grid = keys[:rows // 2 * 2].reshape(-1, 2)
+    assert np.array_equal(faults._subset_draw(grid, faults._POOL, total, count),
+                          faults._subset_draw(grid.ravel(), faults._POOL, total,
+                                              count).reshape(grid.shape + (count,)))
+
+
+def graph_shape(n, gamma=3, rho=6):
+    """What the draw kernels read of a Tanner graph: its class sizes."""
+    return types.SimpleNamespace(n=n, gamma=gamma, rho=rho)
+
+
+def row_lists(pair, rows):
+    """Each row's ids of one PlanBatch class, in stored order (empty rows
+    for a class drawn as None)."""
+    out = [[] for _ in range(rows)]
+    if pair is not None:
+        for r, i in zip(pair[0].tolist(), pair[1].tolist()):
+            out[r].append(i)
+    return out
+
+
+@pytest.mark.parametrize("n, rates, rows", (
+    (5, (0.45, 0.3, 0.45), 200),            # counts up to the class size
+    (36, (0.2, 0.05, 0.2), 100),
+    (4000, (0.025, 0.002, 0.0), 1),         # one row with ~100 faults
+    (4000, (1e-3, 1e-5, 1e-5), 64 * 13)))
+def test_independent_rows_equal_python_first_distinct(n, rates, rows):
+    # every row's count is its keyed uniform inverted against the table,
+    # and its ids the first count distinct values of its class sequence
+    g = graph_shape(n)
+    keys = trial_keys(n, np.arange(rows))
+    batch = draw_independent_batch(fm.IndependentRates(*rates), g, keys, 7)
+    classes = ((faults._REG, g.n, rates[0], batch.reg),
+               (faults._XOR, g.n * g.gamma * (g.rho - 2), rates[1], batch.xor),
+               (faults._MAJ, g.n, rates[2], batch.maj))
+    for pos, (base, total, p, pair) in enumerate(classes):
+        if p == 0.0:
+            assert pair is None
+            continue
+        table = faults._binomial_table(total, p).tolist()
+        got = row_lists(pair, rows)
+        for row, key in enumerate(keys.tolist()):
+            key = faults._absorb(key, 7)
+            u = faults._mix((key + (faults._COUNT + pos + 1) * faults._GOLDEN)
+                            & faults._MASK) >> 11
+            count = bisect.bisect_right(table, u)
+            assert got[row] == sorted(first_distinct_reference(key, base, total,
+                                                               count))
+    if rows == 1:
+        assert 70 <= batch.reg[1].size <= 130
+
+
+@pytest.mark.parametrize("strategy", ("random", "repeat"))
+def test_fixed_budgets_equal_python_first_distinct(strategy):
+    g = graph_shape(4000)
+    totals = (g.n, g.n * g.gamma * (g.rho - 2), g.n)
+    keys = trial_keys(5, np.arange(20))
+    for counts in ((1, 1, 1), (2, 5, 3), (100, 60, 17)):
+        budget = fm.AdversarialBudget(*((c + 0.5) / t for c, t in zip(counts, totals)))
+        batch = draw_adversarial_batch(budget, g, strategy, keys, 9, None)
+        for pair, base, total, count in zip((batch.reg, batch.xor, batch.maj),
+                                            (faults._REG, faults._XOR, faults._MAJ),
+                                            totals, counts):
+            got = row_lists(pair, keys.size)
+            for row, key in enumerate(keys.tolist()):
+                key = key if strategy == "repeat" else faults._absorb(key, 9)
+                assert got[row] == sorted(
+                    first_distinct_reference(key, base, total, count))
+
+
+@pytest.mark.parametrize("strategy", ("random", "repeat"))
+def test_fixed_budget_subsets_nest(small_graph, strategy):
+    # on the same keys, every class's subset at budget k lies in the one
+    # at budget k + 1
+    g = small_graph
+    totals = (g.n, g.n * g.gamma * (g.rho - 2), g.n)
+    keys = trial_keys(17, np.arange(200))
+    last = None
+    for k in range(1, 13):
+        budget = fm.AdversarialBudget(*((k + 0.5) / t for t in totals))
+        batch = draw_adversarial_batch(budget, g, strategy, keys, 4, None)
+        sets = [[set(ids) for ids in row_lists(pair, keys.size)]
+                for pair in (batch.reg, batch.xor, batch.maj)]
+        if last is not None:
+            assert all(a < b for prev, cur in zip(last, sets)
+                       for a, b in zip(prev, cur))
+        last = sets
+
+
+def test_independent_fault_sets_nest_in_p():
+    # on the same keys and cycles, counts do not decrease and every
+    # class's fault set at a lower rate lies in the one at a higher rate.
+    # A count is monotone in p only up to the binomial table's 2^-53
+    # rounding: a uniform within 2^-53 of an entry could order two rates
+    # the other way, with probability near 2^-53 per draw
+    g = graph_shape(400, 4, 5)
+    keys = trial_keys(23, np.arange(2000))
+    last = None
+    for p in (1e-4, 1e-3, 0.004, 0.02, 0.1, 0.3):
+        batch = draw_independent_batch(fm.IndependentRates(p, p / 4, p), g, keys, 3)
+        sets = [[set(ids) for ids in row_lists(pair, keys.size)]
+                for pair in (batch.reg, batch.xor, batch.maj)]
+        if last is not None:
+            assert all(a <= b for prev, cur in zip(last, sets)
+                       for a, b in zip(prev, cur))
+        last = sets
+    assert sum(len(s) for s in last[0]) > 0.29 * 400 * 2000
 
 
 # -- model wrappers / margin -------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -653,7 +654,7 @@ def test_failure_cycle_is_first_failing_post_state(decoder, kind, monkeypatch):
 
 def test_detector_decodes_only_changed_differences(i1, monkeypatch):
     # four repeated XOR faults leave a residual that persists from cycle 1
-    # on (seed 15, the first of seeds 0-29 whose one-trial run keeps a
+    # on (seed 2, the first of seeds 0-29 whose one-trial run keeps a
     # residual for all 30 cycles and survives): the failure test runs only
     # in cycles where a suspect's difference changed, not in every cycle
     g, prof = i1
@@ -665,7 +666,7 @@ def test_detector_decodes_only_changed_differences(i1, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(memsim, "_failed_bits", counted)
-    rep = fm.run_memory(g, "algorithm_a", _budget(g, 0, 4, 0, "repeat"), 30, 15,
+    rep = fm.run_memory(g, "algorithm_a", _budget(g, 0, 4, 0, "repeat"), 30, 2,
                         prof, record_states=True)
     post = np.array(rep.states_post)
     prev = np.vstack([np.zeros((1, g.n), np.uint8), post[:-1]])
@@ -708,12 +709,13 @@ def test_rows_do_not_depend_on_where_counts_are_taken(decoder, kind, monkeypatch
                            for t in range(trials)]
 
 
-# sha256 of monte_carlo's payload and reports (root seed 5, 100 cycles)
-# on the (40,4,5) graph-seed-13 instance, taken when the loop still
-# tested for failure every cycle: per decoder and model, trials fail at
-# scattered cycles; every trial of "all-fail" fails by cycle 36;
-# "accounting" passes its check with three failures, and
-# "accounting-error" holds the message it raises
+# sha256 of monte_carlo's payload and reports (100 cycles, root seed 5
+# unless the case names another) on the (40,4,5) graph-seed-13 instance,
+# taken from the loop that tests for failure every cycle (_SPAN_CYCLES =
+# 1): per decoder and model, trials fail at scattered cycles; every trial
+# of "all-fail" fails by cycle 14; "accounting" passes its check with two
+# failures, and "accounting-error" holds the message it raises at root
+# seed 0, the first of seeds 0-29 whose run breaks the bound
 _SPAN_CASES = {
     "algorithm_a-adversarial": ("algorithm_a", adversarial(2.5 / 40, 1.5 / 480), 65, False),
     "algorithm_a-greedy": ("algorithm_a", adversarial(2.5 / 40, 1.5 / 480,
@@ -726,21 +728,51 @@ _SPAN_CASES = {
     "all-fail": ("algorithm_a", independent(0.05), 64, False),
     "accounting": ("algorithm_a", adversarial(2.5 / 40, 1.5 / 480, strategy="repeat"),
                    65, True),
-    "accounting-error": ("tk", adversarial(1.5 / 40, 3.5 / 480), 65, True),
+    "accounting-error": ("tk", adversarial(1.5 / 40, 3.5 / 480), 65, True, 0),
 }
 _SPAN_DIGESTS = {
-    "algorithm_a-adversarial": "46b89ec0bd90422b576f58d40537e787c6de7616fd6d56746c6ba251939c73ea",
-    "algorithm_a-greedy": "1c8d2abf5c4b0c18c69651d649987d08e51dde9d8fa67b869ae838a2d9b2be53",
-    "algorithm_a-independent": "90e22f84e2c478a2dba900c2234034e4d05cc562594d25c55092d602f800c733",
+    "algorithm_a-adversarial": "2527570b56f8bc848784b2b101f6b9ef10a7e5aedaba68150c4894a2d21a3a17",
+    "algorithm_a-greedy": "8fd5e747170cce8a363ea64b688a98263b55d15e5fd6abeedd6093ba74f9a6a2",
+    "algorithm_a-independent": "295b41f15117f39a1e2c6cb1ac44b3f9b2cc3aeb610dae2e65ea66ad32c8644c",
     "tk-adversarial": "517da055dec29238a16212eb365ded65865125d1ff5307731e5616f38f5aff09",
-    "tk-independent": "18108cbb2397110ee8ed0adbef3dd0f8f9241d50f50006871551b438052fc8a6",
+    "tk-independent": "9194b842cfa7919ba69ff0caf3b58db439a7c3d14d7af47e250450bbde9e5129",
     "none-adversarial": "32a34c7c2a1cb9e0945c89de85f642da7a2320ef9d481ba52462e34e44840d79",
-    "none-independent": "f6c7739cb016088a345fe8469e3c29619a5f2ac213d4148220cae1176e7b81e2",
-    "all-fail": "074e82940926d7f2ddd27d20a0d0b0117abcbe9525f1ba55fdd70e69d2dd3a9d",
-    "accounting": "16c2c15467d7f41245f87378e191fa8c9648f184e9885a6707097f794e63c7da",
-    "accounting-error": "cycle 5, trial 54: corrupt count 7 not below bound 5.52 "
+    "none-independent": "b152c0d6e14b25a387cf89fddb642238812bd82f9e4b36a085f7b2a8c0ce818f",
+    "all-fail": "f4577a1fccb5b3ce5b0b2150b448428b31bbb2d2651829a69261ced28533ddbc",
+    "accounting": "2d4b34f0eb11f9c0266e52237955e25dc02e37a4025989664694d409a8f7fa58",
+    "accounting-error": "cycle 6, trial 10: corrupt count 6 not below bound 5.52 "
                         "(previous count 1)",
 }
+
+
+def _result_digest(res):
+    """sha256 of monte_carlo's payload and reports."""
+    return hashlib.sha256(json.dumps([res.to_json_obj(), [
+        r.to_json_obj() for r in res.reports]]).encode()).hexdigest()
+
+
+def _span_results():
+    """Per _SPAN_CASES entry, the digest of its run or the accounting
+    message it raises."""
+    g, prof = build_instance(CERTIFIED_INSTANCES[2])
+    got = {}
+    for name, (decoder, model, trials, accounting, *root) in _SPAN_CASES.items():
+        cfg = RunConfig(g, decoder, model, 100, profile=prof,
+                        check_accounting=accounting)
+        try:
+            got[name] = _result_digest(fm.monte_carlo(
+                cfg, trials, root[0] if root else 5, keep_reports=True))
+        except AccountingError as exc:
+            got[name] = str(exc)
+    return got
+
+
+@functools.lru_cache(maxsize=1)
+def _span_reference():
+    """_span_results of the loop that tests for failure every cycle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(memsim, "_SPAN_CYCLES", 1)
+        return _span_results()
 
 
 @pytest.mark.parametrize("span_cycles, span_bytes", (
@@ -751,21 +783,15 @@ def test_results_do_not_depend_on_the_span(span_cycles, span_bytes, monkeypatch)
     # failures are found, trials retired and counts taken once per span:
     # failure cycles, counts and the accounting verdict must not move with
     # its length, from one cycle to the whole run
+    want = _span_reference()
     monkeypatch.setattr(memsim, "_SPAN_CYCLES", span_cycles)
     monkeypatch.setattr(memsim, "_SPAN_BYTES", span_bytes)
-    g, prof = build_instance(CERTIFIED_INSTANCES[2])
-    got = {}
-    for name, (decoder, model, trials, accounting) in _SPAN_CASES.items():
-        cfg = RunConfig(g, decoder, model, 100, profile=prof,
-                        check_accounting=accounting)
-        try:
-            res = fm.monte_carlo(cfg, trials, 5, keep_reports=True)
-        except AccountingError as exc:
-            got[name] = str(exc)
-            continue
-        got[name] = hashlib.sha256(json.dumps([res.to_json_obj(), [
-            r.to_json_obj() for r in res.reports]]).encode()).hexdigest()
+    got = _span_results()
+    assert got == want
     assert got == _SPAN_DIGESTS
+    # the accounting cases pass their check and break it, as chosen
+    assert [got[name].startswith("cycle ") for name in ("accounting", "accounting-error")] \
+        == [False, True]
 
 
 # -- periodic exit of cycle-independent models ------------------------------
@@ -802,11 +828,12 @@ _ROUNDS = ("algorithm_a_round_packed", "tk_round_packed")
 
 # (n, decoder, strategy, (registers, xor gates, majority gates) per use):
 # each runs 65 trials of root seed 5 for 100 cycles without a profile, on
-# the graph _periodic_graph(n).  All but tk-cluster fail some trials, and every alive trial's
-# state recurs long before cycle 100.  "gates-period-4", the first graph
-# seed of (200,3,6) girth-6 graphs whose survivors under one register and
-# two XOR faults include one of period >= 2 (trial 18, period 4), makes
-# the loop find a period against a snapshot other than cycle 0's.
+# the graph _periodic_graph(n).  All but tk-cluster and none-cluster fail
+# some trials, and every alive trial's state recurs long before cycle
+# 100.  "gates-period-4", the first graph seed of (200,3,6) girth-6 graphs
+# whose survivors under one register and two XOR faults include one of
+# period >= 2 (trial 53, period 4), makes the loop find a period against
+# a snapshot other than cycle 0's.
 _PERIODIC_CASES = {
     "algorithm_a-repeat": (36, "algorithm_a", "repeat", (1, 2, 0)),
     "algorithm_a-cluster": (40, "algorithm_a", "cluster", (3, 2, 1)),
@@ -817,17 +844,17 @@ _PERIODIC_CASES = {
     "gates-period-4": (200, "algorithm_a", "repeat", (1, 2, 0)),
 }
 # sha256 of monte_carlo's payload and reports, and ("states") of trial
-# 18's report and recorded states, taken when the loop still ran every
-# cycle up to the last trial's failure
+# 53's report and recorded states, taken from the loop that runs every
+# cycle up to the last trial's failure (_EveryCycle)
 _PERIODIC_DIGESTS = {
     "algorithm_a-cluster": "2b2f9fa352031c4ac047266829ff58d140590c2e9cc979925f81ebfcf9180424",
-    "algorithm_a-repeat": "4c316094ac88291c0d0d4c78bf17dfbd0f7976ca4d0b360331bd22094cd87941",
-    "gates-period-4": "ea0fd4c4dbd552da9247dd04e0d0652278d694e5a2ac7e0134e1738b0a4f478a",
+    "algorithm_a-repeat": "b68a88782a7cba679b2f6d0e061ecd5b0b9e76ebb647e45b7dfd7d3ccac17dc5",
+    "gates-period-4": "5e1d4b686854928c61bd55ad205bb55473c78a0158ab0d0def3ae47dd3c4fd73",
     "none-cluster": "f60b1d932cd08fdb690fc9b4cfb2651eb04b8fd1867deee6681557cc82e2ffcb",
-    "none-repeat": "99f889467bc602a05851a8d9b6dcff4fa05cad8cab3b53e8a01385180df6829e",
+    "none-repeat": "fa49e34d28c5f0404a4d671ff5fbfdc490aebc217104feeb4cfd54af86ea4b54",
     "tk-cluster": "34be875a94973a8caeb9452a877c950be993b037c8c621e3addf1b9b5edad426",
-    "tk-repeat": "dd873008e90cbef2542b4eb146ec8eaca5334daae537e76b75e783a5d5e6c384",
-    "states": "3502403483ef9c73459fd53f8345a5f7d293feeaa0f501bee34cd1e325feeb30",
+    "tk-repeat": "8d88c5ea9903d81566cfcf9c3a14a5583c3b1451b30fd9461ad0c554acf679a0",
+    "states": "04497fa00126921c5bdfeafa3f4e8c9db15da929bee6534bcc8c693249af469e",
 }
 
 
@@ -837,20 +864,40 @@ def _periodic_config(name, cycles=100):
     return RunConfig(g, decoder, _budget(g, *faults, strategy), cycles)
 
 
+@dataclasses.dataclass(frozen=True)
+class _EveryCycle(fm.AdversarialModel):
+    """The wrapped budget's and strategy's plans, reported cycle-dependent,
+    so the loop runs every cycle and looks for no period.  repeat and
+    cluster read no cycle, so a block of B cycles is B copies of the
+    keys' plans."""
+
+    cycle_dependent = True
+
+    def draw_batch(self, g, keys, cycle, observed):
+        keys = np.tile(np.asarray(keys, dtype=np.uint64), np.size(cycle))
+        return super().draw_batch(g, keys, cycle, observed)
+
+
+def _every_cycle(cfg):
+    model = cfg.fault_model
+    return dataclasses.replace(cfg, fault_model=_EveryCycle(model.budget,
+                                                            model.strategy))
+
+
 @pytest.mark.parametrize("name", sorted(_PERIODIC_CASES))
 def test_periodic_exit_is_exact(name, monkeypatch):
     # repeat and cluster apply one map every cycle, so the loop stops once
     # every alive trial's state has recurred and fills in the remaining
-    # cycles: payload and reports must equal those of the loop that ran
+    # cycles: payload and reports must equal those of the loop that runs
     # them, and fewer cycles must run ('none' has no round to count, so
     # its flushes are counted against one per span of the full run)
     cfg = _periodic_config(name)
+    want = fm.monte_carlo(_every_cycle(cfg), 65, 5, keep_reports=True)
     rounds = _count_calls(monkeypatch, _ROUNDS)
     flushes = _count_calls(monkeypatch, ("popcounts",))
     res = fm.monte_carlo(cfg, 65, 5, keep_reports=True)
-    assert hashlib.sha256(json.dumps([res.to_json_obj(), [
-        r.to_json_obj() for r in res.reports]]).encode()).hexdigest() \
-        == _PERIODIC_DIGESTS[name]
+    assert res.to_json_obj() == want.to_json_obj() and res.reports == want.reports
+    assert _result_digest(res) == _PERIODIC_DIGESTS[name]
     assert res.failures < 65
     if cfg.decoder == "none":
         span = min(memsim._SPAN_CYCLES, memsim._SPAN_BYTES // (16 * 2 * cfg.graph.n))
@@ -860,15 +907,21 @@ def test_periodic_exit_is_exact(name, monkeypatch):
 
 
 def test_periodic_exit_fills_recorded_states(monkeypatch):
-    # the recorded states of the filled cycles repeat the period: trial 18
+    # the recorded states of the filled cycles repeat the period: trial 53
     # of "gates-period-4" settles into a cycle of four states
     cfg = _periodic_config("gates-period-4")
+    want = fm.run_memory(cfg.graph, cfg.decoder, _every_cycle(cfg).fault_model,
+                         cfg.cycles, (5, 53), record_states=True)
     rounds = _count_calls(monkeypatch, _ROUNDS)
     rep = fm.run_memory(cfg.graph, cfg.decoder, cfg.fault_model, cfg.cycles,
-                        (5, 18), record_states=True)
+                        (5, 53), record_states=True)
     post = np.array(rep.states_post)
     assert not rep.failed and rounds[0] < cfg.cycles
     assert (post[-4:] == post[-8:-4]).all() and (post[-1] != post[-2]).any()
+    assert (post[-2:] != post[-4:-2]).any()  # the period is 4, not 2
+    assert rep.to_json_obj() == want.to_json_obj()
+    assert np.array_equal(rep.states_pre, want.states_pre)
+    assert np.array_equal(rep.states_post, want.states_post)
     assert hashlib.sha256(json.dumps(rep.to_json_obj()).encode()
                           + np.array(rep.states_pre).tobytes()
                           + post.tobytes()).hexdigest() == _PERIODIC_DIGESTS["states"]
