@@ -126,6 +126,24 @@ def _check_masks(g: TannerGraph) -> list[int]:
     return masks
 
 
+def _max_subset_size(g: TannerGraph, profile: ExpansionProfile) -> int:
+    """floor(alpha*n), the largest subset size a check of ``profile`` on
+    ``g`` covers.  Raises ValueError for a profile of another gamma, and
+    when alpha*n < 1: no subset is covered, so any verdict would be
+    vacuous."""
+    if profile.gamma != g.gamma:
+        raise ValueError(
+            f"profile gamma={profile.gamma} does not match graph gamma={g.gamma}"
+        )
+    max_size = profile.max_subset_size(g.n)
+    if max_size < 1:
+        raise ValueError(
+            f"alpha*n = {profile.alpha * g.n:g} is below 1, so no subset size "
+            "is covered and the check would be vacuous"
+        )
+    return max_size
+
+
 def check_expansion_exhaustive(
     g: TannerGraph,
     profile: ExpansionProfile,
@@ -134,15 +152,13 @@ def check_expansion_exhaustive(
     """Enumerate all nonempty subsets of size <= floor(alpha*n).
 
     Size-ascending with early exit, so a refutation's witness has minimal
-    size.  Exceeding ``work_budget`` (in subsets) yields an inconclusive
-    verdict, never a silent pass.  |N(S)| is compared against delta*|S|
-    exactly, with no rounding of the threshold.
+    size.  Exceeding ``work_budget`` (in subsets, at least 1) yields an
+    inconclusive verdict, never a silent pass.  |N(S)| is compared
+    against delta*|S| exactly, with no rounding of the threshold.
     """
-    if profile.gamma != g.gamma:
-        raise ValueError(
-            f"profile gamma={profile.gamma} does not match graph gamma={g.gamma}"
-        )
-    max_size = profile.max_subset_size(g.n)
+    if work_budget < 1:
+        raise ValueError(f"work budget must be at least 1, got {work_budget}")
+    max_size = _max_subset_size(g, profile)
     masks = _check_masks(g)
     delta = profile.delta
     checked = 0
@@ -182,16 +198,7 @@ def probe_expansion_randomized(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if profile.gamma != g.gamma:
-        raise ValueError(
-            f"profile gamma={profile.gamma} does not match graph gamma={g.gamma}"
-        )
-    max_size = profile.max_subset_size(g.n)
-    if max_size < 1:
-        return ExpansionCertificate(
-            g.graph_hash(), profile.alpha, profile.delta, profile.epsilon,
-            "randomized", "inconclusive", None, 0,
-        )
+    max_size = _max_subset_size(g, profile)
     masks = _check_masks(g)
     rng = np.random.default_rng(seed)
     for t in range(trials):

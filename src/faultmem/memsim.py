@@ -203,16 +203,17 @@ _SPAN_CYCLES = 32
 
 
 def _draw_block(model, g: TannerGraph, keys, idx: np.ndarray, words: int,
-                first: int, size: int) -> list:
+                first: int, size: int, observed=None) -> list:
     """The packed plan words of the trials ``idx`` (keys ``keys``) for
-    cycles first .. first+size-1 of a state-independent model, one
-    (reg_words, xor_words, maj_words) tuple of ``words`` word rows per
-    cycle.  One draw covers the block, row b*T + t for trial idx[t] at
-    cycle first + b, and one scatter puts it into bit idx[t] % 64 of word
-    b*words + idx[t] // 64."""
+    cycles first .. first+size-1, one (reg_words, xor_words, maj_words)
+    tuple of ``words`` word rows per cycle.  One draw covers the block,
+    row b*T + t for trial idx[t] at cycle first + b, and one scatter puts
+    it into bit idx[t] % 64 of word b*words + idx[t] // 64.  A
+    state-dependent model draws a block of one cycle from ``observed``,
+    the trials' (T, n) states; a state-independent one reads None."""
     cycles = np.arange(first, first + size, dtype=np.uint64)[:, None]
     slots = (np.arange(size)[:, None] * (64 * words) + idx).ravel()
-    packed = model.draw_batch(g, keys, cycles, None) \
+    packed = model.draw_batch(g, keys, cycles, observed) \
         .packed(g, slots, size * 64 * words)
     return [tuple(None if w is None else w[b * words:(b + 1) * words]
                   for w in packed) for b in range(size)]
@@ -231,16 +232,16 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
     because every round commutes with adding a codeword (module
     docstring).
 
-    Plans of a state-independent model are drawn a block at a time
-    (_draw_block): one draw for the trials alive at the block's first
-    cycle and its next B cycles, keys _absorb(keys[None, :], cycles[:,
-    None]), and one scatter into (B * ceil(T/64), ...) words, of which
-    each cycle takes its slice.  B is the most cycles whose words fit in
-    _BLOCK_BYTES, at least 1.  A cycle-independent model (repeat,
-    cluster) draws one block of one cycle and reuses it; greedy draws
-    each cycle from the observed state.  Every row is a pure function of
-    its (key, cycle), so results do not depend on B, and trials that fail
-    inside a block leave bits that are never read.
+    Plans are drawn a block at a time (_draw_block): one draw for the
+    trials alive at the block's first cycle and its next B cycles, keys
+    _absorb(keys[None, :], cycles[:, None]), and one scatter into (B *
+    ceil(T/64), ...) words, of which each cycle takes its slice.  B is the
+    most cycles whose words fit in _BLOCK_BYTES, at least 1.  A
+    cycle-independent model (repeat, cluster) draws one block of one
+    cycle and reuses it; greedy draws a block of one cycle, every cycle,
+    from the observed state.  Every row is a pure function of its (key,
+    cycle), so results do not depend on B, and trials that fail inside a
+    block leave bits that are never read.
 
     The state is (ceil(T/64), n) uint64 words for the whole run, trial t
     in bit t % 64 of word t // 64 (the layout of pack_rows): the
@@ -407,17 +408,14 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
         snapshot, snapshot_cycle = [a.copy() for a in full_state()], 0
 
     for cycle in range(1, L + 1):
-        alive_keys = keys if idx.size == trials else keys[idx]
-        if model.state_dependent:
-            seen = unpack_rows(state, trials)[idx]
-            words = model.draw_batch(g, alive_keys, cycle, seen) \
-                .packed(g, idx, trials)
-        else:
-            if not block:
-                size = min(block_size, L + 1 - cycle) if model.cycle_dependent else 1
-                block = _draw_block(model, g, alive_keys, idx, alive.size, cycle, size)
-            # retired trials' bits are never read
-            words = block.pop(0) if model.cycle_dependent else block[0]
+        if not block:
+            alive_keys = keys if idx.size == trials else keys[idx]
+            seen = unpack_rows(state, trials)[idx] if model.state_dependent else None
+            size = (min(block_size, L + 1 - cycle)
+                    if model.cycle_dependent and seen is None else 1)
+            block = _draw_block(model, g, alive_keys, idx, alive.size, cycle, size, seen)
+        # retired trials' bits are never read
+        words = block.pop(0) if model.cycle_dependent else block[0]
 
         reg_words, xor_words, maj_words = words
         if config.decoder == "tk":

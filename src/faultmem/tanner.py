@@ -88,60 +88,46 @@ class TannerGraph:
     * ``check_edge_pos[c, k]``-- slot of that edge inside the variable's list
 
     The cross-position arrays let message-passing rounds gather in both
-    directions without dictionaries.
+    directions without dictionaries.  All four come from two stable sorts
+    of the edge list, an (E, 2) array or a sequence of (variable, check)
+    pairs: sorted by (variable, check), edge e sits at position
+    i*gamma + j, so the checks in that order are ``var_nbrs``; sorted by
+    (check, variable), at position c*rho + k, so the variables in that
+    order are ``check_nbrs``.  An edge's slot in the other node's list is
+    its position in the other order, mod that node's degree.
     """
 
     def __init__(self, params: CodeParams, edges):
         self.params = params
         n, m, gamma, rho = params.n, params.m, params.gamma, params.rho
 
-        pairs = [(int(v), int(c)) for v, c in edges]
-        if len(pairs) != n * gamma:
-            raise ValueError(
-                f"expected {n * gamma} edges, got {len(pairs)}"
-            )
-        if len(set(pairs)) != len(pairs):
+        v, c = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+        if v.size != n * gamma:
+            raise ValueError(f"expected {n * gamma} edges, got {v.size}")
+        by_var, by_chk = np.lexsort((c, v)), np.lexsort((v, c))
+        if ((np.diff(v[by_var]) == 0) & (np.diff(c[by_var]) == 0)).any():
             raise ValueError("parallel edges are not allowed")
-        for v, c in pairs:
-            if not (0 <= v < n and 0 <= c < m):
-                raise ValueError(f"edge ({v},{c}) out of range")
-
-        by_var = defaultdict(list)
-        by_chk = defaultdict(list)
-        for v, c in pairs:
-            by_var[v].append(c)
-            by_chk[c].append(v)
-        for v in range(n):
-            if len(by_var[v]) != gamma:
+        outside = np.flatnonzero((v < 0) | (v >= n) | (c < 0) | (c >= m))
+        if outside.size:
+            e = outside[0]
+            raise ValueError(f"edge ({v[e]},{c[e]}) out of range")
+        for kind, ids, count, degree in (("variable", v, n, gamma),
+                                         ("check", c, m, rho)):
+            degrees = np.bincount(ids, minlength=count)
+            wrong = np.flatnonzero(degrees != degree)
+            if wrong.size:
+                i = wrong[0]
                 raise ValueError(
-                    f"variable {v} has degree {len(by_var[v])}, expected {gamma}"
-                )
-        for c in range(m):
-            if len(by_chk[c]) != rho:
-                raise ValueError(
-                    f"check {c} has degree {len(by_chk[c])}, expected {rho}"
+                    f"{kind} {i} has degree {degrees[i]}, expected {degree}"
                 )
 
-        self.var_nbrs = np.array([sorted(by_var[v]) for v in range(n)], dtype=np.int32)
-        self.check_nbrs = np.array([sorted(by_chk[c]) for c in range(m)], dtype=np.int32)
-
-        slot_in_check = {}
-        for c in range(m):
-            for k, v in enumerate(self.check_nbrs[c]):
-                slot_in_check[(int(v), c)] = k
-        slot_in_var = {}
-        for v in range(n):
-            for j, c in enumerate(self.var_nbrs[v]):
-                slot_in_var[(v, int(c))] = j
-
-        self.var_edge_pos = np.empty((n, gamma), dtype=np.int32)
-        for v in range(n):
-            for j, c in enumerate(self.var_nbrs[v]):
-                self.var_edge_pos[v, j] = slot_in_check[(v, int(c))]
-        self.check_edge_pos = np.empty((m, rho), dtype=np.int32)
-        for c in range(m):
-            for k, v in enumerate(self.check_nbrs[c]):
-                self.check_edge_pos[c, k] = slot_in_var[(int(v), c)]
+        # each edge's position in the check-major and variable-major order
+        at_chk, at_var = np.empty_like(by_chk), np.empty_like(by_var)
+        at_chk[by_chk] = at_var[by_var] = np.arange(v.size)
+        self.var_nbrs = c[by_var].reshape(n, gamma).astype(np.int32)
+        self.check_nbrs = v[by_chk].reshape(m, rho).astype(np.int32)
+        self.var_edge_pos = (at_chk[by_var] % rho).reshape(n, gamma).astype(np.int32)
+        self.check_edge_pos = (at_var[by_chk] % gamma).reshape(m, rho).astype(np.int32)
 
         self.var_nbrs.setflags(write=False)
         self.check_nbrs.setflags(write=False)
@@ -189,11 +175,8 @@ class TannerGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Sorted list of (variable, check) pairs."""
-        out = []
-        for v in range(self.n):
-            for c in self.var_nbrs[v]:
-                out.append((v, int(c)))
-        return out
+        return list(zip(np.repeat(np.arange(self.n), self.gamma).tolist(),
+                        self.var_nbrs.ravel().tolist()))
 
     def syndrome(self, word) -> np.ndarray:
         """Per-check parity: 1 where the neighbor sum is odd."""
@@ -210,17 +193,11 @@ class TannerGraph:
         return H
 
     def has_four_cycle(self) -> bool:
-        """True if two variables share two checks (girth 4)."""
-        seen = set()
-        for v in range(self.n):
-            cs = self.var_nbrs[v]
-            for i in range(self.gamma):
-                for j in range(i + 1, self.gamma):
-                    key = (int(cs[i]), int(cs[j]))
-                    if key in seen:
-                        return True
-                    seen.add(key)
-        return False
+        """True if two variables share two checks (girth 4): some sorted
+        check pair (a, b) of one variable's list recurs in another's."""
+        i, j = np.triu_indices(self.gamma, 1)
+        pairs = self.var_nbrs[:, i].astype(np.int64) * self.m + self.var_nbrs[:, j]
+        return np.unique(pairs).size < pairs.size
 
     def graph_hash(self) -> str:
         """Stable identity hash over the canonical edge list."""
@@ -384,7 +361,7 @@ def build_random_regular(
 
     Raises GraphConstructionError for parameters that admit no simple
     graph (or, with ``reject_4cycles``, no graph of girth >= 6), and when
-    the restart cap is exhausted.
+    the restart cap is exhausted; raises ValueError for a cap below 1.
     """
     n, m, gamma, rho = params.n, params.m, params.gamma, params.rho
     if gamma > m:
@@ -402,13 +379,15 @@ def build_random_regular(
         )
     if max_restarts is None:
         max_restarts = 10 * n
+    if max_restarts < 1:
+        raise ValueError(f"max_restarts must be at least 1, got {max_restarts}")
     rng = np.random.default_rng(seed)
     ev = np.repeat(np.arange(n), gamma)
     for _ in range(max_restarts):
         ec = np.repeat(np.arange(m), rho)
         rng.shuffle(ec)
         if _repair(ev, ec, n, gamma, rho, rng, reject_4cycles, swap_budget=80 * n * gamma):
-            return TannerGraph(params, zip(ev.tolist(), ec.tolist()))
+            return TannerGraph(params, np.column_stack((ev, ec)))
     raise GraphConstructionError(
         f"could not construct a simple graph for n={n}, gamma={gamma}, rho={rho} "
         f"within {max_restarts} restarts"

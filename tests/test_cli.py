@@ -79,6 +79,17 @@ def test_generate_prints_code_dimension_at_n4000(tmp_path, capsys):
     assert f", k={k}, " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_generate_rejects_restart_cap_below_one(tmp_path, capsys, cap):
+    out = tmp_path / "g.alist"
+    rc = run_cli(["generate", "--n", 12, "--gamma", 3, "--rho", 6,
+                  "--max-restarts", cap, "--out", out])
+    assert rc == 2
+    assert (f"error: max_restarts must be at least 1, got {cap}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_output_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("FAULTMEM_OUTPUT_DIR", str(tmp_path))
     assert run_cli(["generate", "--n", 12, "--gamma", 3, "--rho", 6,
@@ -130,6 +141,29 @@ def test_certify_randomized_inconclusive(tmp_path, capsys):
                   "--trials", 300, "--seed", 4])
     assert rc == 0
     assert "inconclusive" in capsys.readouterr().out
+
+
+_VACUOUS = ("alpha*n = 0.36 is below 1, so no subset size is covered and "
+            "the check would be vacuous")
+
+
+@pytest.mark.parametrize("extra, named", [
+    # alpha*n = 0.36 on the n=36 graph: no subset size is covered
+    (["--alpha", 0.01], _VACUOUS),
+    (["--alpha", 0.01, "--mode", "randomized"], _VACUOUS),
+    (["--alpha", 0.05, "--budget", 0], "work budget must be at least 1, got 0"),
+    (["--alpha", 0.05, "--budget", -5], "work budget must be at least 1, got -5"),
+])
+def test_certify_rejects_vacuous_checks(tmp_path, capsys, extra, named):
+    alist = make_alist(tmp_path)
+    capsys.readouterr()
+    cert_path = tmp_path / "cert.json"
+    rc = run_cli(["certify", "--alist", alist, "--epsilon", 0.25,
+                  "--out", cert_path] + extra)
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {named}\n"
+    assert not cert_path.exists()
 
 
 # -- simulate ---------------------------------------------------------------

@@ -98,6 +98,28 @@ def test_work_budget_never_silently_passes(seed7_graph):
     assert cert.subsets_checked == 3
 
 
+def test_work_budget_below_one_is_rejected(seed7_graph):
+    prof = fm.ExpansionProfile(0.3, 3, 0.01)
+    for budget in (0, -1):
+        with pytest.raises(ValueError,
+                           match=f"work budget must be at least 1, got {budget}"):
+            fm.check_expansion_exhaustive(seed7_graph, prof, work_budget=budget)
+
+
+def test_vacuous_or_mismatched_profiles_are_rejected_by_both_modes(girth6_graph):
+    checks = (fm.check_expansion_exhaustive,
+              lambda g, prof: fm.probe_expansion_randomized(g, prof, 10, seed=1))
+    # alpha*n = 0.36 covers no subset size: any verdict would be vacuous
+    for check in checks:
+        with pytest.raises(ValueError, match=r"alpha\*n = 0\.36 is below 1"):
+            check(girth6_graph, fm.ExpansionProfile(0.01, 3, 0.25))
+        with pytest.raises(ValueError, match="profile gamma=4 does not match"):
+            check(girth6_graph, fm.ExpansionProfile(0.1, 4, 0.25))
+        # alpha*n = 1 is the smallest covered budget
+        assert check(girth6_graph, fm.ExpansionProfile(1 / 36, 3, 0.25)) \
+            .subsets_checked >= 1
+
+
 def test_certificate_invariants():
     with pytest.raises(ValueError):
         fm.ExpansionCertificate("x", 0.1, 2.3, 0.01, "randomized",

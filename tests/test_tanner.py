@@ -1,5 +1,6 @@
+import itertools
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -102,6 +103,119 @@ def test_cross_position_indices_consistent(seed7_graph):
             k = int(g.var_edge_pos[v, j])
             assert int(g.check_nbrs[c, k]) == v
             assert int(g.check_edge_pos[c, k]) == j
+
+
+def per_edge_adjacency(params, edges):
+    """(var_nbrs, check_nbrs, var_edge_pos, check_edge_pos) built edge by
+    edge through dicts of each node's neighbors and each edge's slots
+    (oracle for the sort-based construction)."""
+    n, m, gamma, rho = params.n, params.m, params.gamma, params.rho
+    by_var, by_chk = defaultdict(list), defaultdict(list)
+    for v, c in edges:
+        by_var[int(v)].append(int(c))
+        by_chk[int(c)].append(int(v))
+    var_nbrs = np.array([sorted(by_var[v]) for v in range(n)], dtype=np.int32)
+    check_nbrs = np.array([sorted(by_chk[c]) for c in range(m)], dtype=np.int32)
+    slot_in_check = {(int(v), c): k for c in range(m)
+                     for k, v in enumerate(check_nbrs[c])}
+    slot_in_var = {(v, int(c)): j for v in range(n)
+                   for j, c in enumerate(var_nbrs[v])}
+    var_edge_pos = np.empty((n, gamma), dtype=np.int32)
+    for v in range(n):
+        for j, c in enumerate(var_nbrs[v]):
+            var_edge_pos[v, j] = slot_in_check[(v, int(c))]
+    check_edge_pos = np.empty((m, rho), dtype=np.int32)
+    for c in range(m):
+        for k, v in enumerate(check_nbrs[c]):
+            check_edge_pos[c, k] = slot_in_var[(int(v), c)]
+    return var_nbrs, check_nbrs, var_edge_pos, check_edge_pos
+
+
+_ADJACENCY = ("var_nbrs", "check_nbrs", "var_edge_pos", "check_edge_pos")
+
+
+# the benchmark graphs (girth 6) and random graphs of other (gamma, rho)
+@pytest.mark.parametrize("params, seed, girth6", [
+    ((36, 3, 6), 7, True),
+    ((40, 4, 5), 13, True),
+    ((4000, 3, 6), 4000, True),
+    ((12, 2, 3), 1, False),
+    ((30, 3, 5), 2, False),
+    ((24, 4, 6), 3, False),
+    ((21, 2, 7), 4, False),
+    ((50, 5, 10), 5, False),
+])
+def test_sorted_adjacency_equals_per_edge_oracle(params, seed, girth6):
+    p = fm.CodeParams(*params)
+    edges = np.array(fm.build_random_regular(p, seed,
+                                             reject_4cycles=girth6).edges())
+    rng = np.random.default_rng(seed)
+    for shuffle in range(3):
+        order = edges[rng.permutation(len(edges))]
+        want = per_edge_adjacency(p, order.tolist())
+        for given in (order, order.tolist()):
+            g = fm.TannerGraph(p, given)
+            for name, expected in zip(_ADJACENCY, want):
+                got = getattr(g, name)
+                assert got.dtype == np.int32, name
+                assert got.flags.c_contiguous and not got.flags.writeable, name
+                assert np.array_equal(got, expected), name
+            assert g.edges() == sorted(map(tuple, order.tolist()))
+
+
+# a hand-built (6,2,3) graph: variable i's checks are _SIX[2i], _SIX[2i+1]
+_SIX = [(0, 0), (0, 1), (1, 2), (1, 3), (2, 0), (2, 2),
+        (3, 1), (3, 3), (4, 0), (4, 3), (5, 1), (5, 2)]
+
+
+def _six_with(swaps):
+    """_SIX with the edge at each position in ``swaps`` replaced."""
+    return [swaps.get(i, edge) for i, edge in enumerate(_SIX)]
+
+
+@pytest.mark.parametrize("edges, message", [
+    (_SIX[:-1], "expected 12 edges, got 11"),
+    (_SIX[:-1] + [_SIX[4]], "parallel edges are not allowed"),
+    # the first out-of-range edge in input order, not the lowest
+    (_six_with({3: (7, 0), 7: (0, 9)}), r"edge \(7,0\) out of range"),
+    (_six_with({5: (-1, 2)}), r"edge \(-1,2\) out of range"),
+    # variables before checks, the lowest id named
+    (_six_with({6: (1, 1)}), "variable 1 has degree 3, expected 2"),
+    (_six_with({1: (0, 2)}), "check 1 has degree 2, expected 3"),
+])
+def test_malformed_edges_are_rejected(edges, message):
+    p = fm.CodeParams(6, 2, 3)
+    fm.TannerGraph(p, _SIX)  # the unmodified edges are a valid graph
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fm.TannerGraph(p, edges)
+
+
+def test_four_cycle_test_equals_pair_scan():
+    def shares_two_checks(g):
+        rows = [set(r) for r in g.var_nbrs.tolist()]
+        return any(len(a & b) >= 2 for a, b in itertools.combinations(rows, 2))
+
+    seen = set()
+    for params in ((12, 3, 6), (20, 3, 4), (24, 4, 6), (40, 3, 6)):
+        for seed in range(6):
+            for girth6 in (False, True):
+                try:
+                    g = fm.build_random_regular(fm.CodeParams(*params), seed,
+                                                reject_4cycles=girth6)
+                except GraphConstructionError:
+                    continue
+                assert g.has_four_cycle() == shares_two_checks(g)
+                seen.add(g.has_four_cycle())
+    assert seen == {False, True}
+
+
+def test_restart_cap_below_one_is_rejected():
+    for cap in (0, -3):
+        with pytest.raises(ValueError,
+                           match=f"max_restarts must be at least 1, got {cap}"):
+            fm.build_random_regular(fm.CodeParams(12, 3, 6), 7, max_restarts=cap)
+    g = fm.build_random_regular(fm.CodeParams(12, 3, 6), 7, max_restarts=1)
+    assert g.n == 12
 
 
 # -- codeword membership ----------------------------------------------------
