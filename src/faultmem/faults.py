@@ -35,14 +35,18 @@ ceil(P/64): entry (v, t*W + p // 64) holds bit p % 64 for candidate p of
 trial t, rounded by decoders.parallel_bitflip_round_var_major.  Only the
 rows with a corrupt bit read their state; a clean row (every row while
 the memory holds its stored word) needs no argsort, stale count or XOR
-of its observed word.  A trial's choice is a pure function of its key
-and its observed row, so no result depends on _POOL_BYTES.
+of its observed word.  At one register flip, on a graph whose round
+restores every single flip, a clean row is not scored at all: its
+choice is register 0, the choice scoring would make.  A trial's choice
+is a pure function of its key and its observed row, so no result
+depends on _POOL_BYTES.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -465,16 +469,54 @@ def _greedy_rows(g: TannerGraph, keys, count: int, observed: np.ndarray,
     reliable flip round, then the pre-correction count; the first argmax
     wins.  Scored over consecutive slabs of trials, each slab's pool keys
     at most _POOL_BYTES; a row's choice is a pure function of its key and
-    its observed row, so the result does not depend on the bound."""
-    rows = observed.shape[0]
+    its observed row, so the result does not depend on the bound.
+
+    At one register flip, on a graph whose round restores every single
+    flip (_restores_single_flips), a clean row's choice is register 0
+    without drawing or scoring its pool: each of its candidates is one
+    flip, so each scores post = 0 and pre = 1, and the first argmax is
+    candidate 0, the stable argsort of an all-False row.  Only the
+    corrupt rows are scored.  So greedy at criterion 3's budget, where
+    every observed row is clean, scores nothing: it costs about as much
+    as random, apart from drawing one cycle at a time."""
+    out = np.zeros((observed.shape[0], count), dtype=np.int64)
+    rows = slice(None)
+    if count == 1 and _restores_single_flips(g):
+        if not observed.any():  # one cheap test for an all-clean batch
+            return out
+        rows = np.flatnonzero(observed.any(axis=1))
+        keys, observed = keys[rows], observed[rows]
     slab = max(1, _POOL_BYTES // (8 * pool_size))
     layout = _pool_layout(pool_size, count, slab)
-    out = np.empty((rows, count), dtype=np.int64)
-    for lo in range(0, rows, slab):
-        hi = min(rows, lo + slab)
-        out[lo:hi] = _lookahead(g, keys[lo:hi], count, observed[lo:hi],
-                                pool_size, layout)
+    chosen = [_lookahead(g, keys[lo:lo + slab], count, observed[lo:lo + slab],
+                         pool_size, layout)
+              for lo in range(0, len(observed), slab)]
+    if chosen:
+        out[rows] = np.concatenate(chosen)
     return out
+
+
+# _restores_single_flips per graph, computed at its first greedy draw at
+# one register flip; weak keys, so a cached graph can still be freed
+_SINGLE_FLIPS_RESTORED = weakref.WeakKeyDictionary()
+
+
+def _restores_single_flips(g: TannerGraph) -> bool:
+    """Whether one reliable flip round maps every single register flip
+    back to the stored word (not so where two variables share more than
+    gamma/2 checks, as on a 4-cycle at gamma = 3): one bit-sliced round
+    over the n unit words, up to 1024 of them per round."""
+    if g not in _SINGLE_FLIPS_RESTORED:
+        n, chunk = g.n, 1024
+        _SINGLE_FLIPS_RESTORED[g] = True
+        for lo in range(0, n, chunk):
+            v = np.arange(min(chunk, n - lo))
+            units = np.zeros((n, -(-v.size // 64)), dtype=np.uint64)
+            units[lo + v, v // 64] = np.uint64(1) << (v % 64).astype(np.uint64)
+            if parallel_bitflip_round_var_major(g, units).any():
+                _SINGLE_FLIPS_RESTORED[g] = False
+                break
+    return _SINGLE_FLIPS_RESTORED[g]
 
 
 @functools.lru_cache(maxsize=16)

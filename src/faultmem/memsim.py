@@ -50,7 +50,10 @@ flushes, repeats each trial's last period over the remaining cycles,
 checks their accounting and stops.  This is exact: a state that recurs
 repeats every later state, so every later observation repeats one
 already taken, and every post word of the period was already decoded
-and found inside the class, so no later cycle fails.
+and found inside the class, so no later cycle fails.  A failed trial
+leaves only at a flush, so the loop also flushes as soon as every alive
+trial without a period is a suspect of the pending cycles: the exit
+then follows the last failure instead of the span's end.
 """
 
 from __future__ import annotations
@@ -281,7 +284,8 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
     are pure functions of the words, so results do not depend on S.  The
     words are unpacked only for ``record_states`` (each cycle's states
     are recorded before a flush ending on that cycle) and for a
-    state-dependent (greedy) adversary.
+    state-dependent (greedy) adversary, and for greedy only while some
+    bit is set: a clean state is handed over as zeros.
 
     A cycle-independent model applies one map to a trial's state every
     cycle: its full state (the registers, or for 'tk' the copy words and
@@ -290,10 +294,13 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
     4, 8, ..., and a trial whose state after cycle l equals the snapshot
     of cycle s gets the period p = l - s, kept from then on (Brent's
     cycle detection: it finds a period of any length, one comparison per
-    cycle).  Once every alive trial has a period, the span is flushed,
-    each alive trial's counts (and recorded states) of every cycle c past
-    that one are those of cycle c - p, the accounting of the filled
-    cycles is checked, and the loop stops.  This is exact: s_l = s_{l-p} under one map gives
+    cycle).  The span is also flushed as soon as every alive trial
+    without a period is a suspect of its cycles, since only a flush
+    retires a failed trial and only a suspect fails.  Once every alive
+    trial has a period, the span is flushed, each alive trial's counts
+    (and recorded states) of every cycle c past that one are those of
+    cycle c - p, the accounting of the filled cycles is checked, and the
+    loop stops.  This is exact: s_l = s_{l-p} under one map gives
     s_c = s_{c-p} for every c >= l, so the observations of cycle c > l
     are those of cycle c - p >= 1.  Those post words were decoded
     (or were unchanged from a decoded one) and found inside the class,
@@ -401,16 +408,21 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
     # full state recurs is periodic from there on, its period found against
     # one snapshot retaken at cycles 1, 2, 4, 8, ... (Brent)
     settles = not model.cycle_dependent
-    settled = False
+    ready = False
     if settles:
         period = np.zeros(trials, dtype=np.int64)
         periodic = np.zeros_like(alive)
         snapshot, snapshot_cycle = [a.copy() for a in full_state()], 0
+        # the suspects of the pending cycles, as flush finds them
+        suspected = np.zeros_like(alive)
 
     for cycle in range(1, L + 1):
         if not block:
             alive_keys = keys if idx.size == trials else keys[idx]
-            seen = unpack_rows(state, trials)[idx] if model.state_dependent else None
+            seen = None
+            if model.state_dependent:  # a clean state needs no unpacking
+                seen = (unpack_rows(state, trials)[idx] if state.any()
+                        else np.zeros((idx.size, g.n), dtype=np.uint8))
             size = (min(block_size, L + 1 - cycle)
                     if model.cycle_dependent and seen is None else 1)
             block = _draw_block(model, g, alive_keys, idx, alive.size, cycle, size, seen)
@@ -449,16 +461,22 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
                 periodic |= found
             if cycle & (cycle - 1) == 0:
                 snapshot, snapshot_cycle = [a.copy() for a in full_state()], cycle
-            settled = not (alive & ~periodic).any()
-        if pending == span or cycle == L or settled:
+            before = observed[1, pending - 2] if pending > 1 else checked
+            suspected |= np.bitwise_or.reduce(state, axis=-1) \
+                & np.bitwise_or.reduce(state ^ before, axis=-1)
+            # only a flush retires a failed trial, and only a suspect fails
+            ready = not (alive & ~periodic & ~suspected).any()
+        if pending == span or cycle == L or ready:
             flush(cycle)
             pending = 0
             idx = np.flatnonzero(unpack_bits(alive))
             if idx.size == 0:
                 break
-            if settled:
-                fill(cycle)
-                break
+            if settles:
+                suspected[:] = 0
+                if not (alive & ~periodic).any():
+                    fill(cycle)
+                    break
 
     # retired trials' bits were counted along
     corrupt[:, np.arange(1, L + 1) > np.where(failure_cycle < 0, L,

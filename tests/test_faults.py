@@ -399,6 +399,69 @@ def test_greedy_rows_match_uint8_lookahead_on_clean_and_mixed_slabs(
             assert np.array_equal(got, want)
 
 
+def restores_single_flips(g):
+    """One uint8 reliable round over the n single flips leaves them all
+    zero."""
+    return not parallel_bitflip_round_many(g, np.eye(g.n, dtype=np.uint8)).any()
+
+
+def test_clean_rows_are_scored_where_a_single_flip_survives():
+    # the count-1 rule (a clean row picks register 0 unscored) is exact
+    # only where the round restores every single flip; on a (36,3,6) graph
+    # with a 4-cycle a flip there leaves its partner flipped, so clean rows
+    # must still be scored, and they pick other registers
+    g = fm.build_random_regular(fm.CodeParams(36, 3, 6), 7)
+    assert g.has_four_cycle() and not restores_single_flips(g)
+    graphs = [build_instance(CERTIFIED_INSTANCES[0])[0],
+              build_instance(CERTIFIED_INSTANCES[2])[0],
+              fm.build_random_regular(fm.CodeParams(16, 7, 8), 5), g,
+              # a 4-cycle at gamma = 4 leaves no single flip standing
+              fm.build_random_regular(fm.CodeParams(20, 4, 5), 3)]
+    got = [faults._restores_single_flips(h) for h in graphs]
+    assert got == [restores_single_flips(h) for h in graphs]
+    assert got == [True, True, False, False, True] and graphs[-1].has_four_cycle()
+    rng = np.random.default_rng(23)
+    for observed in clean_and_mixed_slabs(rng, g.n):
+        keys = trial_keys(int(rng.integers(2**31)), np.arange(len(observed)))
+        picks = faults._greedy_rows(g, keys, 1, observed, faults.GREEDY_POOL_SIZE)
+        assert np.array_equal(picks, reference_greedy_rows(
+            g, keys, 1, observed, faults.GREEDY_POOL_SIZE))
+        assert picks[~observed.any(axis=1)].any()
+
+
+def test_clean_rows_skip_the_lookahead_at_one_register(monkeypatch):
+    # on I1 and I3 every single flip is restored, so at count 1 the clean
+    # rows never reach _lookahead: an all-clean slab picks register 0 in
+    # every row without it, and a mixed slab passes it the corrupt rows
+    # only; at count 2 a clean slab is scored as before
+    seen = []
+    real = faults._lookahead
+
+    def recording(g, keys, count, observed, *rest):
+        seen.append(observed.copy())
+        return real(g, keys, count, observed, *rest)
+
+    monkeypatch.setattr(faults, "_lookahead", recording)
+    pool = faults.GREEDY_POOL_SIZE
+    for inst in (CERTIFIED_INSTANCES[0], CERTIFIED_INSTANCES[2]):
+        g, _ = build_instance(inst)
+        rng = np.random.default_rng(inst[3])
+        clean, mixed, _last, _split = clean_and_mixed_slabs(rng, g.n)
+        keys = trial_keys(inst[3], np.arange(len(mixed)))
+        seen.clear()
+        picks = faults._greedy_rows(g, keys[:len(clean)], 1, clean, pool)
+        assert not seen and np.array_equal(picks, np.zeros((len(clean), 1)))
+        picks = faults._greedy_rows(g, keys, 1, mixed, pool)
+        hit = mixed.any(axis=1)
+        assert 0 < hit.sum() < len(mixed)
+        assert np.array_equal(np.concatenate(seen), mixed[hit])
+        assert not picks[~hit].any()
+        assert np.array_equal(picks, reference_greedy_rows(g, keys, 1, mixed, pool))
+        seen.clear()
+        faults._greedy_rows(g, keys[:len(clean)], 2, clean, pool)
+        assert sum(map(len, seen)) == len(clean)
+
+
 # sha256 of greedy's register choices, taken with one slab for all 130
 # trials (where the draws equal reference_greedy_rows' too).  The desk
 # digest cannot see them: every desk trial observes the stored word, so

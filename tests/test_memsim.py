@@ -906,6 +906,19 @@ def test_periodic_exit_is_exact(name, monkeypatch):
         assert 0 < rounds[0] < cfg.cycles
 
 
+@pytest.mark.parametrize("name", ("algorithm_a-repeat", "tk-repeat"))
+def test_periodic_exit_does_not_wait_for_failed_trials(name, monkeypatch):
+    # a failed trial stays alive until a flush, and every survivor recurs
+    # early; the loop flushes once every alive trial without a period is a
+    # pending suspect, so it stops at the cycle of the last failure, not
+    # at the end of the 32-cycle span
+    cfg = _periodic_config(name)
+    rounds = _count_calls(monkeypatch, _ROUNDS)
+    res = fm.monte_carlo(cfg, 65, 5)
+    last = max(c for c in res.failure_cycle_by_trial if c is not None)
+    assert (last, rounds[0]) == {"algorithm_a-repeat": (2, 2), "tk-repeat": (5, 5)}[name]
+
+
 def test_periodic_exit_fills_recorded_states(monkeypatch):
     # the recorded states of the filled cycles repeat the period: trial 53
     # of "gates-period-4" settles into a cycle of four states
