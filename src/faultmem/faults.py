@@ -18,9 +18,10 @@ Plans are drawn as index sets, never as per-component masks: an
 independent class's fault count is Binomial(N, p), by inverting one keyed
 uniform, and its positions a uniform subset of that size.  Every plan is
 a PlanBatch of ragged (row, id) pairs per class, for both models.  Every
-uniform subset is one draw, _subset_draw: the first k distinct values of
-a keyed sequence of ids, so a key's k-subset is a prefix of its
-(k+1)-subset and curves in the budget or in p share random numbers.
+uniform subset, and the cluster adversary's check order, is one draw,
+_subset_draw: the first k distinct values of a keyed sequence of ids, so
+a key's k-subset is a prefix of its (k+1)-subset and curves in the
+budget or in p share random numbers.
 
 The greedy adversary scores a pool of candidate register-flip sets per
 trial by one reliable flip round.  The pools are scored over slabs of
@@ -141,13 +142,6 @@ def _rows(keys) -> np.ndarray:
     if isinstance(keys, np.ndarray):
         return keys.ravel()
     return np.array([keys], dtype=np.uint64)
-
-
-@functools.lru_cache(maxsize=16)
-def _offsets(base: int, size: int) -> np.ndarray:
-    out = np.arange(base + 1, base + size + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-    out.flags.writeable = False
-    return out
 
 
 def _below(keys: np.ndarray, bound: int, pos) -> np.ndarray:
@@ -416,11 +410,11 @@ def draw_independent_batch(rates: IndependentRates, g: TannerGraph, keys,
 
 def _cluster_rows(g: TannerGraph, keys, reg_count: int, xor_count: int,
                   maj_count: int):
-    """Per key, a uniform check permutation (argsort of keyed values);
-    registers and majority gates take the first distinct variables in
-    neighborhood order, XOR gates the first ids of those checks' blocks of
-    rho*(rho-2) gates.  Only the prefix of the permutation that is read
-    is ordered."""
+    """Per key, the first checks of a uniform check order, drawn as one
+    _subset_draw over range(m) (a uniform ordered tuple of distinct
+    checks, only as long as is read); registers and majority gates take
+    the first distinct variables in neighborhood order, XOR gates the
+    first ids of those checks' blocks of rho*(rho-2) gates."""
     count = max(reg_count, maj_count)
     block = g.rho * (g.rho - 2)
     # p checks fill p*rho slots and a variable takes at most gamma of
@@ -429,16 +423,7 @@ def _cluster_rows(g: TannerGraph, keys, reg_count: int, xor_count: int,
     need = max(span, -(-xor_count // block) if xor_count else 0)
     if not need:
         return None, None, None
-    values = _mix_rows(keys[:, None] + _offsets(_ORDER, g.m))
-    # the keys of a row are distinct (distinct offsets through a
-    # bijection), so the partition holds exactly the need smallest and
-    # every sort kind gives the same order
-    if need < g.m:
-        part = np.argpartition(values, need - 1, axis=1)[:, :need]
-        order = np.take_along_axis(
-            part, np.argsort(np.take_along_axis(values, part, 1), axis=1), 1)
-    else:
-        order = np.argsort(values, axis=1)
+    order = _subset_draw(keys, _ORDER, g.m, need)
     reg = maj = xor = None
     if count:
         seq = g.check_nbrs[order[:, :span]].reshape(order.shape[0], -1)
@@ -596,7 +581,8 @@ def draw_adversarial_batch(budget: AdversarialBudget, g: TannerGraph,
     * random  -- uniform subsets, fresh per cycle;
     * repeat  -- the same subsets every cycle (keyed without the cycle);
     * cluster -- registers concentrated on the variable neighborhoods of
-      a key-fixed check ordering, gates on the same checks;
+      the first checks of a key-fixed uniform check order (one subset
+      draw), gates on the same checks;
     * greedy  -- register flips chosen by one-step lookahead against one
       reliable correction round (bounded candidate pool), gates random.
 

@@ -395,13 +395,13 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
     def fill(last: int) -> None:
         """Repeat each alive trial's last period of counts (and recorded
         states) over cycles last+1 .. L, and check their accounting."""
-        rows = idx[:, None]
-        cols = np.arange(last, L)
-        p = period[rows]
-        src = last - p + (cols - last) % p
-        corrupt[:, rows, cols] = corrupt[:, rows, src]
+        p = period[idx][:, None]
+        src = last - p + np.arange(L - last) % p  # (alive, L - last) cycles
+        # one gather along the cycle axis of the alive rows, one write back
+        corrupt[:, idx, last:] = np.take_along_axis(corrupt[:, idx], src[None], axis=2)
         if record_states:
-            recorded[:, rows, cols] = recorded[:, rows, src]
+            recorded[:, idx, last:] = np.take_along_axis(
+                recorded[:, idx], src[None, :, :, None], axis=2)
         check(last + 1, L)
 
     # a cycle-independent model applies one map every cycle: a trial whose

@@ -13,6 +13,8 @@ import faultmem as fm
 from faultmem.faults import (STRATEGIES, draw_adversarial_batch,
                              draw_independent_batch, seed_key, trial_keys)
 
+from conftest import CERTIFIED_INSTANCES, build_instance
+
 GRAPH_PARAMS = ((12, 3, 6, 7), (20, 4, 5, 3), (36, 3, 6, 7), (16, 4, 8, 5),
                 (40, 4, 5, 13))
 _GRAPHS = {}
@@ -147,6 +149,28 @@ def test_cluster_first_check_uniform():
     nbrs = g.check_nbrs[first]
     reg = plans.reg[1].reshape(trials, 2)
     assert (nbrs[:, :, None] == reg[:, None, :]).any(axis=1).all()
+
+
+def test_cluster_first_two_checks_uniform():
+    # with block + 1 XOR gates the first check of the order holds a whole
+    # block of gates and the second one gate, so a row's ids give its
+    # ordered pair of checks: uniform over the m(m-1) ordered pairs (I1)
+    g, _ = build_instance(CERTIFIED_INSTANCES[0])
+    block = g.rho * (g.rho - 2)
+    budget = budget_for(g, 0, block + 1, 0)
+    trials = 20_000
+    plans = draw_adversarial_batch(budget, g, "cluster",
+                                   trial_keys(10, np.arange(trials)), 1, None)
+    # a row's ids are sorted, so the lone gate's check is at one end
+    checks = (plans.xor[1] // block).reshape(trials, block + 1)
+    lone_first = checks[:, 0] != checks[:, 1]
+    first = np.where(lone_first, checks[:, -1], checks[:, 0])
+    second = np.where(lone_first, checks[:, 0], checks[:, -1])
+    assert (first != second).all()
+    hits = np.bincount(first * g.m + second, minlength=g.m * g.m)
+    pairs = hits.reshape(g.m, g.m)[~np.eye(g.m, dtype=bool)]
+    expected = np.full(pairs.size, trials / pairs.size)
+    assert stats.chisquare(pairs, expected).pvalue >= 1e-3
 
 
 def test_budget_check_rejects_bad_rows():

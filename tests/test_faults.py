@@ -1,5 +1,6 @@
 import bisect
 import hashlib
+import itertools
 import json
 import math
 import types
@@ -750,16 +751,21 @@ def cluster_graph(params):
 
 
 def cluster_reference(g, key, reg_count, xor_count, maj_count):
-    """One key's cluster plan written out: checks in stable-sorted order of
-    their keyed values, registers and majority gates the first distinct
+    """One key's cluster plan written out on Python ints: the checks in
+    order of first appearance in the keyed sequence below_reference(key,
+    m, _ORDER + j), j = 0, 1, ... (a uniform permutation, of which a plan
+    reads a prefix), registers and majority gates the first distinct
     variables met in that order, XOR gates the first ids of those checks'
     gate blocks."""
-    values = faults._mix_rows(np.uint64(key) + faults._offsets(faults._ORDER, g.m))
-    order = np.argsort(values, kind="stable")
+    order, pos = {}, faults._ORDER
+    while len(order) < g.m:
+        order.setdefault(below_reference(key, g.m, pos), None)
+        pos += 1
+    order = list(order)
     met = list(dict.fromkeys(int(v) for c in order for v in g.check_nbrs[c]))
     block = g.rho * (g.rho - 2)
-    xor = sorted(int(order[j // block]) * block + j % block for j in range(xor_count))
-    return values, (sorted(met[:reg_count]), xor, sorted(met[:maj_count]))
+    xor = sorted(order[j // block] * block + j % block for j in range(xor_count))
+    return order, (sorted(met[:reg_count]), xor, sorted(met[:maj_count]))
 
 
 @settings(max_examples=40)
@@ -767,8 +773,8 @@ def cluster_reference(g, key, reg_count, xor_count, maj_count):
        keys=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
        data=st.data())
 def test_cluster_rows_equal_stable_order(params, keys, data):
-    # a row's order keys are distinct, so _cluster_rows' argsort needs no
-    # stable kind: its rows equal the stable-sort reference
+    # every row equals the reference, which draws the whole check order
+    # and reads its prefix
     g = cluster_graph(params)
     reg_count, maj_count = (data.draw(st.integers(0, g.n)) for _ in range(2))
     xor_count = data.draw(st.integers(0, g.m * g.rho * (g.rho - 2)))
@@ -788,7 +794,7 @@ def test_cluster_rows_equal_stable_order(params, keys, data):
                                     (0, 2870, 0)))
 def test_cluster_rows_read_only_an_ordered_prefix(counts):
     # small budgets on a large graph read a short prefix of the check
-    # order, which _cluster_rows takes by partition and then sorts
+    # order, and _cluster_rows draws only that prefix
     g = cluster_graph((600, 3, 6))
     keys = trial_keys(21, np.arange(12))
     got = faults._cluster_rows(g, keys, *counts)
@@ -798,6 +804,33 @@ def test_cluster_rows_read_only_an_ordered_prefix(counts):
             assert (ids is None) == (not expected)
             if ids is not None:
                 assert ids[row].tolist() == expected
+
+
+@pytest.mark.parametrize("params", ("I1", (600, 3, 6)), ids=("I1", "n600"))
+def test_cluster_sets_nest_in_each_budget(small_graph, params):
+    # a key's check order is one prefix draw, so one more fault of a
+    # class adds one id to that class's set and keeps every set it had
+    g = small_graph if params == "I1" else cluster_graph(params)
+    keys = trial_keys(29, np.arange(40))
+
+    def sets(counts):
+        return [[set() if ids is None else set(ids[row].tolist())
+                 for row in range(keys.size)]
+                for ids in faults._cluster_rows(g, keys, *counts)]
+
+    block = g.rho * (g.rho - 2)
+    # register counts across a span of checks, XOR counts across a block
+    for base in itertools.product((0, 1, 2, 6, 7), (0, 1, block - 1, block),
+                                  (0, 1, 5)):
+        low = sets(base)
+        for cls in range(3):
+            up = list(base)
+            up[cls] += 1
+            high = sets(up)
+            for c, (lo_sets, hi_sets) in enumerate(zip(low, high)):
+                grow = int(c == cls)
+                assert all(a <= b and len(b) == len(a) + grow
+                           for a, b in zip(lo_sets, hi_sets))
 
 
 # -- packed plans -----------------------------------------------------------

@@ -847,7 +847,7 @@ _PERIODIC_CASES = {
 # 53's report and recorded states, taken from the loop that runs every
 # cycle up to the last trial's failure (_EveryCycle)
 _PERIODIC_DIGESTS = {
-    "algorithm_a-cluster": "2b2f9fa352031c4ac047266829ff58d140590c2e9cc979925f81ebfcf9180424",
+    "algorithm_a-cluster": "8d39e7832a835f94c1f256fb7e7a72164964cde2a830559afdef075e7625e20e",
     "algorithm_a-repeat": "b68a88782a7cba679b2f6d0e061ecd5b0b9e76ebb647e45b7dfd7d3ccac17dc5",
     "gates-period-4": "5e1d4b686854928c61bd55ad205bb55473c78a0158ab0d0def3ae47dd3c4fd73",
     "none-cluster": "f60b1d932cd08fdb690fc9b4cfb2651eb04b8fd1867deee6681557cc82e2ffcb",
