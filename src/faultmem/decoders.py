@@ -32,9 +32,9 @@ bit:
   loop by loop, so that the paper's equivalence is checked edge by edge.
 
 ``pack_rows`` / ``unpack_rows`` convert (T, ...) 0/1 arrays to and from
-the packed layout, ``pack_bits`` / ``unpack_bits`` one flag per state,
-and ``popcounts`` counts each state's set bits, unpacking only the
-nonzero words.
+the packed layout (a (T,) flag vector packs to (ceil(T/64),) words),
+``unpack_bits`` reads one flag per state back, and ``popcounts`` counts
+each state's set bits, unpacking only the nonzero words.
 
 Gate faults: the message a check sends on one edge is produced by a
 chain of rho-2 two-input XOR gates; a failed gate complements its own
@@ -109,18 +109,9 @@ def broadcast_bits(word: np.ndarray) -> np.ndarray:
     return np.uint64(0) - word.astype(np.uint64)
 
 
-def pack_bits(flags: np.ndarray) -> np.ndarray:
-    """(S,) flags as (ceil(S/64),) uint64 words, flag s in bit s % 64 of
-    word s // 64 (the layout of pack_rows), the unused high bits zero."""
-    packed = np.packbits(flags, bitorder="little")
-    buf = np.zeros(-(-flags.size // 64) * 8, dtype=np.uint8)
-    buf[:packed.size] = packed
-    return buf.view("<u8").astype(np.uint64)
-
-
 def unpack_bits(words: np.ndarray) -> np.ndarray:
     """(64*W,) bool flags of the (W,) uint64 words: the inverse of
-    pack_bits, every bit included."""
+    pack_rows on a flag vector, every bit included."""
     return np.unpackbits(np.ascontiguousarray(words, dtype="<u8").view(np.uint8),
                          bitorder="little").view(bool)
 

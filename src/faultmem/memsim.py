@@ -43,17 +43,16 @@ through many cycles is decoded once.
 
 A cycle-independent model (repeat, cluster) applies the same plans every
 cycle, so each trial's cycle map is one fixed function of its state and
-its trajectory is eventually periodic.  The loop finds each trial's
-period against one snapshot of the state, retaken at cycles 1, 2, 4, 8,
-... (Brent's cycle detection), and once every alive trial has one it
-flushes, repeats each trial's last period over the remaining cycles,
-checks their accounting and stops.  This is exact: a state that recurs
-repeats every later state, so every later observation repeats one
-already taken, and every post word of the period was already decoded
-and found inside the class, so no later cycle fails.  A failed trial
-leaves only at a flush, so the loop also flushes as soon as every alive
-trial without a period is a suspect of the pending cycles: the exit
-then follows the last failure instead of the span's end.
+its trajectory is eventually periodic.  Its run flushes every cycle, so
+a failed trial leaves in the cycle it fails.  The loop finds each
+trial's period against one snapshot of the state, retaken at cycles 1,
+2, 4, 8, ... (Brent's cycle detection), and at the first flush after
+which every alive trial has one it repeats each trial's last period over
+the remaining cycles, checks their accounting and stops: the exit
+follows the last failure.  This is exact: a state that recurs repeats
+every later state, so every later observation repeats one already
+taken, and every post word of the period was already decoded and found
+inside the class, so no later cycle fails.
 """
 
 from __future__ import annotations
@@ -64,8 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoders import (algorithm_a_round_packed, majority_ties_packed,
-                       pack_bits, pack_rows,
-                       parallel_bitflip_decode_packed, popcounts,
+                       pack_rows, parallel_bitflip_decode_packed, popcounts,
                        tk_round_packed, unpack_bits, unpack_rows)
 from .exceptions import AccountingError, ConfigError
 from .expansion import ExpansionProfile
@@ -199,8 +197,9 @@ class RunConfig:
 
 
 _BLOCK_BYTES = 1 << 21  # bound on the packed plan words of one block
-# bounds on the observed words of one span, in bytes and in cycles: the
-# loop runs up to _SPAN_CYCLES - 1 cycles past the last trial's failure
+# bounds on the observed words of one span of a cycle-dependent model, in
+# bytes and in cycles: its loop runs up to _SPAN_CYCLES - 1 cycles past
+# the last trial's failure
 _SPAN_BYTES = 1 << 18
 _SPAN_CYCLES = 32
 
@@ -222,8 +221,7 @@ def _draw_block(model, g: TannerGraph, keys, idx: np.ndarray, words: int,
                   for w in packed) for b in range(size)]
 
 
-def _simulate(config: RunConfig, keys: np.ndarray, *,
-              record_states: bool = False, name_trials: bool = True):
+def _simulate(config: RunConfig, keys: np.ndarray, *, record_states: bool = False):
     """The cycle loop, run for the trials with the given keys: a uint64
     array, or one trial's int key (which the draw kernels hash in Python).
 
@@ -259,9 +257,10 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
     readout with the flipped bits off its exact ties complemented.
 
     The observed (pre, post) words, each its own difference to the stored
-    word, go into a buffer of S cycles, S = min(L, _SPAN_CYCLES, the most
-    cycles whose words fit in _SPAN_BYTES), at least 1.  When it is full, and after
-    the last cycle, the span is flushed:
+    word, go into a buffer of S cycles: S = 1 for a cycle-independent
+    model, else min(L, _SPAN_CYCLES, the most cycles whose words fit in
+    _SPAN_BYTES), at least 1.  When it is full, and after the last cycle,
+    the span is flushed:
 
     1. the suspects of every cycle of the span: the bits of the trials
        alive at the span's start whose post word is nonzero and
@@ -294,26 +293,25 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
     4, 8, ..., and a trial whose state after cycle l equals the snapshot
     of cycle s gets the period p = l - s, kept from then on (Brent's
     cycle detection: it finds a period of any length, one comparison per
-    cycle).  The span is also flushed as soon as every alive trial
-    without a period is a suspect of its cycles, since only a flush
-    retires a failed trial and only a suspect fails.  Once every alive
-    trial has a period, the span is flushed, each alive trial's counts
-    (and recorded states) of every cycle c past that one are those of
-    cycle c - p, the accounting of the filled cycles is checked, and the
-    loop stops.  This is exact: s_l = s_{l-p} under one map gives
-    s_c = s_{c-p} for every c >= l, so the observations of cycle c > l
-    are those of cycle c - p >= 1.  Those post words were decoded
-    (or were unchanged from a decoded one) and found inside the class,
-    else the flush retired the trial, so no filled cycle fails; and the
-    check over the filled cycles raises any violation first reached
-    there, as running them would.
+    cycle).  Every cycle is flushed (S = 1), so a failed trial is retired
+    in the cycle it fails and the exit follows the last failure.  After
+    the first flush that leaves every alive trial with a period, each
+    alive trial's counts (and recorded states) of every cycle c past that
+    one are those of cycle c - p, the accounting of the filled cycles is
+    checked, and the loop stops.  This is exact: s_l = s_{l-p} under one
+    map gives s_c = s_{c-p} for every c >= l, so the observations of
+    cycle c > l are those of cycle c - p >= 1.  Those post words were
+    decoded (or were unchanged from a decoded one) and found inside the
+    class, else the flush retired the trial, so no filled cycle fails;
+    and the check over the filled cycles raises any violation first
+    reached there, as running them would.
 
     Returns (corrupt, failure_cycle, recorded): (2, T, L) pre/post-correction
     corrupt counts, -1 where a cycle did not run; (T,) failure cycles, -1
     for survivors; and the (2, T, L, n) observed words when
     ``record_states`` is set, else None.  An accounting violation raises
     for the lowest violating trial of the first violating cycle, naming
-    that trial when ``name_trials`` is set.
+    that trial when ``keys`` is an array.
     """
     g, model, L = config.graph, config.fault_model, config.cycles
     cap = detect_cap(config.profile, g.n)
@@ -323,7 +321,7 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
         spend = (g.gamma * (g.rho - 2) * b.alpha_xor + b.alpha_maj + b.alpha_m) * g.n
 
     trials = np.size(keys)
-    alive = pack_bits(np.ones(trials, dtype=bool))
+    alive = pack_rows(np.ones(trials, dtype=bool))
     idx = np.arange(trials)
     state = np.zeros((alive.size, g.n), dtype=np.uint64)
     if config.decoder == "tk":
@@ -335,8 +333,13 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
     # the bytes of one cycle's (reg, xor, maj) words
     block_size = max(1, _BLOCK_BYTES // (8 * alive.size * (2 * g.n + g.m * g.rho)))
     block = []
+    # a cycle-independent model applies one map every cycle: a trial whose
+    # full state recurs is periodic from there on, its period found against
+    # one snapshot retaken at cycles 1, 2, 4, 8, ... (Brent); its run
+    # flushes every cycle, so the exit follows the last failure
+    settles = not model.cycle_dependent
     # the (pre, post) words of the cycles not yet flushed
-    span = max(1, min(L, _SPAN_CYCLES, _SPAN_BYTES // (16 * state.size)))
+    span = 1 if settles else max(1, min(L, _SPAN_CYCLES, _SPAN_BYTES // (16 * state.size)))
     observed = np.empty((2, span) + state.shape, dtype=np.uint64)
     pending = 0
     # the post word of the cycle before the span: an alive trial's is zero
@@ -387,7 +390,8 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
         if broken.any():
             col = int(np.argmax(broken.any(axis=0)))
             pos = int(np.argmax(broken[:, col]))
-            where = f"cycle {lo + col}" + (f", trial {pos}" if name_trials else "")
+            named = isinstance(keys, np.ndarray)
+            where = f"cycle {lo + col}" + (f", trial {pos}" if named else "")
             raise AccountingError(
                 f"{where}: corrupt count {cur[pos, col]} not below bound "
                 f"{bound[pos, col]:.6g} (previous count {prev[pos, col]})")
@@ -404,17 +408,10 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
                 recorded[:, idx], src[None, :, :, None], axis=2)
         check(last + 1, L)
 
-    # a cycle-independent model applies one map every cycle: a trial whose
-    # full state recurs is periodic from there on, its period found against
-    # one snapshot retaken at cycles 1, 2, 4, 8, ... (Brent)
-    settles = not model.cycle_dependent
-    ready = False
     if settles:
         period = np.zeros(trials, dtype=np.int64)
         periodic = np.zeros_like(alive)
         snapshot, snapshot_cycle = [a.copy() for a in full_state()], 0
-        # the suspects of the pending cycles, as flush finds them
-        suspected = np.zeros_like(alive)
 
     for cycle in range(1, L + 1):
         if not block:
@@ -461,22 +458,15 @@ def _simulate(config: RunConfig, keys: np.ndarray, *,
                 periodic |= found
             if cycle & (cycle - 1) == 0:
                 snapshot, snapshot_cycle = [a.copy() for a in full_state()], cycle
-            before = observed[1, pending - 2] if pending > 1 else checked
-            suspected |= np.bitwise_or.reduce(state, axis=-1) \
-                & np.bitwise_or.reduce(state ^ before, axis=-1)
-            # only a flush retires a failed trial, and only a suspect fails
-            ready = not (alive & ~periodic & ~suspected).any()
-        if pending == span or cycle == L or ready:
+        if pending == span or cycle == L:
             flush(cycle)
             pending = 0
             idx = np.flatnonzero(unpack_bits(alive))
             if idx.size == 0:
                 break
-            if settles:
-                suspected[:] = 0
-                if not (alive & ~periodic).any():
-                    fill(cycle)
-                    break
+            if settles and not (alive & ~periodic).any():
+                fill(cycle)
+                break
 
     # retired trials' bits were counted along
     corrupt[:, np.arange(1, L + 1) > np.where(failure_cycle < 0, L,
@@ -519,7 +509,7 @@ def run_memory(g: TannerGraph, decoder: str, fault_model, cycles: int, seed,
     """
     config = RunConfig(g, decoder, fault_model, cycles, profile, check_accounting)
     corrupt, failure_cycle, recorded = _simulate(
-        config, seed_key(seed), record_states=record_states, name_trials=False)
+        config, seed_key(seed), record_states=record_states)
     return _report(config, corrupt[:, 0], failure_cycle[0],
                    None if recorded is None else recorded[:, 0])
 

@@ -7,8 +7,7 @@ import faultmem as fm
 from faultmem.decoders import (EdgeMessages, _check_estimates,
                                algorithm_a_round_packed, broadcast_bits,
                                gallager_b_round, majority_ties_packed,
-                               pack_bits, pack_rows,
-                               parallel_bitflip_decode_many,
+                               pack_rows, parallel_bitflip_decode_many,
                                parallel_bitflip_decode_packed,
                                parallel_bitflip_round_many,
                                parallel_bitflip_round_var_major, popcounts,
@@ -389,7 +388,7 @@ def test_packed_decode_equals_decode_many(params, seed, count, max_rounds,
     if max_rounds == 1 and count >= 63:
         assert not converged.all()
     live_rows = rng.random(count) < live_share
-    live = pack_bits(live_rows)
+    live = pack_rows(live_rows)
     assert np.array_equal(unpack_bits(live)[:count], live_rows)
     garbage = rng.integers(0, 2**64, size=(live.size, g.n), dtype=np.uint64)
     words = (pack_rows(states) & live[:, None]) | (garbage & ~live[:, None])
@@ -419,7 +418,7 @@ def test_packed_decode_zero_at_the_cap_stays_unconverged(girth6_graph, max_round
     at_cap = ~converged & ~words.any(axis=1)
     sooner = converged & ~words.any(axis=1) & states.any(axis=1)
     assert at_cap.any() and (max_rounds == 1 or sooner.any())
-    live = pack_bits(np.ones(len(pairs), dtype=bool))
+    live = pack_rows(np.ones(len(pairs), dtype=bool))
     for cap in (max_rounds, max_rounds + 1):
         expected, _rounds, converged = parallel_bitflip_decode_many(g, states, cap)
         assert converged[at_cap].all() == (cap > max_rounds)
@@ -443,9 +442,14 @@ def test_popcounts_and_flag_words(count, n, density, seed):
     stacked = popcounts(np.stack([pack_rows(states), pack_rows(1 - states)]))
     assert np.array_equal(stacked.reshape(2, -1)[:, :count],
                           [states.sum(axis=1), n - states.sum(axis=1)])
+    # a flag vector packs to one word per 64 flags, the unused bits zero
     flags = states[:, 0].astype(bool)
-    assert np.array_equal(pack_bits(flags), pack_rows(states[:, :1])[:, 0])
-    assert np.array_equal(unpack_bits(pack_bits(flags))[:count], flags)
+    words = pack_rows(flags)
+    assert words.dtype == np.uint64 and words.shape == (-(-count // 64),)
+    assert np.array_equal(words, pack_rows(states[:, :1])[:, 0])
+    padded = np.zeros(64 * words.size, dtype=bool)
+    padded[:count] = flags
+    assert np.array_equal(unpack_bits(words), padded)
 
 
 def test_popcounts_of_rows_longer_than_a_slab():

@@ -307,7 +307,8 @@ def test_accounting_violation_in_second_word_names_lowest_trial(i1):
 def test_packed_state_is_never_repacked(i1, monkeypatch):
     # the registers ('tk': the bit-copies and their readouts) stay packed
     # from the first cycle to the last: without record_states nothing is
-    # packed or unpacked per cycle
+    # packed or unpacked per cycle, and the one pack of a run is its
+    # alive flags
     g, prof = i1
     calls = {"pack_rows": 0, "unpack_rows": 0}
 
@@ -323,11 +324,11 @@ def test_packed_state_is_never_repacked(i1, monkeypatch):
         monkeypatch.setattr(memsim, name, counted(name))
     models = {"algorithm_a": adversarial(1.5 / 36, 1.5 / 432, strategy="repeat"),
               "tk": independent(0.0003, 3e-5, 3e-4)}
-    for decoder, model in models.items():
+    for runs, (decoder, model) in enumerate(models.items(), 1):
         res = fm.monte_carlo(RunConfig(g, decoder, model, 100, profile=prof),
                              70, 2)
         assert 0 < res.failures < 70 and len(res.recorded) == 100
-        assert calls == {"pack_rows": 0, "unpack_rows": 0}
+        assert calls == {"pack_rows": runs, "unpack_rows": 0}
     # the patch is seen: recording the states unpacks them
     fm.run_memory(g, "tk", models["tk"], 3, 1, prof, record_states=True)
     assert calls["unpack_rows"] > 0
@@ -369,7 +370,9 @@ def fault_models(draw, g, kind, gates):
 def test_monte_carlo_row_equals_run_memory(decoder, span, kind, data, trials,
                                            root, cycles, params, graph_seed):
     # spans of 1 and 2 cycles flush after every cycle or every other one,
-    # where the default span would hold all of at most 12 cycles
+    # where the default span would hold all of at most 12 cycles; the
+    # patch varies only the cycle-dependent kinds (random, greedy,
+    # independent), since repeat and cluster always flush every cycle
     g = small_graph(params, graph_seed)
     model = data.draw(fault_models(g, kind, decoder != "none"))
     cfg = RunConfig(g, decoder, model, cycles)
@@ -858,8 +861,9 @@ _PERIODIC_DIGESTS = {
 }
 
 
-def _periodic_config(name, cycles=100):
-    n, decoder, strategy, faults = _PERIODIC_CASES[name]
+def _periodic_config(name, cycles=100, faults=None):
+    n, decoder, strategy, case_faults = _PERIODIC_CASES[name]
+    faults = faults or case_faults
     g = _periodic_graph(n)
     return RunConfig(g, decoder, _budget(g, *faults, strategy), cycles)
 
@@ -889,8 +893,8 @@ def test_periodic_exit_is_exact(name, monkeypatch):
     # repeat and cluster apply one map every cycle, so the loop stops once
     # every alive trial's state has recurred and fills in the remaining
     # cycles: payload and reports must equal those of the loop that runs
-    # them, and fewer cycles must run ('none' has no round to count, so
-    # its flushes are counted against one per span of the full run)
+    # them, and fewer cycles must run, each of them flushed ('none' has
+    # no round to count, so its flushes are counted)
     cfg = _periodic_config(name)
     want = fm.monte_carlo(_every_cycle(cfg), 65, 5, keep_reports=True)
     rounds = _count_calls(monkeypatch, _ROUNDS)
@@ -900,23 +904,35 @@ def test_periodic_exit_is_exact(name, monkeypatch):
     assert _result_digest(res) == _PERIODIC_DIGESTS[name]
     assert res.failures < 65
     if cfg.decoder == "none":
-        span = min(memsim._SPAN_CYCLES, memsim._SPAN_BYTES // (16 * 2 * cfg.graph.n))
-        assert flushes[0] < -(-cfg.cycles // span)
+        assert flushes[0] < cfg.cycles
     else:
         assert 0 < rounds[0] < cfg.cycles
+        assert flushes[0] == rounds[0]
 
 
-@pytest.mark.parametrize("name", ("algorithm_a-repeat", "tk-repeat"))
+# (last failure cycle, round calls) at root seed 5.  tk-cluster fails no
+# trial at its one register per use (root seeds 5-3004), so it runs with
+# two, at which every trial fails by cycle 4
+_LAST_FAILURE = {
+    "algorithm_a-repeat": (2, 2),
+    "tk-repeat": (5, 5),
+    "algorithm_a-cluster": (2, 5),
+    "tk-cluster": (4, 4),
+}
+_FAILING_FAULTS = {"tk-cluster": (2, 2, 1)}
+
+
+@pytest.mark.parametrize("name", sorted(_LAST_FAILURE))
 def test_periodic_exit_does_not_wait_for_failed_trials(name, monkeypatch):
-    # a failed trial stays alive until a flush, and every survivor recurs
-    # early; the loop flushes once every alive trial without a period is a
-    # pending suspect, so it stops at the cycle of the last failure, not
-    # at the end of the 32-cycle span
-    cfg = _periodic_config(name)
+    # a run of a cycle-independent model flushes every cycle, so a failed
+    # trial is retired in the cycle it fails and the loop stops at the
+    # last failure (or when the survivors recur), not at the end of the
+    # 32-cycle span of a cycle-dependent model
+    cfg = _periodic_config(name, faults=_FAILING_FAULTS.get(name))
     rounds = _count_calls(monkeypatch, _ROUNDS)
     res = fm.monte_carlo(cfg, 65, 5)
     last = max(c for c in res.failure_cycle_by_trial if c is not None)
-    assert (last, rounds[0]) == {"algorithm_a-repeat": (2, 2), "tk-repeat": (5, 5)}[name]
+    assert (last, rounds[0]) == _LAST_FAILURE[name]
 
 
 def test_periodic_exit_fills_recorded_states(monkeypatch):
