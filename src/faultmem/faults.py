@@ -16,12 +16,13 @@ what else is in the batch, so one trial is a batch of one key.
 
 Plans are drawn as index sets, never as per-component masks: an
 independent class's fault count is Binomial(N, p), by inverting one keyed
-uniform, and its positions a uniform subset of that size.  Every plan is
-a PlanBatch of ragged (row, id) pairs per class, for both models.  Every
-uniform subset, and the cluster adversary's check order, is one draw,
-_subset_draw: the first k distinct values of a keyed sequence of ids, so
-a key's k-subset is a prefix of its (k+1)-subset and curves in the
-budget or in p share random numbers.
+53-bit uniform against an exactly rounded table of the CDF, computed in
+Python integers, and its positions a uniform subset of that size.  Every
+plan is a PlanBatch of ragged (row, id) pairs per class, for both models.
+Every uniform subset, and the cluster adversary's check order, is one
+draw, _subset_draw: the first k distinct values of a keyed sequence of
+ids, so a key's k-subset is a prefix of its (k+1)-subset and curves in
+the budget or in p share random numbers.
 
 The greedy adversary scores a pool of candidate register-flip sets per
 trial by one reliable flip round.  The pools are scored over slabs of
@@ -209,34 +210,94 @@ def _subsets(keys, base: int, total: int, count: int):
 def _ragged_subsets(keys: np.ndarray, base: int, total: int,
                     counts: np.ndarray):
     """(row, id) pairs, sorted within a row, of a uniform counts[r]-subset
-    of range(total) per key r: its prefix of one _subset_draw at the top."""
+    of range(total) per key r: its prefix of one _subset_draw at the top.
+    A row of count 1 takes that prefix, _below(key, total, base), alone."""
     hit = np.flatnonzero(counts)
     if not hit.size:
         return hit, hit
     counts = counts[hit]
-    ids = _subset_draw(keys[hit], base, total, int(counts.max()))
-    keep = np.arange(ids.shape[1]) < counts[:, None]
-    return np.repeat(hit, counts), np.sort(np.where(keep, ids, total))[keep]
+    one = counts == 1
+    ids = np.empty(counts.sum(), dtype=np.int64)
+    ids[(np.cumsum(counts) - 1)[one]] = _below(keys[hit[one]], total, base)
+    if not one.all():
+        many = counts[~one]
+        draw = _subset_draw(keys[hit[~one]], base, total, int(many.max()))
+        keep = np.arange(draw.shape[1]) < many[:, None]
+        ids[np.repeat(~one, counts)] = np.sort(np.where(keep, draw, total))[keep]
+    return np.repeat(hit, counts), ids
+
+
+def _rounded_cdf(total: int, p: float, top: int, bits: int) -> list[int] | None:
+    """rint(2^53 P(X <= k)), ties to even, for k = 0..top and X ~
+    Binomial(total, p); None where the error bound at ``bits``-bit
+    mantissas leaves a rounding undecided.
+
+    With p = a/2^e exactly and b = 2^e - a, P(X = 0) = (b/2^e)^total by
+    squaring, and P(X = k+1) = P(X = k) (total-k) a / ((k+1) b).  Each term
+    is m 2^s with m of at least ``bits`` bits, and the terms are summed in
+    fixed point with ``bits`` fraction bits.  Every step rounds down, so a
+    sum falls short of P(X <= k) by less than c 2^(1-bits) for the c
+    roundings compounded into a term, plus 2^-bits per term added, and is
+    exact when no step drops a nonzero bit."""
+    a, den = float(p).as_integer_ratio()
+    e, b = den.bit_length() - 1, den - a
+    m, s, c, exact = 1, 0, 0, True
+    for bit in bin(total)[2:]:
+        m, s, c = m * m * (b if bit == "1" else 1), 2 * s, 2 * c
+        cut = m.bit_length() - bits
+        if cut > 0:
+            exact = exact and not m & ((1 << cut) - 1)
+            m, s, c = m >> cut, s + cut, c + 1
+    s -= e * total
+    acc, sums = 0, []
+    for k in range(top + 1):
+        if s + bits >= 0:
+            acc += m << (s + bits)
+        else:
+            exact = exact and not m & ((1 << (-s - bits)) - 1)
+            acc += m >> (-s - bits)
+        sums.append(acc)
+        # lift the numerator so that the quotient keeps >= bits bits
+        x, d = m * (total - k) * a, (k + 1) * b
+        lift = bits + d.bit_length() - x.bit_length()
+        if lift < 0:
+            exact = exact and not x & ((1 << -lift) - 1)
+        m, rem = divmod(x << lift if lift >= 0 else x >> -lift, d)
+        exact = exact and not rem
+        s -= lift
+    # the bound in units of 2^-bits; entries are units of 2^-53
+    err = 0 if exact else 2 * (c + 2 * top) + top + 1
+    shift = bits - 53
+    half, low = 1 << (shift - 1), (1 << shift) - 1
+    out = []
+    for acc in sums:
+        r = (acc + half) >> shift
+        tie = not (acc + half) & low
+        if err and (tie or (acc + err + half) >> shift != r):
+            return None
+        out.append(r - (tie and r & 1))
+    return out
 
 
 @functools.lru_cache(maxsize=64)
 def _binomial_table(total: int, p: float) -> np.ndarray:
-    """Inversion table of Binomial(total, p): entry k is 2^53 - round(2^53
-    * P(X > k)), P(X > k) = I_p(k+1, total-k), so a 53-bit uniform u falls
-    at k = searchsorted(table, u, 'right') with probability P(X = k) up to
-    2^-53.  The last entry is 2^53; it may stand at mean + 12 sd + 31,
-    because P(X > mean + 12 sd + 30) < 2^-54 by Bernstein's inequality.
+    """Inversion table of Binomial(total, p): entry k is rint(2^53 P(X <=
+    k)), exactly rounded, so a 53-bit uniform u falls at k =
+    searchsorted(table, u, 'right') with probability P(X = k) to 2^-53.
+    The last entry is 2^53; it may stand at mean + 12 sd + 31, because
+    P(X > mean + 12 sd + 30) < 2^-54 by Bernstein's inequality, so it is
+    the exact rounding there too.  Every entry is monotone in p, as the
+    CDF is and rint is.
 
-    scipy.special is imported here, at the first independent draw, and
-    not with the package: it is most of a cold start, and the adversarial
-    model never needs it."""
-    from scipy.special import betainc
-
+    _rounded_cdf starts at 128-bit mantissas and doubles them until its
+    bound decides every entry; once they hold every term whole, it is
+    exact, which settles a true tie (total 1 and p in [1/4, 1/2) make one)."""
     top = min(total - 1, math.ceil(total * p + 12 * math.sqrt(total * p * (1 - p))
                                    + 30))
-    k = np.arange(top + 1)
-    tail = np.append(np.minimum.accumulate(betainc(k + 1, total - k, p)), 0.0)
-    table = np.uint64(2**53) - np.rint(tail * 2.0**53).astype(np.uint64)
+    bits = 128
+    while (cdf := _rounded_cdf(total, p, top, bits)) is None:
+        bits *= 2
+    table = np.array(cdf + [2**53], dtype=np.uint64)
     table.flags.writeable = False
     return table
 
@@ -391,10 +452,11 @@ def draw_independent_batch(rates: IndependentRates, g: TannerGraph, keys,
     uint64 array of cycles gives row b*T + t for trial t at cycle b.  A
     class's fault count is Binomial(N, p), its 53-bit count uniform
     inverted against _binomial_table, and its faults a uniform subset of
-    that size: the law of N iid Bernoulli(p) components, at 2^-53
-    resolution.  A zero-rate class draws nothing.  A row's faults are the
-    prefix of its _subset_draw at the batch's largest count, so they nest
-    in p: the count inversion is monotone in p (up to 2^-53 rounding)."""
+    that size: the law of N iid Bernoulli(p) components, each count's
+    probability exactly rounded to 2^-53.  A zero-rate class draws nothing.
+    A row's faults are the prefix of its _subset_draw at the batch's
+    largest count, so they nest in p: the count inversion is monotone in p,
+    as every table entry is."""
     keyed = _rows(_absorb(keys, cycle))
     classes = []
     for pos, (base, total, p) in enumerate(

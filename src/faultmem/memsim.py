@@ -661,17 +661,18 @@ def monte_carlo(config: RunConfig, trials: int, root_seed, *,
     # first empty one and holds at least one value
     recorded = (corrupt[0] >= 0).sum(axis=0)
     last = int(np.count_nonzero(recorded))
-    pre, post = np.where(corrupt >= 0, corrupt / config.graph.n,
-                         np.nan)[:, :, :last]
+    kept, n = corrupt[:, :, :last], config.graph.n
+    means = np.where(kept >= 0, kept / n, 0.0).sum(axis=1) / recorded[:last]
+    maxima = kept.max(axis=1) / n
     return MonteCarloResult(
         trials=trials, failures=failures, failure_rate=failures / trials,
         ci_low=lo, ci_high=hi, confidence=confidence,
         failed_by_trial=(failure_cycle >= 0).tolist(),
         failure_cycle_by_trial=[int(c) if c >= 0 else None for c in failure_cycle],
-        mean_alpha_pre=np.nanmean(pre, axis=0).tolist(),
-        max_alpha_pre=np.nanmax(pre, axis=0).tolist(),
-        mean_alpha_post=np.nanmean(post, axis=0).tolist(),
-        max_alpha_post=np.nanmax(post, axis=0).tolist(),
+        mean_alpha_pre=means[0].tolist(),
+        max_alpha_pre=maxima[0].tolist(),
+        mean_alpha_post=means[1].tolist(),
+        max_alpha_post=maxima[1].tolist(),
         recorded=recorded[:last].tolist(),
         reports=([_report(config, corrupt[:, t], failure_cycle[t])
                   for t in range(trials)] if keep_reports else None),

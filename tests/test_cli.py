@@ -486,7 +486,7 @@ def test_bad_input_exits_2_without_traceback(tmp_path, command, doc, named):
     assert len(proc.stderr.splitlines()) == 1
 
 
-def test_import_leaves_out_scipy_stats_and_optimize():
+def test_import_leaves_out_scipy_stats_and_optimize(tmp_path):
     env = package_env()
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -496,8 +496,11 @@ def test_import_leaves_out_scipy_stats_and_optimize():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-    # no scipy module at all for the package and an adversarial run;
-    # the first independent draw loads scipy.special and nothing more
+    # no scipy module at all for the package, an adversarial run, and
+    # independent runs: monte_carlo, simulate and compare-tk
+    write_config(tmp_path / "cfg.json",
+                 fault_model={"type": "independent", "p_m": 0.01,
+                              "p_xor": 1e-3, "p_maj": 1e-3})
     script = """
 import sys, faultmem as fm, faultmem.cli
 g = fm.build_random_regular(fm.CodeParams(36, 3, 6), 7, reject_4cycles=True)
@@ -506,12 +509,16 @@ fm.monte_carlo(fm.RunConfig(g, "algorithm_a", greedy, 5), 3, 1)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 rates = fm.IndependentRates(p_m=0.01)
 fm.monte_carlo(fm.RunConfig(g, "algorithm_a", fm.IndependentModel(rates), 5), 3, 1)
+assert faultmem.cli.main(["simulate", "--config", "cfg.json"]) == 0
+assert faultmem.cli.main(["compare-tk", "--config", "cfg.json", "--out", "paired.csv"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 print([m in sys.modules for m in ("scipy.special", "scipy.stats", "scipy.optimize")])
 """
     proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[True, False, False]"]
+    lines = proc.stdout.splitlines()  # the commands print their summaries between
+    assert lines[0] == "[]" and lines[-2:] == ["[]", "[False, False, False]"]
 
 
 def test_compare_tk_rejects_greedy(tmp_path, capsys):

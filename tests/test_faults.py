@@ -1,4 +1,5 @@
 import bisect
+import decimal
 import hashlib
 import itertools
 import json
@@ -180,18 +181,88 @@ def test_position_marginals_uniform(law_batch, name):
     assert stats.chisquare(hits, np.full(total, ids.size / total)).pvalue >= 1e-3
 
 
+def exact_rounded_cdf(total, p, size):
+    """rint(2^53 P(X <= k)), ties to even, for k < size and X ~
+    Binomial(total, p), in Python integers: with p = a/2^e exactly and
+    b = 2^e - a, P(X <= k) is the sum over j <= k of C(total, j) a^j
+    b^(total-j), over 2^(e total)."""
+    a, den = p.as_integer_ratio()
+    b, scale = den - a, den ** total
+    term, cum, out = b ** total, 0, []
+    for k in range(size):
+        cum += term
+        q, r = divmod(cum << 53, scale)
+        out.append(q + (2 * r > scale or (2 * r == scale and q & 1)))
+        term = term * (total - k) * a // ((k + 1) * b)
+    return out
+
+
+def decimal_rounded_cdf(total, p, size):
+    """rint(2^53 P(X <= k)) for k < size from 60-digit decimal arithmetic.
+
+    Weights w_k, proportional to P(X = k), run from w = 1 at k0, 20 sd
+    below the mean, by w_{k+1} = w_k (total-k) p / ((k+1) q) to k1, 20 sd
+    + 40 above it, and are normalised by their sum.  The pmf rises to its
+    mode and falls after it, so the mass cut off below k0 is at most k0
+    P(X = k0) and above k1 at most (total-k1) P(X = k1); the two are
+    asserted below 1e-40.  Every weight and sum is at most 4 roundings of
+    1e-59 per step from exact, over at most 3e5 steps, so each P(X <= k) is
+    within 1e-39: within 1e-23 once times 2^53.  Each entry is asserted
+    farther than that from a half-integer, so its rounding is exact."""
+    ctx = decimal.Context(prec=60, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+    prob = decimal.Decimal(p)
+    ratio = ctx.divide(prob, ctx.subtract(1, prob))
+    mean, sd = total * p, math.sqrt(total * p * (1 - p))
+    k0 = max(0, math.floor(mean - 20 * sd))
+    k1 = min(total, max(size - 1, math.ceil(mean + 20 * sd + 40)))
+    weight, cum, sums = decimal.Decimal(1), decimal.Decimal(0), []
+    for k in range(k0, k1 + 1):
+        cum = ctx.add(cum, weight)
+        sums.append(cum)
+        if k < k1:
+            weight = ctx.divide(ctx.multiply(weight, ctx.multiply(total - k, ratio)),
+                                k + 1)
+    cut = ctx.add(k0, ctx.multiply(total - k1, weight))
+    assert ctx.divide(cut, cum) < decimal.Decimal("1e-40")
+    scale, out = ctx.divide(2**53, cum), [0] * k0
+    for part in sums[:size - k0]:
+        x = ctx.multiply(scale, part)
+        r = int(x.to_integral_value(rounding=decimal.ROUND_HALF_EVEN))
+        assert abs(abs(x - r) - decimal.Decimal("0.5")) > decimal.Decimal("1e-23")
+        out.append(r)
+    return out
+
+
 @pytest.mark.parametrize("gamma, rho", ((3, 6), (4, 8)))
 def test_binomial_table_reaches_the_top_quantile(gamma, rho):
     # every class size up to n*gamma*(rho-2) at n = 20 000, rates up to 1/2:
-    # the table is 2^53 P(X <= k) and ends at 2^53, so every 53-bit
-    # uniform has a count and no mass above 2^-53 is cut off
+    # entry k is the exact rounding of 2^53 P(X <= k), and the table ends
+    # at 2^53, which is the exact rounding there too, so every 53-bit
+    # uniform has a count and no mass above 2^-53 is cut off.  Up to 40
+    # components the oracle is exact integers, above it 60-digit decimals
     n = 20_000
-    for total in (1, n, n * gamma * (rho - 2)):
+    for total in (1, 40, n, n * gamma * (rho - 2)):
         for p in (1e-12, 1e-6, 1e-4, 0.004, 0.05, 0.3, 0.4999):
             table = faults._binomial_table(total, p)
             assert table[-1] == 2**53
-            exact = 2.0**53 * stats.binom.cdf(np.arange(table.size), total, p)
-            assert np.abs(table.astype(float) - exact).max() <= 2
+            oracle = exact_rounded_cdf if total <= 40 else decimal_rounded_cdf
+            assert table.tolist() == oracle(total, p, table.size)
+
+
+@pytest.mark.parametrize("total, p", ((1, 0.3), (2, 3 / 2**27), (54, 0.5),
+                                      (40, 0.05), (480, 0.05), (300, 1e-6),
+                                      (30, 0.999)))
+def test_rounded_cdf_is_exact_or_undecided(total, p):
+    # at every mantissa width, down to one guard bit past 2^-53, the error
+    # bound either decides every entry (and then right) or returns None.
+    # 2^53 P(X = 0) is a half-integer in the first three cases, a tie that
+    # only exact arithmetic settles, to even
+    table = faults._binomial_table(total, p).tolist()
+    exact = exact_rounded_cdf(total, p, len(table) - 1)
+    assert table == exact + [2**53]
+    for bits in (54, 56, 64, 80, 128):
+        cdf = faults._rounded_cdf(total, p, len(table) - 2, bits)
+        assert cdf is None or cdf == exact
 
 
 def test_cycles_uncorrelated():
@@ -694,9 +765,9 @@ def test_fixed_budget_subsets_nest(small_graph, strategy):
 def test_independent_fault_sets_nest_in_p():
     # on the same keys and cycles, counts do not decrease and every
     # class's fault set at a lower rate lies in the one at a higher rate.
-    # A count is monotone in p only up to the binomial table's 2^-53
-    # rounding: a uniform within 2^-53 of an entry could order two rates
-    # the other way, with probability near 2^-53 per draw
+    # A count is monotone in p: every binomial table entry is the exact
+    # rounding of 2^53 P(X <= k), which falls as p grows, and rint keeps
+    # that order
     g = graph_shape(400, 4, 5)
     keys = trial_keys(23, np.arange(2000))
     last = None

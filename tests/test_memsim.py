@@ -359,8 +359,9 @@ def fault_models(draw, g, kind, gates):
                        strategy=kind)
 
 
-@pytest.mark.parametrize("kind", fm.faults.STRATEGIES + ("independent",))
-@pytest.mark.parametrize("span", (1, 2))
+@pytest.mark.parametrize("span, kind",
+                         [(1, kind) for kind in fm.faults.STRATEGIES + ("independent",)]
+                         + [(2, kind) for kind in ("random", "greedy", "independent")])
 @pytest.mark.parametrize("decoder", ("algorithm_a", "tk", "none"))
 @settings(max_examples=8)
 @given(data=st.data(), trials=st.integers(1, 6), root=st.integers(0, 2**40),
@@ -370,9 +371,9 @@ def fault_models(draw, g, kind, gates):
 def test_monte_carlo_row_equals_run_memory(decoder, span, kind, data, trials,
                                            root, cycles, params, graph_seed):
     # spans of 1 and 2 cycles flush after every cycle or every other one,
-    # where the default span would hold all of at most 12 cycles; the
-    # patch varies only the cycle-dependent kinds (random, greedy,
-    # independent), since repeat and cluster always flush every cycle
+    # where the default span would hold all of at most 12 cycles; span 2
+    # runs only the cycle-dependent kinds (random, greedy, independent),
+    # since repeat and cluster always flush every cycle
     g = small_graph(params, graph_seed)
     model = data.draw(fault_models(g, kind, decoder != "none"))
     cfg = RunConfig(g, decoder, model, cycles)
