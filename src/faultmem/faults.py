@@ -210,21 +210,14 @@ def _subsets(keys, base: int, total: int, count: int):
 def _ragged_subsets(keys: np.ndarray, base: int, total: int,
                     counts: np.ndarray):
     """(row, id) pairs, sorted within a row, of a uniform counts[r]-subset
-    of range(total) per key r: its prefix of one _subset_draw at the top.
-    A row of count 1 takes that prefix, _below(key, total, base), alone."""
+    of range(total) per key r: its prefix of one _subset_draw at the top."""
     hit = np.flatnonzero(counts)
     if not hit.size:
         return hit, hit
     counts = counts[hit]
-    one = counts == 1
-    ids = np.empty(counts.sum(), dtype=np.int64)
-    ids[(np.cumsum(counts) - 1)[one]] = _below(keys[hit[one]], total, base)
-    if not one.all():
-        many = counts[~one]
-        draw = _subset_draw(keys[hit[~one]], base, total, int(many.max()))
-        keep = np.arange(draw.shape[1]) < many[:, None]
-        ids[np.repeat(~one, counts)] = np.sort(np.where(keep, draw, total))[keep]
-    return np.repeat(hit, counts), ids
+    ids = _subset_draw(keys[hit], base, total, int(counts.max()))
+    keep = np.arange(ids.shape[1]) < counts[:, None]
+    return np.repeat(hit, counts), np.sort(np.where(keep, ids, total))[keep]
 
 
 def _rounded_cdf(total: int, p: float, top: int, bits: int) -> list[int] | None:
