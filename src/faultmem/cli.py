@@ -19,6 +19,7 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
 
 from . import expansion, memsim, metrics, tanner
 from .exceptions import (AlistFormatError, BudgetViolationError, ConfigError,
@@ -102,6 +103,8 @@ class ExperimentConfig(memsim.RunConfig):
         super().__post_init__()
         if self.trials < 1:
             raise ConfigError(f"trials must be at least 1, got {self.trials}")
+        if not 0 <= self.root_seed < 1 << 64:
+            raise ConfigError(f"root_seed must lie in [0, 2^64), got {self.root_seed}")
 
 
 _REQUIRED = object()
@@ -255,36 +258,67 @@ def cmd_certify(args) -> int:
     return 0
 
 
-def _write_traces(path: Path, header: list[str], runs: list, n: int) -> None:
-    """Write the per-cycle trace CSV: ``header``, then one row per trial
-    and cycle holding, for each run in ``runs`` (a list of SimReports by
-    trial), the cells alpha_v_pre, alpha_v_post and failed of that trial
-    and cycle, three empty cells once the run's trial has stopped.  The
-    bytes are csv.writer's: the alphas are c / n, written from a table of
-    their reprs, and rows end in CRLF."""
-    alpha = [repr(c / n) for c in range(n + 1)]
-    rows = [",".join(header) + "\r\n"]
-    for t, reps in enumerate(zip(*runs)):
-        traces = []
-        for rep in reps:
-            cells = [f"{alpha[a]},{alpha[b]},0"
-                     for a, b in zip(rep.corrupt_pre, rep.corrupt_post)]
-            if rep.failed:
-                cells[-1] = cells[-1][:-1] + "1"
-            traces.append(cells)
-        length = max(map(len, traces))
-        for cells in traces:
-            cells += [",,"] * (length - len(cells))
-        rows += [f"{t},{c},{','.join(cells)}\r\n"
-                 for c, cells in enumerate(zip(*traces), 1)]
+def _trace_cells(result, n: int) -> tuple[list[str], np.ndarray]:
+    """One run's distinct trace cells and, per trial and cycle, the index
+    of its cell: "alpha_v_pre,alpha_v_post,failed" with the alphas written
+    as repr(c / n), or ",," where the trial has stopped.  The key of a
+    cell, ((pre + 1) * (n + 2) + post + 1) * 2 + failed, stays below
+    2 (n + 2)^2, inside int64 for every n below 2^31 - 2."""
+    pre, post = result.corrupt.astype(np.int64)
+    trials, cycles = pre.shape
+    failure = np.array([-1 if c is None else c
+                        for c in result.failure_cycle_by_trial])
+    failed = np.arange(1, cycles + 1) == failure[:, None]
+    keys = ((pre + 1) * (n + 2) + post + 1) * 2 + failed
+    # a 1-D input, whose inverse is 1-D under every numpy >= 1.24
+    distinct, index = np.unique(keys.ravel(), return_inverse=True)
+    cells = []
+    for key in distinct.tolist():
+        counts, bit = divmod(key, 2)
+        a, b = divmod(counts, n + 2)
+        cells.append(f"{(a - 1) / n!r},{(b - 1) / n!r},{bit}" if a else ",,")
+    return cells, index.reshape(trials, cycles)
+
+
+def _write_traces(path: Path, header: list[str], results: list, n: int) -> None:
+    """Write the per-cycle trace CSV of ``results`` (MonteCarloResults
+    over the same trials and cycles, on n variables): ``header``, then one
+    row per trial and cycle that some run executed, holding for each run
+    the cells alpha_v_pre, alpha_v_post and failed of that trial and
+    cycle, three empty cells once the run's trial has stopped.  The bytes
+    are csv.writer's: the alphas are c / n, and rows end in CRLF.
+
+    Each run's distinct cells are formatted once (_trace_cells), and the
+    runs are combined through their cell indices: each distinct
+    combination is formatted once, and every key stays below the square
+    of the number of cells, whatever n.  Each trial's rows are joined in
+    one call, and the file is written in one call."""
+    runs = [_trace_cells(result, n) for result in results]
+    table, index = runs[0]
+    for cells, cell_index in runs[1:]:
+        combined, index = np.unique((index * len(cells) + cell_index).ravel(),
+                                    return_inverse=True)
+        table = [table[k // len(cells)] + "," + cells[k % len(cells)]
+                 for k in combined.tolist()]
+        index = index.reshape(cell_index.shape)
+    trials, cycles = index.shape
+    rows = (np.array([f",{c}," for c in range(1, cycles + 1)], dtype=object)
+            + np.array([row + "\r\n" for row in table], dtype=object)[index])
+    lengths = np.max([(result.corrupt[0] >= 0).sum(axis=1)
+                      for result in results], axis=0).tolist()
+    text = [",".join(header) + "\r\n"]
+    for t, length in enumerate(lengths):
+        # every row starts ",cycle,", so joining on the trial number
+        # puts it in front of every row after the first
+        prefix = str(t)
+        text.append(prefix + prefix.join(rows[t, :length].tolist()))
     with _new_file(path) as fh:
-        fh.write("".join(rows))
+        fh.write("".join(text))
 
 
 def cmd_simulate(args) -> int:
     cfg = load_experiment_config(Path(args.config))
-    result = memsim.monte_carlo(cfg, cfg.trials, cfg.root_seed,
-                                keep_reports=cfg.output_traces is not None)
+    result = memsim.monte_carlo(cfg, cfg.trials, cfg.root_seed)
     obj = result.to_json_obj()
     obj["config"] = {
         "decoder": cfg.decoder,
@@ -298,7 +332,7 @@ def cmd_simulate(args) -> int:
     if cfg.output_traces:
         _write_traces(cfg.output_traces,
                       ["trial", "cycle", "alpha_v_pre", "alpha_v_post", "failed"],
-                      [result.reports], cfg.graph.n)
+                      [result], cfg.graph.n)
     print(f"failure_rate={result.failure_rate:.6g} "
           f"[{result.ci_low:.6g}, {result.ci_high:.6g}] "
           f"({result.failures}/{result.trials} trials)")
@@ -356,14 +390,14 @@ def cmd_compare_tk(args) -> int:
             "strategy adapts to the decoder and cannot be shared")
     results = {
         decoder: memsim.monte_carlo(replace(cfg, decoder=decoder),
-                                    cfg.trials, cfg.root_seed, keep_reports=True)
+                                    cfg.trials, cfg.root_seed)
         for decoder in ("algorithm_a", "tk")
     }
     out = _out_path(args.out)
     _write_traces(out, ["trial", "cycle"] + [
         f"{column}_{decoder}" for decoder in results
         for column in ("alpha_v_pre", "alpha_v_post", "failed")],
-        [result.reports for result in results.values()], cfg.graph.n)
+        list(results.values()), cfg.graph.n)
     summary = {decoder: {"failure_rate": result.failure_rate,
                          "failures": result.failures}
                for decoder, result in results.items()}

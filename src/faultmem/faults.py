@@ -122,9 +122,13 @@ def _seed_parts(seed) -> list[int]:
 
 @functools.lru_cache(maxsize=1024)
 def seed_key(seed) -> int:
-    """64-bit key of a trial seed (an int or a (nested) tuple of ints)."""
+    """64-bit key of a trial seed (an int or a (nested) tuple of ints),
+    each part in [0, 2^64): a part outside would alias one inside, its
+    value mod 2^64, so it is a ValueError."""
     h = 0
     for part in _seed_parts(seed):
+        if not 0 <= part <= _MASK:
+            raise ValueError(f"seed part {part} lies outside [0, 2^64)")
         h = _absorb(h, part)
     return h
 

@@ -58,7 +58,8 @@ inside the class, so no later cycle fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -196,6 +197,11 @@ class RunConfig:
                 )
 
 
+def count_dtype(n: int) -> np.dtype:
+    """The smallest signed integer type holding every count -1 .. n."""
+    return np.min_scalar_type(-n - 1)
+
+
 _BLOCK_BYTES = 1 << 21  # bound on the packed plan words of one block
 # bounds on the observed words of one span of a cycle-dependent model, in
 # bytes and in cycles: its loop runs up to _SPAN_CYCLES - 1 cycles past
@@ -307,9 +313,9 @@ def _simulate(config: RunConfig, keys: np.ndarray, *, record_states: bool = Fals
     reached there, as running them would.
 
     Returns (corrupt, failure_cycle, recorded): (2, T, L) pre/post-correction
-    corrupt counts, -1 where a cycle did not run; (T,) failure cycles, -1
-    for survivors; and the (2, T, L, n) observed words when
-    ``record_states`` is set, else None.  An accounting violation raises
+    corrupt counts of type count_dtype(n), -1 where a cycle did not run;
+    (T,) failure cycles, -1 for survivors; and the (2, T, L, n) observed
+    words when ``record_states`` is set, else None.  An accounting violation raises
     for the lowest violating trial of the first violating cycle, naming
     that trial when ``keys`` is an array.
     """
@@ -328,7 +334,7 @@ def _simulate(config: RunConfig, keys: np.ndarray, *, record_states: bool = Fals
         copies = np.repeat(state[:, None], g.gamma, axis=1)
         ties = None  # the last readout's exact ties; equal copies never tie
     failure_cycle = np.full(trials, -1, dtype=np.int64)
-    corrupt = np.full((2, trials, L), -1, dtype=np.int64)
+    corrupt = np.full((2, trials, L), -1, dtype=count_dtype(g.n))
     recorded = np.zeros((2, trials, L, g.n), dtype=np.uint8) if record_states else None
     # the bytes of one cycle's (reg, xor, maj) words
     block_size = max(1, _BLOCK_BYTES // (8 * alive.size * (2 * g.n + g.m * g.rho)))
@@ -612,6 +618,18 @@ def wilson_interval(successes: int, total: int, confidence: float = 0.95):
 
 @dataclass
 class MonteCarloResult:
+    """What monte_carlo found: the failure rate with its Wilson interval,
+    each trial's outcome and the per-cycle mean and maximum corrupt
+    fractions over the trials that ran that cycle.
+
+    ``corrupt`` is the engine's (2, T, L) array of pre- and
+    post-correction corrupt counts of every trial and cycle, -1 where a
+    cycle did not run, in the smallest signed integer type holding -1 .. n
+    (count_dtype); ``config`` is the RunConfig that ran.  Neither is
+    compared or serialized.  ``reports``, each trial's SimReport, is built
+    from them on first use.
+    """
+
     trials: int
     failures: int
     failure_rate: float
@@ -625,7 +643,14 @@ class MonteCarloResult:
     mean_alpha_post: list[float]
     max_alpha_post: list[float]
     recorded: list[int]
-    reports: list | None = None
+    corrupt: np.ndarray | None = field(default=None, compare=False, repr=False)
+    config: RunConfig | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def reports(self) -> list[SimReport]:
+        """Each trial's SimReport, from ``corrupt``."""
+        return [_report(self.config, self.corrupt[:, t], -1 if c is None else c)
+                for t, c in enumerate(self.failure_cycle_by_trial)]
 
     def to_json_obj(self) -> dict:
         return {
@@ -644,12 +669,10 @@ class MonteCarloResult:
 
 
 def monte_carlo(config: RunConfig, trials: int, root_seed, *,
-                confidence: float = 0.95,
-                keep_reports: bool = False) -> MonteCarloResult:
+                confidence: float = 0.95) -> MonteCarloResult:
     """Aggregate independent seeded trials: failure rate with a Wilson
     interval plus mean/max corrupt-fraction trajectories.  Trial t runs
-    under the seed (root_seed, t); with ``keep_reports`` each trial's
-    SimReport is kept as well."""
+    under the seed (root_seed, t)."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     _check_confidence(confidence)
@@ -674,6 +697,5 @@ def monte_carlo(config: RunConfig, trials: int, root_seed, *,
         mean_alpha_post=means[1].tolist(),
         max_alpha_post=maxima[1].tolist(),
         recorded=recorded[:last].tolist(),
-        reports=([_report(config, corrupt[:, t], failure_cycle[t])
-                  for t in range(trials)] if keep_reports else None),
+        corrupt=corrupt, config=config,
     )

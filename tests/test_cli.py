@@ -6,13 +6,14 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import faultmem as fm
-from faultmem import cli
+from faultmem import cli, memsim
 from faultmem.cli import main
 from faultmem.exceptions import ConfigError
 from faultmem.memsim import RunConfig
@@ -462,6 +463,9 @@ _BAD_INPUTS = [
     ("simulate", {"decoder": "x"}, "unknown decoder 'x'; expected one of ("),
     ("simulate", {"cycles": 0}, "cycles must be at least 1, got 0"),
     ("simulate", {"trials": 0}, "trials must be at least 1, got 0"),
+    # a root seed outside [0, 2^64) would alias its value mod 2^64
+    ("simulate", {"root_seed": 2**64}, "root_seed must lie in [0, 2^64), got 1844"),
+    ("simulate", {"root_seed": -1}, "root_seed must lie in [0, 2^64), got -1"),
 ]
 
 
@@ -587,38 +591,93 @@ def csv_writer_traces(header, runs):
     return buf.getvalue().encode()
 
 
+def trials_of(picks):
+    """A result whose trial i is trial t of result r, for the i-th (r, t)
+    of ``picks``: results of one decoder, cycle count and n."""
+    return dataclasses.replace(
+        picks[0][0], trials=len(picks),
+        corrupt=np.stack([r.corrupt[:, t] for r, t in picks], axis=1),
+        failure_cycle_by_trial=[r.failure_cycle_by_trial[t] for r, t in picks])
+
+
+_PAIRED_HEADER = ["trial", "cycle"] + [
+    f"{column}_{decoder}" for decoder in ("algorithm_a", "tk")
+    for column in ("alpha_v_pre", "alpha_v_post", "failed")]
+_SINGLE_HEADER = ["trial", "cycle", "alpha_v_pre", "alpha_v_post", "failed"]
+
+
+def assert_writer_equals_csv_writer(tmp_path, runs, n):
+    """The paired CSV of ``runs`` and each run's single CSV equal
+    csv.writer's rows of the runs' reports."""
+    cli._write_traces(tmp_path / "paired.csv", _PAIRED_HEADER, runs, n)
+    assert (tmp_path / "paired.csv").read_bytes() == csv_writer_traces(
+        _PAIRED_HEADER, [run.reports for run in runs])
+    for run in runs:
+        cli._write_traces(tmp_path / "single.csv", _SINGLE_HEADER, [run], n)
+        assert (tmp_path / "single.csv").read_bytes() == csv_writer_traces(
+            _SINGLE_HEADER, [run.reports])
+
+
 @pytest.mark.parametrize("instance", (0, 2), ids=("n36", "n40"))
 def test_trace_writer_equals_csv_writer(tmp_path, instance):
     # trial pairs in which algorithm_a fails first, tk fails first, both
     # fail at different cycles and both survive, and single-run traces
     g, prof = build_instance(CERTIFIED_INSTANCES[instance])
 
-    def reports(decoder, p_m, p_gate):
+    def trials(decoder, p_m, p_gate):
         model = fm.IndependentModel(fm.IndependentRates(p_m, p_gate, p_gate))
-        return fm.monte_carlo(RunConfig(g, decoder, model, 30, profile=prof),
-                              20, 3, keep_reports=True).reports
+        res = fm.monte_carlo(RunConfig(g, decoder, model, 30, profile=prof), 20, 3)
+        return [(res, t) for t in range(20)]
 
-    def split(reps):
-        return ([r for r in reps if r.failed], [r for r in reps if not r.failed])
+    def split(picks):
+        return ([(r, t) for r, t in picks if r.failed_by_trial[t]],
+                [(r, t) for r, t in picks if not r.failed_by_trial[t]])
 
-    a_failed, a_alive = split(reports("algorithm_a", 0.02, 1e-3)
-                              + reports("algorithm_a", 0.0003, 3e-5))
-    tk_failed, tk_alive = split(reports("tk", 0.004, 1e-4)
-                                + reports("tk", 1e-4, 1e-5))
+    a_failed, a_alive = split(trials("algorithm_a", 0.02, 1e-3)
+                              + trials("algorithm_a", 0.0003, 3e-5))
+    tk_failed, tk_alive = split(trials("tk", 0.004, 1e-4)
+                                + trials("tk", 1e-4, 1e-5))
     pairs = [(a_failed[0], tk_alive[0]), (a_alive[0], tk_failed[0]),
              (a_alive[1], tk_alive[1]), (a_failed[1], tk_failed[1]),
              (a_failed[2], tk_failed[2])]
+    runs = [trials_of(list(run)) for run in zip(*pairs)]
     # the shorter trace of each of the first two pairs is padded
-    assert pairs[0][0].cycles_executed < pairs[0][1].cycles_executed
-    assert pairs[1][1].cycles_executed < pairs[1][0].cycles_executed
-    runs = [list(run) for run in zip(*pairs)]
-    header = ["trial", "cycle"] + [f"{column}_{decoder}"
-                                   for decoder in ("algorithm_a", "tk")
-                                   for column in ("alpha_v_pre", "alpha_v_post",
-                                                  "failed")]
-    cli._write_traces(tmp_path / "paired.csv", header, runs, g.n)
-    assert (tmp_path / "paired.csv").read_bytes() == csv_writer_traces(header, runs)
-    header = ["trial", "cycle", "alpha_v_pre", "alpha_v_post", "failed"]
-    for run in runs:
-        cli._write_traces(tmp_path / "single.csv", header, [run], g.n)
-        assert (tmp_path / "single.csv").read_bytes() == csv_writer_traces(header, [run])
+    a_reports, tk_reports = runs[0].reports, runs[1].reports
+    assert a_reports[0].cycles_executed < tk_reports[0].cycles_executed
+    assert tk_reports[1].cycles_executed < a_reports[1].cycles_executed
+    assert_writer_equals_csv_writer(tmp_path, runs, g.n)
+
+
+def test_trace_writer_at_large_n(tmp_path):
+    # counts near n = 50 000 written from hand-made results (no graph):
+    # trials of different lengths, a failure on a trial's last recorded
+    # cycle, and cells whose counts, keyed jointly over both runs, would
+    # overflow int64
+    n, cycles = 50_000, 4
+    stand_in = types.SimpleNamespace(graph=types.SimpleNamespace(n=n),
+                                     decoder="tk", cycles=cycles, profile=None,
+                                     check_accounting=False)
+
+    def result(rows, failure_cycles):
+        corrupt = np.full((2, len(rows), cycles), -1, dtype=memsim.count_dtype(n))
+        for t, row in enumerate(rows):
+            corrupt[:, t, :len(row)] = np.array(row).T
+        return memsim.MonteCarloResult(
+            trials=len(rows), failures=0, failure_rate=0.0, ci_low=0.0,
+            ci_high=1.0, confidence=0.95, failed_by_trial=[],
+            failure_cycle_by_trial=failure_cycles, mean_alpha_pre=[],
+            max_alpha_pre=[], mean_alpha_post=[], max_alpha_post=[],
+            recorded=[], corrupt=corrupt, config=stand_in)
+
+    runs = [result([[(n, n - 1), (49_999, 1), (3, 0), (n, n)], [(7, n)],
+                    [(12_345, 0), (n, 49_998)]], [None, 1, 2]),
+            result([[(n, n)], [(1, 1), (n, 0), (n - 1, n)], [(0, 0), (n, n)]],
+                   [1, None, 2])]
+    assert memsim.count_dtype(n) == np.int32
+    assert_writer_equals_csv_writer(tmp_path, runs, n)
+    lines = (tmp_path / "paired.csv").read_bytes().split(b"\r\n")
+    assert lines[1:4] == [b"0,1,1.0,0.99998,0,1.0,1.0,1",
+                          b"0,2,0.99998,2e-05,0,,,",
+                          b"0,3,6e-05,0.0,0,,,"]
+    assert lines[-3:] == [b"2,1,0.2469,0.0,0,0.0,0.0,0",
+                          b"2,2,1.0,0.99996,1,1.0,1.0,1", b""]

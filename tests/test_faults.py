@@ -570,7 +570,7 @@ def test_greedy_digests_do_not_move_with_pool_bytes(monkeypatch, slab_trials):
     runs = hashlib.sha256()
     for decoder in ("algorithm_a", "none"):
         res = fm.monte_carlo(fm.RunConfig(g, decoder, model, 40, profile=prof),
-                             trials, 11, keep_reports=True)
+                             trials, 11)
         runs.update(json.dumps([res.to_json_obj(), [
             r.to_json_obj() for r in res.reports]]).encode())
     assert runs.hexdigest() == _GREEDY_RUN_DIGEST
@@ -966,6 +966,22 @@ def test_trial_keys_need_one_dimension():
     for trials in (128, np.zeros((2, 3), np.int64)):
         with pytest.raises(ValueError, match="1-D"):
             trial_keys(0, trials)
+
+
+def test_seed_parts_outside_64_bits_are_rejected(small_graph):
+    # a part outside [0, 2^64) would alias its value mod 2^64; the
+    # largest part inside is accepted
+    assert seed_key((0, 2**64 - 1)) != seed_key((0, 0))
+    for seed in (2**64, -1, (3, 2**64), (-1, 0)):
+        with pytest.raises(ValueError, match=r"outside \[0, 2\^64\)"):
+            seed_key(seed)
+    model = fm.IndependentModel(fm.IndependentRates(0.1))
+    cfg = fm.RunConfig(small_graph, "none", model, 3)
+    for root in (2**64, -1):
+        with pytest.raises(ValueError, match="outside"):
+            fm.monte_carlo(cfg, 64, root)
+        with pytest.raises(ValueError, match="outside"):
+            fm.run_memory(small_graph, "none", model, 3, (root, 0))
 
 
 def test_exceedance_frequency_law():

@@ -222,7 +222,7 @@ def test_monte_carlo_rows_match_run_memory_across_words(i1, decoder, kind):
         assert len({reps[t].failure_cycle for t in failed}) > 1
     for trials in (64, 65, 130):
         cfg = RunConfig(g, decoder, model, cycles, profile=prof)
-        res = fm.monte_carlo(cfg, trials, 5, keep_reports=True)
+        res = fm.monte_carlo(cfg, trials, 5)
         assert res.reports == reps[:trials]
         assert res.failure_cycle_by_trial == [r.failure_cycle for r in reps[:trials]]
 
@@ -245,7 +245,7 @@ def test_block_size_does_not_change_results(i1, monkeypatch, kind):
     results = []
     for size in (1, 3, cycles):
         monkeypatch.setattr(memsim, "_BLOCK_BYTES", block_bytes(g, trials, size))
-        res = fm.monte_carlo(cfg, trials, 5, keep_reports=True)
+        res = fm.monte_carlo(cfg, trials, 5)
         results.append(res)
         inside = [t for t, c in enumerate(res.failure_cycle_by_trial)
                   if c is not None and (c - 1) % size]
@@ -273,7 +273,7 @@ def test_desk_digests_do_not_move_with_block_size(monkeypatch):
             for strategy in fm.faults.STRATEGIES:
                 cfg = RunConfig(g, "algorithm_a", fm.AdversarialModel(budget, strategy),
                                 20, profile=prof, check_accounting=True)
-                res = fm.monte_carlo(cfg, 100, 2025, keep_reports=True)
+                res = fm.monte_carlo(cfg, 100, 2025)
                 digest.update(json.dumps([res.to_json_obj(), [
                     r.to_json_obj() for r in res.reports]]).encode())
         assert digest.hexdigest() == _DESK_DIGEST
@@ -379,11 +379,15 @@ def test_monte_carlo_row_equals_run_memory(decoder, span, kind, data, trials,
     cfg = RunConfig(g, decoder, model, cycles)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(memsim, "_SPAN_CYCLES", span)
-        res = fm.monte_carlo(cfg, trials, root, keep_reports=True)
+        res = fm.monte_carlo(cfg, trials, root)
         for t in range(trials):
             rep = fm.run_memory(g, decoder, model, cycles, (root, t))
             assert res.reports[t] == rep
             assert res.failure_cycle_by_trial[t] == rep.failure_cycle
+            ran = rep.cycles_executed
+            assert res.corrupt[:, t].tolist() == [
+                rep.corrupt_pre + [-1] * (cycles - ran),
+                rep.corrupt_post + [-1] * (cycles - ran)]
 
 
 def test_monotone_degradation(i1):
@@ -419,13 +423,23 @@ def test_root_seed_reproducibility_and_overlap(i1):
     assert 0 < r1.failure_rate < 1
 
 
-def test_keep_reports(i1):
+def test_reports_are_built_from_the_counts(i1):
+    # the result keeps the engine's counts in the smallest signed type
+    # that holds -1 .. n, and builds each trial's report from them on
+    # first use; neither the counts nor the reports are compared
     g, prof = i1
-    cfg = RunConfig(g, "algorithm_a", adversarial(alpha_m=1.5 / 36), 10,
-                    profile=prof)
-    res = fm.monte_carlo(cfg, 5, 2, keep_reports=True)
-    assert len(res.reports) == 5
-    assert all(r.cycles_executed == 10 for r in res.reports)
+    cfg = RunConfig(g, "algorithm_a", independent(p_m=0.015), 10, profile=prof)
+    res = fm.monte_carlo(cfg, 5, 2)
+    assert res.corrupt.shape == (2, 5, 10) and res.corrupt.dtype == np.int8
+    assert [memsim.count_dtype(n) for n in (127, 128, 32768, 2**31)] \
+        == [np.int8, np.int16, np.int32, np.int64]
+    assert "reports" not in vars(res)
+    assert res.reports == [fm.run_memory(g, "algorithm_a", cfg.fault_model, 10,
+                                         (2, t), prof) for t in range(5)]
+    assert res.reports is res.reports
+    assert 0 < res.failures < 5
+    assert [r.failure_cycle for r in res.reports] == res.failure_cycle_by_trial
+    assert res == dataclasses.replace(res, corrupt=None, config=None)
 
 
 def test_tk_memory_runs():
@@ -706,7 +720,7 @@ def test_rows_do_not_depend_on_where_counts_are_taken(decoder, kind, monkeypatch
     span = memsim._SPAN_BYTES // (16 * 2 * g.n)
     assert span < memsim._SPAN_BYTES // (16 * g.n) < cycles
     res = fm.monte_carlo(RunConfig(g, decoder, model, cycles, profile=prof),
-                         trials, 5, keep_reports=True)
+                         trials, 5)
     failed = [c for c in res.failure_cycle_by_trial if c is not None]
     assert any(c % span for c in failed)
     assert res.reports == [fm.run_memory(g, decoder, model, cycles, (5, t), prof)
@@ -765,7 +779,7 @@ def _span_results():
                         check_accounting=accounting)
         try:
             got[name] = _result_digest(fm.monte_carlo(
-                cfg, trials, root[0] if root else 5, keep_reports=True))
+                cfg, trials, root[0] if root else 5))
         except AccountingError as exc:
             got[name] = str(exc)
     return got
@@ -897,10 +911,10 @@ def test_periodic_exit_is_exact(name, monkeypatch):
     # them, and fewer cycles must run, each of them flushed ('none' has
     # no round to count, so its flushes are counted)
     cfg = _periodic_config(name)
-    want = fm.monte_carlo(_every_cycle(cfg), 65, 5, keep_reports=True)
+    want = fm.monte_carlo(_every_cycle(cfg), 65, 5)
     rounds = _count_calls(monkeypatch, _ROUNDS)
     flushes = _count_calls(monkeypatch, ("popcounts",))
-    res = fm.monte_carlo(cfg, 65, 5, keep_reports=True)
+    res = fm.monte_carlo(cfg, 65, 5)
     assert res.to_json_obj() == want.to_json_obj() and res.reports == want.reports
     assert _result_digest(res) == _PERIODIC_DIGESTS[name]
     assert res.failures < 65
