@@ -315,9 +315,9 @@ def _simulate(config: RunConfig, keys: np.ndarray, *, record_states: bool = Fals
     Returns (corrupt, failure_cycle, recorded): (2, T, L) pre/post-correction
     corrupt counts of type count_dtype(n), -1 where a cycle did not run;
     (T,) failure cycles, -1 for survivors; and the (2, T, L, n) observed
-    words when ``record_states`` is set, else None.  An accounting violation raises
-    for the lowest violating trial of the first violating cycle, naming
-    that trial when ``keys`` is an array.
+    words when ``record_states`` is set, else None.  An accounting
+    violation raises for the lowest violating trial of the first
+    violating cycle, naming that trial when ``keys`` is an array.
     """
     g, model, L = config.graph, config.fault_model, config.cycles
     cap = detect_cap(config.profile, g.n)
