@@ -258,12 +258,14 @@ def cmd_certify(args) -> int:
     return 0
 
 
-def _trace_cells(result, n: int) -> tuple[list[str], np.ndarray]:
+def _trace_cells(result) -> tuple[list[str], np.ndarray]:
     """One run's distinct trace cells and, per trial and cycle, the index
     of its cell: "alpha_v_pre,alpha_v_post,failed" with the alphas written
-    as repr(c / n), or ",," where the trial has stopped.  The key of a
+    as repr(c / n), n the run's code length, or ",," where the trial has
+    stopped.  The key of a
     cell, ((pre + 1) * (n + 2) + post + 1) * 2 + failed, stays below
     2 (n + 2)^2, inside int64 for every n below 2^31 - 2."""
+    n = result.config.graph.n
     pre, post = result.corrupt.astype(np.int64)
     trials, cycles = pre.shape
     failure = np.array([-1 if c is None else c
@@ -280,9 +282,9 @@ def _trace_cells(result, n: int) -> tuple[list[str], np.ndarray]:
     return cells, index.reshape(trials, cycles)
 
 
-def _write_traces(path: Path, header: list[str], results: list, n: int) -> None:
+def _write_traces(path: Path, header: list[str], results: list) -> None:
     """Write the per-cycle trace CSV of ``results`` (MonteCarloResults
-    over the same trials and cycles, on n variables): ``header``, then one
+    over the same trials and cycles): ``header``, then one
     row per trial and cycle that some run executed, holding for each run
     the cells alpha_v_pre, alpha_v_post and failed of that trial and
     cycle, three empty cells once the run's trial has stopped.  The bytes
@@ -293,7 +295,7 @@ def _write_traces(path: Path, header: list[str], results: list, n: int) -> None:
     combination is formatted once, and every key stays below the square
     of the number of cells, whatever n.  Each trial's rows are joined in
     one call, and the file is written in one call."""
-    runs = [_trace_cells(result, n) for result in results]
+    runs = [_trace_cells(result) for result in results]
     table, index = runs[0]
     for cells, cell_index in runs[1:]:
         combined, index = np.unique((index * len(cells) + cell_index).ravel(),
@@ -332,7 +334,7 @@ def cmd_simulate(args) -> int:
     if cfg.output_traces:
         _write_traces(cfg.output_traces,
                       ["trial", "cycle", "alpha_v_pre", "alpha_v_post", "failed"],
-                      [result], cfg.graph.n)
+                      [result])
     print(f"failure_rate={result.failure_rate:.6g} "
           f"[{result.ci_low:.6g}, {result.ci_high:.6g}] "
           f"({result.failures}/{result.trials} trials)")
@@ -397,7 +399,7 @@ def cmd_compare_tk(args) -> int:
     _write_traces(out, ["trial", "cycle"] + [
         f"{column}_{decoder}" for decoder in results
         for column in ("alpha_v_pre", "alpha_v_post", "failed")],
-        list(results.values()), cfg.graph.n)
+        list(results.values()))
     summary = {decoder: {"failure_rate": result.failure_rate,
                          "failures": result.failures}
                for decoder, result in results.items()}

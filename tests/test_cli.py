@@ -606,14 +606,14 @@ _PAIRED_HEADER = ["trial", "cycle"] + [
 _SINGLE_HEADER = ["trial", "cycle", "alpha_v_pre", "alpha_v_post", "failed"]
 
 
-def assert_writer_equals_csv_writer(tmp_path, runs, n):
+def assert_writer_equals_csv_writer(tmp_path, runs):
     """The paired CSV of ``runs`` and each run's single CSV equal
     csv.writer's rows of the runs' reports."""
-    cli._write_traces(tmp_path / "paired.csv", _PAIRED_HEADER, runs, n)
+    cli._write_traces(tmp_path / "paired.csv", _PAIRED_HEADER, runs)
     assert (tmp_path / "paired.csv").read_bytes() == csv_writer_traces(
         _PAIRED_HEADER, [run.reports for run in runs])
     for run in runs:
-        cli._write_traces(tmp_path / "single.csv", _SINGLE_HEADER, [run], n)
+        cli._write_traces(tmp_path / "single.csv", _SINGLE_HEADER, [run])
         assert (tmp_path / "single.csv").read_bytes() == csv_writer_traces(
             _SINGLE_HEADER, [run.reports])
 
@@ -645,7 +645,7 @@ def test_trace_writer_equals_csv_writer(tmp_path, instance):
     a_reports, tk_reports = runs[0].reports, runs[1].reports
     assert a_reports[0].cycles_executed < tk_reports[0].cycles_executed
     assert tk_reports[1].cycles_executed < a_reports[1].cycles_executed
-    assert_writer_equals_csv_writer(tmp_path, runs, g.n)
+    assert_writer_equals_csv_writer(tmp_path, runs)
 
 
 def test_trace_writer_at_large_n(tmp_path):
@@ -674,7 +674,7 @@ def test_trace_writer_at_large_n(tmp_path):
             result([[(n, n)], [(1, 1), (n, 0), (n - 1, n)], [(0, 0), (n, n)]],
                    [1, None, 2])]
     assert memsim.count_dtype(n) == np.int32
-    assert_writer_equals_csv_writer(tmp_path, runs, n)
+    assert_writer_equals_csv_writer(tmp_path, runs)
     lines = (tmp_path / "paired.csv").read_bytes().split(b"\r\n")
     assert lines[1:4] == [b"0,1,1.0,0.99998,0,1.0,1.0,1",
                           b"0,2,0.99998,2e-05,0,,,",
