@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from collections import Counter, defaultdict
@@ -443,3 +444,25 @@ def test_graph_hash_distinguishes():
 def test_benchmark_graph_hashes_are_pinned(params, seed, digest):
     g = fm.build_random_regular(fm.CodeParams(*params), seed, reject_4cycles=True)
     assert g.graph_hash() == digest
+
+
+# One digest over the graph_hash of a grid of constructions, with and
+# without reject_4cycles, and of the criterion-1 families (no girth
+# rejection) at seeds 1000-1032.  The latter reach both of the bad-edge
+# lookup's fall-through paths: a duplicate count above zero with no edge
+# doubled, and pair counts left stale when 4-cycles are not repaired.
+def test_construction_grid_hashes_are_pinned():
+    grid = [((n, gamma, rho), seed, girth6)
+            for n, gamma, rho in ((36, 3, 6), (40, 4, 5), (60, 3, 6),
+                                  (200, 3, 6), (100, 4, 8))
+            for seed in range(25) for girth6 in (False, True)]
+    grid += [((n, gamma, rho), seed, False)
+             for n, gamma, rho in ((16, 4, 8), (20, 5, 10))
+             for seed in range(1000, 1033)]
+    digest = hashlib.sha256()
+    for params, seed, girth6 in grid:
+        g = fm.build_random_regular(fm.CodeParams(*params), seed,
+                                    reject_4cycles=girth6)
+        digest.update(g.graph_hash().encode())
+    assert digest.hexdigest() == (
+        "0e4167ef5c2020227bea7f006b42ef0965875e18f7ec1b6a1012a90bc32feed6")
