@@ -5,6 +5,13 @@ most alpha*n variables touches at least delta*|S| checks.  Certification
 enumerates subsets exhaustively (small n) or probes randomly (which can
 refute but never certify).  The closed forms bound what expansion is
 achievable for given degrees and what fault fraction that buys.
+
+The random probe reads the keyed counter streams of the fault plans
+(see faults): sample t is a pure function of the key (seed, t), so
+``seed`` is an int, or a tuple of ints, each part in [0, 2^64), and a
+probe of T samples checks the first T samples of any longer probe under
+the same seed.  Graph construction (tanner.build_random_regular) stays
+on numpy's Generator, since graph hashes are pinned.
 """
 
 from __future__ import annotations
@@ -16,9 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .faults import _PROBE_SET, _PROBE_SIZE, _below, _subset_draw, trial_keys
 from .tanner import TannerGraph
 
 EPSILON_MAX = 0.25
+# bound on one probe batch's gathered check ids, in bytes
+_PROBE_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -195,27 +205,54 @@ def probe_expansion_randomized(
 
     Returns refuted with a witness if any sampled subset violates the
     bound, else inconclusive; random probing can never certify.
+
+    Sample t reads the keyed counter stream of (seed, t), the scheme the
+    fault plans use (faults.trial_keys), so ``seed`` is an int (or tuple
+    of ints) with each part in [0, 2^64).  Its size is 1 + a uniform
+    draw below floor(alpha*n) from one segment of the stream, and its
+    members the first ``size`` ids of one uniform floor(alpha*n)-subset
+    draw from another.  Samples are tested in batches of at most
+    _PROBE_BYTES of gathered check ids: |N(S)| is the number of distinct
+    values in the sorted checks of S.  The first violating sample is the
+    witness (sorted), and subsets_checked counts the samples up to it.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     max_size = _max_subset_size(g, profile)
-    masks = _check_masks(g)
-    rng = np.random.default_rng(seed)
-    for t in range(trials):
-        size = int(rng.integers(1, max_size + 1))
-        combo = rng.choice(g.n, size=size, replace=False)
-        union = 0
-        for v in combo:
-            union |= masks[int(v)]
-        if union.bit_count() < profile.delta * size:
+    batch = max(1, _PROBE_BYTES // (8 * max_size * g.gamma))
+    for start in range(0, trials, batch):
+        keys = trial_keys(seed, np.arange(start, min(start + batch, trials)))
+        hit = _first_violation(g, keys, max_size, profile.delta)
+        if hit is not None:
             return ExpansionCertificate(
                 g.graph_hash(), profile.alpha, profile.delta, profile.epsilon,
-                "randomized", "refuted", tuple(int(v) for v in sorted(combo)), t + 1,
+                "randomized", "refuted", hit[1], start + hit[0] + 1,
             )
     return ExpansionCertificate(
         g.graph_hash(), profile.alpha, profile.delta, profile.epsilon,
         "randomized", "inconclusive", None, trials,
     )
+
+
+def _first_violation(g: TannerGraph, keys: np.ndarray, max_size: int,
+                     delta: float):
+    """(row, sorted witness) of the first probe sample of ``keys`` with
+    |N(S)| < delta*|S|, or None.  A batch's arrays live only in this call,
+    so one batch's are freed before the next is drawn."""
+    sizes = _below(keys, max_size, _PROBE_SIZE) + 1
+    members = _subset_draw(keys, _PROBE_SET, g.n, max_size)
+    # the checks of members past a sample's size read m, above every id
+    cols = np.arange(max_size * g.gamma) // g.gamma
+    checks = np.where(cols < sizes[:, None],
+                      g.var_nbrs[members].reshape(keys.size, -1), g.m)
+    checks.sort(axis=1)
+    distinct = (checks[:, 1:] != checks[:, :-1]).sum(axis=1) + 1
+    distinct -= sizes < max_size
+    bad = np.flatnonzero(distinct < delta * sizes)
+    if not bad.size:
+        return None
+    r = int(bad[0])
+    return r, tuple(sorted(members[r, :sizes[r]].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -50,13 +50,16 @@ import functools
 import math
 import weakref
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .decoders import broadcast_bits, parallel_bitflip_round_var_major, popcounts
 from .exceptions import BudgetViolationError
-from .expansion import ExpansionProfile
 from .tanner import TannerGraph
+
+if TYPE_CHECKING:  # expansion imports this module's keyed streams
+    from .expansion import ExpansionProfile
 
 STRATEGIES = ("random", "repeat", "cluster", "greedy")
 
@@ -72,8 +75,10 @@ def _budget_count(fraction: float, units: int) -> int:
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 # Each component class reads its own segment of a key's sequence:
-# component j of the class at base b is output b + j + 1.
-_REG, _XOR, _MAJ, _ORDER, _POOL, _COUNT = (c << 40 for c in range(6))
+# component j of the class at base b is output b + j + 1.  The last two
+# hold the expansion probe's subset sizes and members.
+(_REG, _XOR, _MAJ, _ORDER, _POOL, _COUNT,
+ _PROBE_SIZE, _PROBE_SET) = (c << 40 for c in range(8))
 _REDRAW = 1 << 32  # _below's redraw step, past every draw position
 
 

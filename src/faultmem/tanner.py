@@ -234,36 +234,84 @@ class TannerGraph:
 # ---------------------------------------------------------------------------
 
 
-def _repair(ev, ec, n, gamma, rho, rng, want_girth6, swap_budget):
+class _Tally(dict):
+    """Counts by int key, each key ranked by its first touch.
+
+    Built from a key array, whose counts stay in numpy arrays: a key is
+    copied into the dict when first read (its count, or 0 for a key not
+    in the array), and only the keys counted above 1 are copied at once.
+    A key of the array ranks by the index of its first appearance there,
+    a key not in it after every such key, in order of first reads.  These
+    are the positions a dict of every key filled by the same reads would
+    keep, so the lowest-ranked key of ``over``, the set of keys counted
+    above 1, is the first such key in that dict's order.
+    """
+
+    def __init__(self, keys: np.ndarray):
+        self._uniq, self._first, self._counts = np.unique(
+            keys, return_index=True, return_counts=True)
+        self._next = keys.size
+        big = self._counts > 1
+        over = self._uniq[big].tolist()
+        super().__init__(zip(over, self._counts[big].tolist()))
+        self.ranks = dict(zip(over, self._first[big].tolist()))
+        self.over = set(over)
+
+    def __missing__(self, key):
+        i = int(self._uniq.searchsorted(key))
+        if i < self._uniq.size and self._uniq.item(i) == key:
+            count, self.ranks[key] = self._counts.item(i), self._first.item(i)
+        else:
+            count, self.ranks[key] = 0, self._next
+            self._next += 1
+        self[key] = count
+        return count
+
+    def add(self, key, d: int) -> None:
+        x = self[key] = self[key] + d
+        if x > 1:
+            self.over.add(key)
+        else:
+            self.over.discard(key)
+
+    def by_rank(self) -> list:
+        """The keys counted above 1, lowest rank first."""
+        return sorted(self.over, key=self.ranks.__getitem__)
+
+
+def _repair(ec, n, gamma, rho, rng, want_girth6, swap_budget):
     """Drive (duplicate edges, shared check-pairs) to zero by edge swaps.
 
     Swapping the check endpoints of two edges preserves both degree
     sequences exactly.  The objective (ndup, n4) is maintained
     incrementally; plateau moves are accepted with small probability to
-    escape local minima.  Returns True on success, mutating ``ec``.  The
-    swaps run on Python lists of the endpoints, written back to ``ec``
-    once at the end.
+    escape local minima.  Returns True on success, mutating ``ec``, the
+    check of each slot v*gamma + j.  The swaps read a Python list of the
+    checks and write both it and ``ec``.
+
+    An edge (v, c) is keyed v*m + c, and a check pair a < b shared by a
+    variable a*m + b; the initial counts come from numpy.  Each swap
+    picks the first edge of a bad key: a doubled edge, else a shared
+    pair's first holder, keys taken in order of first touch.  The pair
+    counts are only updated under ``want_girth6``; without it they stay
+    those of the initial matching, and a pair no variable still holds is
+    passed over.  The holders of a pair come from each check's list of
+    variables, kept in step with the swaps.
     """
-    E = n * gamma
-    ev, chk = ev.tolist(), ec.tolist()
-    edge_cnt = defaultdict(int)
-    for v, c in zip(ev, chk):
-        edge_cnt[(v, c)] += 1
+    E, m = n * gamma, n * gamma // rho
+    # each variable's check pairs (i, j), i < j, in slot order
+    i, j = np.triu_indices(gamma, 1)
+    a, b = ec.reshape(n, gamma)[:, i].ravel(), ec.reshape(n, gamma)[:, j].ravel()
+    edge_cnt = _Tally(np.arange(E) // gamma * m + ec)
+    pair_cnt = _Tally((np.minimum(a, b) * m + np.maximum(a, b))[a != b])
+    members = (np.argsort(ec, kind="stable") // gamma).reshape(m, rho).tolist()
+    chk = ec.tolist()
 
-    pair_cnt = defaultdict(int)
-    for v in range(n):
-        cs = chk[v * gamma:(v + 1) * gamma]
-        for i in range(gamma):
-            for j in range(i + 1, gamma):
-                a, b = cs[i], cs[j]
-                if a == b:
-                    continue
-                if a > b:
-                    a, b = b, a
-                pair_cnt[(a, b)] += 1
+    def tri(x):
+        return x * (x - 1) // 2
 
-    ndup = sum(x - 1 for x in edge_cnt.values() if x > 1)
-    n4 = sum(x * (x - 1) // 2 for x in pair_cnt.values() if x > 1) if want_girth6 else 0
+    ndup = sum(edge_cnt[k] - 1 for k in edge_cnt.over)
+    n4 = sum(tri(pair_cnt[k]) for k in pair_cnt.over) if want_girth6 else 0
 
     def pairs_of(v, c_val, exclude_slot):
         out = []
@@ -273,22 +321,19 @@ def _repair(ev, ec, n, gamma, rho, rng, want_girth6, swap_budget):
             x = chk[s]
             if x == c_val:
                 continue
-            out.append((x, c_val) if x < c_val else (c_val, x))
+            out.append(x * m + c_val if x < c_val else c_val * m + x)
         return out
-
-    def tri(x):
-        return x * (x - 1) // 2
 
     def try_swap(e, f, allow_plateau):
         nonlocal ndup, n4
-        v1, c1 = ev[e], chk[e]
-        v2, c2 = ev[f], chk[f]
+        v1, c1 = e // gamma, chk[e]
+        v2, c2 = f // gamma, chk[f]
         if v1 == v2 or c1 == c2:
             return False
-        d_dup = edge_cnt[(v1, c2)] + edge_cnt[(v2, c1)]
-        if edge_cnt[(v1, c1)] > 1:
+        d_dup = edge_cnt[v1 * m + c2] + edge_cnt[v2 * m + c1]
+        if edge_cnt[v1 * m + c1] > 1:
             d_dup -= 1
-        if edge_cnt[(v2, c2)] > 1:
+        if edge_cnt[v2 * m + c2] > 1:
             d_dup -= 1
         touched = defaultdict(int)
         if want_girth6:
@@ -302,28 +347,30 @@ def _repair(ev, ec, n, gamma, rho, rng, want_girth6, swap_budget):
         if new > cur or (new == cur and not allow_plateau):
             return False
         for p, d in touched.items():
-            pair_cnt[p] += d
-        edge_cnt[(v1, c1)] -= 1
-        edge_cnt[(v2, c2)] -= 1
-        edge_cnt[(v1, c2)] += 1
-        edge_cnt[(v2, c1)] += 1
-        chk[e], chk[f] = c2, c1
+            pair_cnt.add(p, d)
+        edge_cnt.add(v1 * m + c1, -1)
+        edge_cnt.add(v2 * m + c2, -1)
+        edge_cnt.add(v1 * m + c2, 1)
+        edge_cnt.add(v2 * m + c1, 1)
+        members[c1][members[c1].index(v1)] = v2
+        members[c2][members[c2].index(v2)] = v1
+        chk[e], chk[f] = ec[e], ec[f] = c2, c1
         ndup, n4 = new
         return True
 
+    def first_slot(v, c):
+        return v * gamma + chk[v * gamma:(v + 1) * gamma].index(c)
+
     def find_bad_edge():
-        if ndup > 0:
-            for (v, c), x in edge_cnt.items():
-                if x > 1:
-                    for s in range(v * gamma, (v + 1) * gamma):
-                        if chk[s] == c:
-                            return s
-        for (a, b), x in pair_cnt.items():
-            if x > 1:
-                for v in range(n):
-                    cs = chk[v * gamma:(v + 1) * gamma]
-                    if a in cs and b in cs:
-                        return v * gamma + cs.index(b)
+        # ndup over-counts (see try_swap), so it can be positive with no
+        # edge doubled; the search then falls through to the pairs
+        if ndup > 0 and edge_cnt.over:
+            return first_slot(*divmod(edge_cnt.by_rank()[0], m))
+        for key in pair_cnt.by_rank():
+            a, b = divmod(key, m)
+            holders = set(members[a]).intersection(members[b])
+            if holders:
+                return first_slot(min(holders), b)
         return None
 
     # success is the objective at zero, however the search ends
@@ -341,7 +388,6 @@ def _repair(ev, ec, n, gamma, rho, rng, want_girth6, swap_budget):
                 break
         else:
             stalls += 1
-    ec[:] = chk
     return ndup == 0 and n4 == 0
 
 
@@ -386,7 +432,7 @@ def build_random_regular(
     for _ in range(max_restarts):
         ec = np.repeat(np.arange(m), rho)
         rng.shuffle(ec)
-        if _repair(ev, ec, n, gamma, rho, rng, reject_4cycles, swap_budget=80 * n * gamma):
+        if _repair(ec, n, gamma, rho, rng, reject_4cycles, swap_budget=80 * n * gamma):
             return TannerGraph(params, np.column_stack((ev, ec)))
     raise GraphConstructionError(
         f"could not construct a simple graph for n={n}, gamma={gamma}, rho={rho} "

@@ -142,6 +142,10 @@ def test_certify_randomized_inconclusive(tmp_path, capsys):
                   "--trials", 300, "--seed", 4])
     assert rc == 0
     assert "inconclusive" in capsys.readouterr().out
+    # the top of the seed range is a valid key
+    assert run_cli(["certify", "--alist", alist, "--alpha", 2.9 / 36,
+                    "--epsilon", 1 / 12, "--mode", "randomized",
+                    "--trials", 300, "--seed", 2 ** 64 - 1]) == 0
 
 
 _VACUOUS = ("alpha*n = 0.36 is below 1, so no subset size is covered and "
@@ -154,6 +158,13 @@ _VACUOUS = ("alpha*n = 0.36 is below 1, so no subset size is covered and "
     (["--alpha", 0.01, "--mode", "randomized"], _VACUOUS),
     (["--alpha", 0.05, "--budget", 0], "work budget must be at least 1, got 0"),
     (["--alpha", 0.05, "--budget", -5], "work budget must be at least 1, got -5"),
+    # the probe's seed is a stream key: outside [0, 2^64) it would alias
+    (["--alpha", 0.05, "--mode", "randomized", "--seed", -1],
+     "seed part -1 lies outside [0, 2^64)"),
+    (["--alpha", 0.05, "--mode", "randomized", "--seed", 2 ** 64],
+     f"seed part {2 ** 64} lies outside [0, 2^64)"),
+    (["--alpha", 0.05, "--mode", "randomized", "--trials", 0],
+     "trials must be at least 1, got 0"),
 ])
 def test_certify_rejects_vacuous_checks(tmp_path, capsys, extra, named):
     alist = make_alist(tmp_path)

@@ -1,13 +1,16 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import faultmem as fm
+from faultmem import expansion
 from faultmem.expansion import (admissible_epsilons, alpha_total_from,
                                 invert_expansion_upper_bound,
                                 neighborhood_size)
+from faultmem.faults import _PROBE_SET, _PROBE_SIZE, _below, _subset_draw, seed_key
 from faultmem.tanner import CodeParams, TannerGraph
 
 
@@ -151,6 +154,76 @@ def test_randomized_finds_refutation():
     cert = fm.probe_expansion_randomized(g, prof, trials=500, seed=3)
     assert cert.verdict == "refuted"
     assert neighborhood_size(g, cert.witness) < prof.delta * len(cert.witness)
+
+
+def probe_one_at_a_time(g, profile, trials, seed):
+    """(verdict, witness, subsets_checked) of the probe, one sample per
+    step: sample t's key is seed_key((seed, t)), its size 1 + _below at
+    the size segment, its members the prefix of one floor(alpha*n)-subset
+    draw at the member segment, and |N(S)| a plain set union."""
+    max_size = int(math.floor(profile.alpha * g.n + 1e-9))
+    for t in range(trials):
+        key = np.array([seed_key((seed, t))], dtype=np.uint64)
+        size = int(_below(key, max_size, _PROBE_SIZE)[0]) + 1
+        members = _subset_draw(key, _PROBE_SET, g.n, max_size)[0, :size]
+        if neighborhood_size(g, members) < profile.delta * size:
+            return "refuted", tuple(sorted(members.tolist())), t + 1
+    return "inconclusive", None, trials
+
+
+def test_batched_probe_equals_one_sample_at_a_time(monkeypatch, girth6_graph):
+    # seven samples per batch on the pair graph (floor(alpha*n) = 2,
+    # gamma = 2): only the subsets {0, 1} and {6, 7}, whose variables
+    # share both checks, violate delta = 1.5, so the first refutation
+    # falls at a seed-dependent sample
+    monkeypatch.setattr(expansion, "_PROBE_BYTES", 7 * 8 * 2 * 2)
+    g = shared_pair_graph()
+    prof = fm.ExpansionProfile(0.25, 2, 0.0)
+    found = []
+    for seed in range(12):
+        cert = fm.probe_expansion_randomized(g, prof, trials=200, seed=seed)
+        want = probe_one_at_a_time(g, prof, 200, seed)
+        assert (cert.verdict, cert.witness, cert.subsets_checked) == want
+        if cert.verdict == "refuted":
+            assert cert.witness in ((0, 1), (6, 7))
+            assert neighborhood_size(g, cert.witness) < prof.delta * 2
+            found.append(cert.subsets_checked)
+    assert max(found) > 3 * 7 and min(found) <= 7
+    # a certified profile: every batch runs, and a partial last one
+    prof = fm.ExpansionProfile(2.9 / 36, 3, 1 / 12)
+    monkeypatch.setattr(expansion, "_PROBE_BYTES", 7 * 8 * 2 * 3)
+    for trials in (1, 7, 8, 45):
+        cert = fm.probe_expansion_randomized(girth6_graph, prof, trials, seed=9)
+        assert (cert.verdict, cert.witness, cert.subsets_checked) == \
+            probe_one_at_a_time(girth6_graph, prof, trials, 9)
+    # a violation of several sizes on a seven-sample batch
+    g = fm.build_random_regular(fm.CodeParams(24, 3, 6), 5)
+    prof = fm.ExpansionProfile(0.25, 3, 0.2)
+    monkeypatch.setattr(expansion, "_PROBE_BYTES", 7 * 8 * 6 * 3)
+    for seed in range(6):
+        cert = fm.probe_expansion_randomized(g, prof, 100, seed)
+        assert (cert.verdict, cert.witness, cert.subsets_checked) == \
+            probe_one_at_a_time(g, prof, 100, seed)
+        if cert.witness is not None:
+            assert neighborhood_size(g, cert.witness) < \
+                prof.delta * len(cert.witness)
+
+
+def test_probe_memory_does_not_grow_with_trials(girth6_graph):
+    prof = fm.ExpansionProfile(2.9 / 36, 3, 1 / 12)
+    batch = expansion._PROBE_BYTES // (8 * 2 * 3)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            cert = fm.probe_expansion_randomized(girth6_graph, prof, trials, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            assert cert.subsets_checked == trials
+
+    one = peak(batch)
+    assert peak(10 * batch) < 1.25 * one
 
 
 def test_randomized_never_certifies(girth6_graph):
