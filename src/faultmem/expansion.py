@@ -206,15 +206,14 @@ def probe_expansion_randomized(
     Returns refuted with a witness if any sampled subset violates the
     bound, else inconclusive; random probing can never certify.
 
-    Sample t reads the keyed counter stream of (seed, t), the scheme the
-    fault plans use (faults.trial_keys), so ``seed`` is an int (or tuple
-    of ints) with each part in [0, 2^64).  Its size is 1 + a uniform
-    draw below floor(alpha*n) from one segment of the stream, and its
-    members the first ``size`` ids of one uniform floor(alpha*n)-subset
+    Sample t reads the keyed stream of (seed, t) (faults.trial_keys): its
+    size is 1 + a uniform draw below floor(alpha*n) from one segment, and
+    its members the first ``size`` ids of one uniform floor(alpha*n)-subset
     draw from another.  Samples are tested in batches of at most
-    _PROBE_BYTES of gathered check ids: |N(S)| is the number of distinct
-    values in the sorted checks of S.  The first violating sample is the
-    witness (sorted), and subsets_checked counts the samples up to it.
+    _PROBE_BYTES of gathered check ids, |N(S)| being the number of
+    distinct values in the sorted checks of S.  The first violating
+    sample is the witness (sorted), and subsets_checked counts the
+    samples up to it.  A seed part outside [0, 2^64) is a ValueError.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from math import comb
 
@@ -234,45 +234,40 @@ class TannerGraph:
 # ---------------------------------------------------------------------------
 
 
-class _Tally(dict):
-    """Counts by int key, each key ranked by its first touch.
+class _Tally(defaultdict):
+    """Counts of a key array, each key ranked by its first touch.
 
-    Built from a key array, whose counts stay in numpy arrays: a key is
-    copied into the dict when first read (its count, or 0 for a key not
-    in the array), and only the keys counted above 1 are copied at once.
-    A key of the array ranks by the index of its first appearance there,
-    a key not in it after every such key, in order of first reads.  These
-    are the positions a dict of every key filled by the same reads would
-    keep, so the lowest-ranked key of ``over``, the set of keys counted
-    above 1, is the first such key in that dict's order.
+    The counts are a dict in order of first appearance in the array, and
+    a key first read later is appended by the read, with a zero count, as
+    in ``defaultdict(int)``.  A key's rank is its position in that order,
+    taken for a key of the array as the index of its first appearance
+    there, and for a key appended later as the array's size plus its
+    position in the dict.  Ranks are only found, and then kept, for the
+    keys counted above 1 (the set ``over``), so the lowest-ranked key of
+    ``over`` is the first such key in dict order without a scan.
     """
 
     def __init__(self, keys: np.ndarray):
-        self._uniq, self._first, self._counts = np.unique(
-            keys, return_index=True, return_counts=True)
-        self._next = keys.size
-        big = self._counts > 1
-        over = self._uniq[big].tolist()
-        super().__init__(zip(over, self._counts[big].tolist()))
-        self.ranks = dict(zip(over, self._first[big].tolist()))
-        self.over = set(over)
-
-    def __missing__(self, key):
-        i = int(self._uniq.searchsorted(key))
-        if i < self._uniq.size and self._uniq.item(i) == key:
-            count, self.ranks[key] = self._counts.item(i), self._first.item(i)
-        else:
-            count, self.ranks[key] = 0, self._next
-            self._next += 1
-        self[key] = count
-        return count
+        super().__init__(int, Counter(keys.tolist()))
+        self._keys, self.ranks = keys, {}
+        self.over = set()
+        for k, x in self.items():
+            if x > 1:
+                self.add(k, 0)
 
     def add(self, key, d: int) -> None:
         x = self[key] = self[key] + d
-        if x > 1:
-            self.over.add(key)
-        else:
+        if x <= 1:
             self.over.discard(key)
+            return
+        self.over.add(key)
+        if key not in self.ranks:
+            first = np.flatnonzero(self._keys == key)
+            if first.size:
+                self.ranks[key] = int(first[0])
+            else:  # appended since the array, so near the end of the dict
+                back = next(i for i, k in enumerate(reversed(self)) if k == key)
+                self.ranks[key] = self._keys.size + len(self) - 1 - back
 
     def by_rank(self) -> list:
         """The keys counted above 1, lowest rank first."""
@@ -290,7 +285,7 @@ def _repair(ec, n, gamma, rho, rng, want_girth6, swap_budget):
     checks and write both it and ``ec``.
 
     An edge (v, c) is keyed v*m + c, and a check pair a < b shared by a
-    variable a*m + b; the initial counts come from numpy.  Each swap
+    variable a*m + b, the initial keys built with numpy.  Each swap
     picks the first edge of a bad key: a doubled edge, else a shared
     pair's first holder, keys taken in order of first touch.  The pair
     counts are only updated under ``want_girth6``; without it they stay
@@ -307,11 +302,8 @@ def _repair(ec, n, gamma, rho, rng, want_girth6, swap_budget):
     members = (np.argsort(ec, kind="stable") // gamma).reshape(m, rho).tolist()
     chk = ec.tolist()
 
-    def tri(x):
-        return x * (x - 1) // 2
-
     ndup = sum(edge_cnt[k] - 1 for k in edge_cnt.over)
-    n4 = sum(tri(pair_cnt[k]) for k in pair_cnt.over) if want_girth6 else 0
+    n4 = sum(x * (x - 1) // 2 for x in map(pair_cnt.get, pair_cnt.over)) if want_girth6 else 0
 
     def pairs_of(v, c_val, exclude_slot):
         out = []
@@ -341,13 +333,15 @@ def _repair(ec, n, gamma, rho, rng, want_girth6, swap_budget):
                 touched[p] -= 1
             for p in pairs_of(v1, c2, e) + pairs_of(v2, c1, f):
                 touched[p] += 1
-        d4 = sum(tri(pair_cnt[p] + d) - tri(pair_cnt[p]) for p, d in touched.items())
+        # a pair counted x times closes C(x, 2) 4-cycles; the change is exact
+        d4 = sum(d * pair_cnt[p] + d * (d - 1) // 2 for p, d in touched.items())
         new = (ndup + d_dup, n4 + d4)
         cur = (ndup, n4)
         if new > cur or (new == cur and not allow_plateau):
             return False
         for p, d in touched.items():
-            pair_cnt.add(p, d)
+            if d:
+                pair_cnt.add(p, d)
         edge_cnt.add(v1 * m + c1, -1)
         edge_cnt.add(v2 * m + c2, -1)
         edge_cnt.add(v1 * m + c2, 1)
