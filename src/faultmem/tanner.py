@@ -281,8 +281,8 @@ def _repair(ec, n, gamma, rho, rng, want_girth6, swap_budget):
     sequences exactly.  The objective (ndup, n4) is maintained
     incrementally; plateau moves are accepted with small probability to
     escape local minima.  Returns True on success, mutating ``ec``, the
-    check of each slot v*gamma + j.  The swaps read a Python list of the
-    checks and write both it and ``ec``.
+    check of each slot v*gamma + j.  The swaps run on a Python list of
+    the checks, written back to ``ec`` once at the end.
 
     An edge (v, c) is keyed v*m + c, and a check pair a < b shared by a
     variable a*m + b, the initial keys built with numpy.  Each swap
@@ -348,7 +348,7 @@ def _repair(ec, n, gamma, rho, rng, want_girth6, swap_budget):
         edge_cnt.add(v2 * m + c1, 1)
         members[c1][members[c1].index(v1)] = v2
         members[c2][members[c2].index(v2)] = v1
-        chk[e], chk[f] = ec[e], ec[f] = c2, c1
+        chk[e], chk[f] = c2, c1
         ndup, n4 = new
         return True
 
@@ -382,6 +382,7 @@ def _repair(ec, n, gamma, rho, rng, want_girth6, swap_budget):
                 break
         else:
             stalls += 1
+    ec[:] = chk
     return ndup == 0 and n4 == 0
 
 
