@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from math import comb
 
@@ -237,23 +237,21 @@ class TannerGraph:
 class _Tally(defaultdict):
     """Counts of a key array, each key ranked by its first touch.
 
-    The counts are a dict in order of first appearance in the array, and
-    a key first read later is appended by the read, with a zero count, as
-    in ``defaultdict(int)``.  A key's rank is its position in that order,
-    taken for a key of the array as the index of its first appearance
-    there, and for a key appended later as the array's size plus its
-    position in the dict.  Ranks are only found, and then kept, for the
-    keys counted above 1 (the set ``over``), so the lowest-ranked key of
-    ``over`` is the first such key in dict order without a scan.
+    A key first read after the array's count is appended by the read with
+    a zero count, as in ``defaultdict(int)``.  A key of the array ranks by
+    the index of its first appearance there, and a key appended later by
+    the array's size plus its position in the dict: the order a dict
+    filled in order of first touch would keep.  Ranks are only found,
+    and then kept, for the keys counted above 1 (the set ``over``), so
+    the first such key in that order is found without a scan.
     """
 
     def __init__(self, keys: np.ndarray):
-        super().__init__(int, Counter(keys.tolist()))
-        self._keys, self.ranks = keys, {}
-        self.over = set()
-        for k, x in self.items():
-            if x > 1:
-                self.add(k, 0)
+        uniq, counts = np.unique(keys, return_counts=True)
+        super().__init__(int, zip(uniq.tolist(), counts.tolist()))
+        self._keys, self.ranks, self.over = keys, {}, set()
+        for k in uniq[counts > 1].tolist():
+            self.add(k, 0)
 
     def add(self, key, d: int) -> None:
         x = self[key] = self[key] + d
