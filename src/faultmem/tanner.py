@@ -293,11 +293,11 @@ def _repair(ec, n, gamma, rho, rng, want_girth6, swap_budget):
     """
     E, m = n * gamma, n * gamma // rho
     # each variable's check pairs (i, j), i < j, in slot order
-    i, j = np.triu_indices(gamma, 1)
-    a, b = ec.reshape(n, gamma)[:, i].ravel(), ec.reshape(n, gamma)[:, j].ravel()
+    rows, (i, j) = ec.reshape(n, gamma), np.triu_indices(gamma, 1)
+    a, b = rows[:, i].ravel(), rows[:, j].ravel()
     edge_cnt = _Tally(np.arange(E) // gamma * m + ec)
     pair_cnt = _Tally((np.minimum(a, b) * m + np.maximum(a, b))[a != b])
-    members = (np.argsort(ec, kind="stable") // gamma).reshape(m, rho).tolist()
+    members = (np.argsort(ec) // gamma).reshape(m, rho).tolist()
     chk = ec.tolist()
 
     ndup = sum(edge_cnt[k] - 1 for k in edge_cnt.over)

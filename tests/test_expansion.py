@@ -196,7 +196,7 @@ def test_batched_probe_equals_one_sample_at_a_time(monkeypatch, girth6_graph):
         cert = fm.probe_expansion_randomized(girth6_graph, prof, trials, seed=9)
         assert (cert.verdict, cert.witness, cert.subsets_checked) == \
             probe_one_at_a_time(girth6_graph, prof, trials, 9)
-    # a violation of several sizes on a seven-sample batch
+    # refutations by witnesses of sizes 2 to 6 (floor(alpha*n) = 6)
     g = fm.build_random_regular(fm.CodeParams(24, 3, 6), 5)
     prof = fm.ExpansionProfile(0.25, 3, 0.2)
     monkeypatch.setattr(expansion, "_PROBE_BYTES", 7 * 8 * 6 * 3)
@@ -204,9 +204,9 @@ def test_batched_probe_equals_one_sample_at_a_time(monkeypatch, girth6_graph):
         cert = fm.probe_expansion_randomized(g, prof, 100, seed)
         assert (cert.verdict, cert.witness, cert.subsets_checked) == \
             probe_one_at_a_time(g, prof, 100, seed)
-        if cert.witness is not None:
-            assert neighborhood_size(g, cert.witness) < \
-                prof.delta * len(cert.witness)
+        assert cert.verdict == "refuted"
+        assert neighborhood_size(g, cert.witness) < \
+            prof.delta * len(cert.witness)
 
 
 def test_probe_memory_does_not_grow_with_trials(girth6_graph):
@@ -217,10 +217,11 @@ def test_probe_memory_does_not_grow_with_trials(girth6_graph):
         tracemalloc.start()
         try:
             cert = fm.probe_expansion_randomized(girth6_graph, prof, trials, 1)
-            return tracemalloc.get_traced_memory()[1]
+            bytes_at_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            assert cert.subsets_checked == trials
+        assert cert.verdict == "inconclusive" and cert.subsets_checked == trials
+        return bytes_at_peak
 
     one = peak(batch)
     assert peak(10 * batch) < 1.25 * one
