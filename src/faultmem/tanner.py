@@ -201,9 +201,10 @@ class TannerGraph:
 
     def graph_hash(self) -> str:
         """Stable identity hash over the canonical edge list."""
-        payload = f"{self.n},{self.gamma},{self.rho}|" + ";".join(
-            f"{v}-{c}" for v, c in self.edges()
-        )
+        flat = np.column_stack((np.repeat(np.arange(self.n), self.gamma),
+                                self.var_nbrs.ravel())).ravel().tolist()
+        edges = ";".join(["%d-%d"] * (self.n * self.gamma)) % tuple(flat)
+        payload = f"{self.n},{self.gamma},{self.rho}|" + edges
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     # -- serialization ---------------------------------------------------
