@@ -278,19 +278,19 @@ def _repair(ec, n, gamma, rho, rng, want_girth6, swap_budget):
 
     Swapping the check endpoints of two edges preserves both degree
     sequences exactly.  The objective (ndup, n4) is maintained
-    incrementally; plateau moves are accepted with small probability to
-    escape local minima.  Returns True on success, mutating ``ec``, the
-    check of each slot v*gamma + j.  The swaps run on a Python list of
-    the checks, written back to ``ec`` once at the end.
+    incrementally and exactly; plateau moves are accepted with small
+    probability to escape local minima.  Returns True on success,
+    mutating ``ec``, the check of each slot v*gamma + j.  The swaps run
+    on a Python list of the checks, written back to ``ec`` once at the
+    end.
 
     An edge (v, c) is keyed v*m + c, and a check pair a < b shared by a
     variable a*m + b, the initial keys built with numpy.  Each swap
     picks the first edge of a bad key: a doubled edge, else a shared
     pair's first holder, keys taken in order of first touch.  The pair
-    counts are only updated under ``want_girth6``; without it they stay
-    those of the initial matching, and a pair no variable still holds is
-    passed over.  The holders of a pair come from each check's list of
-    variables, kept in step with the swaps.
+    counts are only updated, and only read, under ``want_girth6``.  The
+    holders of a pair come from each check's list of variables, kept in
+    step with the swaps.
     """
     E, m = n * gamma, n * gamma // rho
     # each variable's check pairs (i, j), i < j, in slot order
@@ -321,7 +321,7 @@ def _repair(ec, n, gamma, rho, rng, want_girth6, swap_budget):
         v2, c2 = f // gamma, chk[f]
         if v1 == v2 or c1 == c2:
             return False
-        d_dup = edge_cnt[v1 * m + c2] + edge_cnt[v2 * m + c1]
+        d_dup = min(edge_cnt[v1 * m + c2], 1) + min(edge_cnt[v2 * m + c1], 1)
         if edge_cnt[v1 * m + c1] > 1:
             d_dup -= 1
         if edge_cnt[v2 * m + c2] > 1:
@@ -355,16 +355,10 @@ def _repair(ec, n, gamma, rho, rng, want_girth6, swap_budget):
         return v * gamma + chk[v * gamma:(v + 1) * gamma].index(c)
 
     def find_bad_edge():
-        # ndup over-counts (see try_swap), so it can be positive with no
-        # edge doubled; the search then falls through to the pairs
-        if ndup > 0 and edge_cnt.over:
+        if edge_cnt.over:
             return first_slot(*divmod(edge_cnt.by_rank()[0], m))
-        for key in pair_cnt.by_rank():
-            a, b = divmod(key, m)
-            holders = set(members[a]).intersection(members[b])
-            if holders:
-                return first_slot(min(holders), b)
-        return None
+        a, b = divmod(pair_cnt.by_rank()[0], m)
+        return first_slot(min(set(members[a]).intersection(members[b])), b)
 
     # success is the objective at zero, however the search ends
     stalls = 0
@@ -372,8 +366,6 @@ def _repair(ec, n, gamma, rho, rng, want_girth6, swap_budget):
         if (ndup == 0 and n4 == 0) or stalls > 500:
             break
         e = find_bad_edge()
-        if e is None:
-            break
         for _ in range(40):
             f = int(rng.integers(0, E))
             if try_swap(e, f, allow_plateau=rng.random() < 0.35):

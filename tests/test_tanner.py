@@ -448,9 +448,8 @@ def test_benchmark_graph_hashes_are_pinned(params, seed, digest):
 
 # One digest over the graph_hash of a grid of constructions, with and
 # without reject_4cycles, and of the criterion-1 families (no girth
-# rejection) at seeds 1000-1032.  The latter reach both of the bad-edge
-# lookup's fall-through paths: a duplicate count above zero with no edge
-# doubled, and pair counts left stale when 4-cycles are not repaired.
+# rejection) at seeds 1000-1032, the only ones whose repair tries swaps
+# onto an edge already doubled.
 def test_construction_grid_hashes_are_pinned():
     grid = [((n, gamma, rho), seed, girth6)
             for n, gamma, rho in ((36, 3, 6), (40, 4, 5), (60, 3, 6),
@@ -465,4 +464,4 @@ def test_construction_grid_hashes_are_pinned():
                                     reject_4cycles=girth6)
         digest.update(g.graph_hash().encode())
     assert digest.hexdigest() == (
-        "0e4167ef5c2020227bea7f006b42ef0965875e18f7ec1b6a1012a90bc32feed6")
+        "dfd347dbbf14b2d74d52872ffcbc0084a3a5e24beb781b1cb3b4e4f88e0326b9")
