@@ -17,12 +17,10 @@ bit:
   estimate variable v receives from check c is c's parity XOR v, so the
   tie-keeping majority flips v exactly where more than half of its
   checks are unsatisfied), so ``algorithm_a_round_packed`` is its
-  kernel too; ``parallel_bitflip_decode_packed`` iterates it to a
-  fixpoint (the failure detector's decode), and
-  ``parallel_bitflip_round_var_major`` runs it on variable-major (n, C)
-  words (the greedy lookahead's candidate pools); oracles the uint8
-  ``parallel_bitflip_round_many`` (of both rounds) and
-  ``parallel_bitflip_decode_many``;
+  kernel too (one round scores the greedy lookahead's candidate pools),
+  and ``parallel_bitflip_decode_packed`` iterates it to a fixpoint (the
+  failure detector's decode); oracles the uint8
+  ``parallel_bitflip_round_many`` and ``parallel_bitflip_decode_many``;
 * the bit-copy scheme (``tk``): gamma copies per variable, copy j
   re-estimated from the checks other than its j-th.  Kernel
   ``tk_round_packed`` on (..., gamma, n) words, plane j holding every
@@ -219,26 +217,6 @@ def parallel_bitflip_round_many(g: TannerGraph, states: np.ndarray) -> np.ndarra
     unsat = np.bitwise_xor.reduce(states[..., g.check_nbrs], axis=-1)
     per_var = unsat[..., g.var_nbrs].sum(axis=-1, dtype=np.int16)
     return (states ^ (2 * per_var > g.gamma)).astype(np.uint8)
-
-
-def parallel_bitflip_round_var_major(g: TannerGraph, words: np.ndarray) -> np.ndarray:
-    """The flip rule on variable-major words: ``words`` is an (n, C)
-    uint64 array whose row v holds variable v of 64*C states, state
-    64*c + b in bit b of column c, and bit b of column c of the result is
-    parallel_bitflip_round_many's row for that state.
-
-    One take gathers every check's rho variable rows slot-major, (rho, m,
-    C), and one XOR reduce over the slots gives the check parities; one
-    more take gathers them into gamma planes, plane j holding each
-    variable's j-th check, and a variable flips where at least gamma//2 +
-    1 of its planes are unsatisfied.  This layout suits many states over
-    few variables (the greedy lookahead's candidate pools);
-    algorithm_a_round_packed suits few rows of many variables.
-    """
-    unsat = np.bitwise_xor.reduce(words.take(g.slot_nbrs, axis=0), axis=0)
-    need = g.gamma // 2 + 1
-    planes = unsat.take(g.slot_checks, axis=0).swapaxes(0, 1)  # (n, gamma, C)
-    return words ^ _at_least(planes, need, need)[0]
 
 
 def parallel_bitflip_decode_many(g: TannerGraph, states: np.ndarray,

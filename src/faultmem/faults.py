@@ -32,9 +32,9 @@ bounds a slab's temporaries (for one register flip at n = 36-40, about
 the round), but it does not keep them off fresh pages: glibc reuses them
 from cycle to cycle only while its dynamic mmap and trim thresholds,
 raised by an earlier free of a large mapped block, sit above them.  In a
-slab the candidate states are variable-major words, (n, T*W) with W =
-ceil(P/64): entry (v, t*W + p // 64) holds bit p % 64 for candidate p of
-trial t, rounded by decoders.parallel_bitflip_round_var_major.  Only the
+slab the candidate states are the engine's packed words, (T*W, n) with
+W = ceil(P/64): entry (t*W + p // 64, v) holds bit p % 64 for candidate
+p of trial t, rounded by decoders.algorithm_a_round_packed.  Only the
 rows with a corrupt bit read their state; a clean row (every row while
 the memory holds its stored word) needs no argsort, stale count or XOR
 of its observed word.  At one register flip, on a graph whose round
@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .decoders import broadcast_bits, parallel_bitflip_round_var_major, popcounts
+from .decoders import algorithm_a_round_packed, broadcast_bits, popcounts
 from .exceptions import BudgetViolationError
 from .tanner import TannerGraph
 
@@ -560,9 +560,9 @@ def _restores_single_flips(g: TannerGraph) -> bool:
         _SINGLE_FLIPS_RESTORED[g] = True
         for lo in range(0, n, chunk):
             v = np.arange(min(chunk, n - lo))
-            units = np.zeros((n, -(-v.size // 64)), dtype=np.uint64)
-            units[lo + v, v // 64] = np.uint64(1) << (v % 64).astype(np.uint64)
-            if parallel_bitflip_round_var_major(g, units).any():
+            units = np.zeros((-(-v.size // 64), n), dtype=np.uint64)
+            units[v // 64, lo + v] = np.uint64(1) << (v % 64).astype(np.uint64)
+            if algorithm_a_round_packed(g, units).any():
                 _SINGLE_FLIPS_RESTORED[g] = False
                 break
     return _SINGLE_FLIPS_RESTORED[g]
@@ -572,7 +572,7 @@ def _restores_single_flips(g: TannerGraph) -> bool:
 def _pool_layout(pool_size: int, count: int, rows: int):
     """The part of _lookahead's pool layout that reads no key or state,
     for slabs of up to ``rows`` trials (a smaller slab takes a prefix):
-    the pool ids 1..pool_size-1, the (rows, pool_size, 1) column t*W +
+    the pool ids 1..pool_size-1, the (rows, pool_size, 1) word row t*W +
     p // 64 of candidate p of trial t, and candidate p's bit p % 64 for
     every (trial, candidate, register), raveled."""
     words = -(-pool_size // 64)
@@ -590,8 +590,8 @@ def _lookahead(g: TannerGraph, keys, count: int, observed: np.ndarray,
                pool_size: int, layout) -> np.ndarray:
     """_greedy_rows on one slab, ``layout`` being _pool_layout's for at
     least as many rows.  One bit-sliced round covers every trial's pool,
-    on variable-major words: candidate p of trial t is bit p % 64 of
-    column t*W + p // 64, W = ceil(pool_size / 64).
+    on the engine's words: candidate p of trial t is bit p % 64 of row
+    t*W + p // 64, W = ceil(pool_size / 64).
 
     Only the rows with a corrupt bit read their state.  A clean row's
     candidate 0 is registers 0..count-1 (the stable argsort of an
@@ -615,14 +615,14 @@ def _lookahead(g: TannerGraph, keys, count: int, observed: np.ndarray,
     # bit, so no bit is set twice and np.add.at (which has a fast path)
     # ORs exactly
     words = -(-pool_size // 64)
-    at = cands * (rows * words)
-    at += col[:rows]
-    states = np.zeros((n, rows * words), dtype=np.uint64)
+    at = col[:rows] * n
+    at = at + cands
+    states = np.zeros((rows * words, n), dtype=np.uint64)
     np.add.at(states.reshape(-1), at.ravel(), bits[:cands.size])
     if len(seen):
-        states.reshape(n, rows, words)[:, dirty] ^= broadcast_bits(seen.T)[:, :, None]
-    wrong = parallel_bitflip_round_var_major(g, states)
-    post = popcounts(wrong.T).reshape(rows, -1)[:, :pool_size]
+        states.reshape(rows, words, n)[dirty] ^= broadcast_bits(seen)[:, None, :]
+    wrong = algorithm_a_round_packed(g, states)
+    post = popcounts(wrong).reshape(rows, -1)[:, :pool_size]
     best = np.argmax(post, axis=1)
     if len(seen):
         # flipping a fresh register adds one corrupt bit, a stale one

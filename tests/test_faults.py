@@ -501,6 +501,30 @@ def test_clean_rows_are_scored_where_a_single_flip_survives():
         assert picks[~observed.any(axis=1)].any()
 
 
+def test_restores_single_flips_past_one_chunk():
+    # n = 1152 takes two 1024-unit rounds: a girth-6 graph restores every
+    # flip, and a graph whose 4-cycles all sit on variables >= 1024 keeps
+    # every flip of the first round and fails in the second alone
+    params = fm.CodeParams(1152, 3, 6)
+    girth6 = fm.build_random_regular(params, 5, reject_4cycles=True)
+    g = fm.build_random_regular(params, 5)
+    i, j = np.triu_indices(g.gamma, 1)
+    keys = (g.var_nbrs[:, i].astype(np.int64) * g.m + g.var_nbrs[:, j]).ravel()
+    uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    shared = np.unique(np.flatnonzero(counts[inverse] > 1) // i.size)
+    assert 0 < shared.size <= g.n - 1024
+    # relabel: the variables on a 4-cycle become the last ids
+    order = np.concatenate((np.setdiff1d(np.arange(g.n), shared), shared))
+    label = np.argsort(order)
+    edges = np.array(g.edges())
+    late = fm.TannerGraph(params, np.column_stack((label[edges[:, 0]], edges[:, 1])))
+    assert late.has_four_cycle()
+    units = np.eye(late.n, dtype=np.uint8)
+    assert not parallel_bitflip_round_many(late, units[:1024]).any()
+    assert [faults._restores_single_flips(h) for h in (girth6, late)] == [True, False]
+    assert [restores_single_flips(h) for h in (girth6, late)] == [True, False]
+
+
 def test_clean_rows_skip_the_lookahead_at_one_register(monkeypatch):
     # on I1 and I3 every single flip is restored, so at count 1 the clean
     # rows never reach _lookahead: an all-clean slab picks register 0 in
