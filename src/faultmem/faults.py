@@ -615,8 +615,7 @@ def _lookahead(g: TannerGraph, keys, count: int, observed: np.ndarray,
     # bit, so no bit is set twice and np.add.at (which has a fast path)
     # ORs exactly
     words = -(-pool_size // 64)
-    at = col[:rows] * n
-    at = at + cands
+    at = col[:rows] * n + cands
     states = np.zeros((rows * words, n), dtype=np.uint64)
     np.add.at(states.reshape(-1), at.ravel(), bits[:cands.size])
     if len(seen):

@@ -510,7 +510,7 @@ def test_restores_single_flips_past_one_chunk():
     g = fm.build_random_regular(params, 5)
     i, j = np.triu_indices(g.gamma, 1)
     keys = (g.var_nbrs[:, i].astype(np.int64) * g.m + g.var_nbrs[:, j]).ravel()
-    uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
     shared = np.unique(np.flatnonzero(counts[inverse] > 1) // i.size)
     assert 0 < shared.size <= g.n - 1024
     # relabel: the variables on a 4-cycle become the last ids
