@@ -18,13 +18,16 @@ bit:
   tie-keeping majority flips v exactly where more than half of its
   checks are unsatisfied), so ``algorithm_a_round_packed`` is its
   kernel too (one round scores the greedy lookahead's candidate pools),
-  and ``parallel_bitflip_decode_packed`` iterates it to a fixpoint (the
-  failure detector's decode); oracles the uint8
+  and ``parallel_bitflip_verdict_packed`` iterates it until it knows
+  whether decoding converges to zero (the failure detector, which stops
+  a state at its fixpoint, at zero or on a 2-cycle); oracles the uint8
   ``parallel_bitflip_round_many`` and ``parallel_bitflip_decode_many``;
 * the bit-copy scheme (``tk``): gamma copies per variable, copy j
   re-estimated from the checks other than its j-th.  Kernel
   ``tk_round_packed`` on (..., gamma, n) words, plane j holding every
-  variable's j-th copy, read out by ``majority_ties_packed``; oracles
+  variable's j-th copy, read out by ``tk_readout_packed`` (at even
+  gamma an AND and an OR over the copies, which the round leaves all
+  equal or half set; at odd gamma ``majority_ties_packed``); oracles
   the uint8 ``tk_round_many`` and ``gallager_b_round``, its per-edge
   reformulation as hard-decision message passing (Gallager B) written
   loop by loop, so that the paper's equivalence is checked edge by edge.
@@ -150,14 +153,23 @@ def _at_least(planes: np.ndarray, lo: int, hi: int) -> list:
     for j in lo..hi (1 <= lo <= hi <= plane count): entry j - lo has a bit
     set where at least j planes do.  ANDs and ORs plane by plane; j runs
     down so each plane adds to a count once, and a count that the planes
-    left cannot lift to ``lo`` is no longer updated."""
+    left cannot lift to ``lo`` is no longer updated.  The counts above 1
+    are arrays of their own, updated in place; count 1 starts as a view
+    of the first plane, so it is updated out of place and the input is
+    never written."""
     count = planes.shape[-2]
     at_least = [None] * (hi + 1)
     for i in range(count):
         x = planes[..., i, :]
-        for j in range(min(i + 1, hi), max(1, lo - (count - 1 - i)) - 1, -1):
-            carry = x if j == 1 else at_least[j - 1] & x
-            at_least[j] = carry if at_least[j] is None else at_least[j] | carry
+        top = i + 1 if i < hi else hi
+        stop = i + lo - count if i + lo > count else 0  # j stays above it
+        for j in range(top, stop if stop else 1, -1):
+            if at_least[j] is None:
+                at_least[j] = at_least[j - 1] & x
+            else:
+                at_least[j] |= at_least[j - 1] & x
+        if not stop:
+            at_least[1] = x if at_least[1] is None else at_least[1] | x
     return at_least[lo:]
 
 
@@ -247,45 +259,65 @@ def parallel_bitflip_decode_many(g: TannerGraph, states: np.ndarray,
     return cur, rounds, converged
 
 
-def parallel_bitflip_decode_packed(g: TannerGraph, words: np.ndarray,
-                                   live: np.ndarray, max_rounds: int):
-    """parallel_bitflip_decode_many bit-sliced: iterate the flip rule on
-    the states packed in the (W, n) uint64 ``words`` (state 64*w + b in
-    bit b of row w), tracking the states whose bits are set in the (W,)
-    ``live`` words.
+def parallel_bitflip_verdict_packed(g: TannerGraph, words: np.ndarray,
+                                    suspects: np.ndarray,
+                                    max_rounds: int) -> np.ndarray:
+    """parallel_bitflip_decode_many's verdict, ``~converged | decoded
+    nonzero``, bit-sliced over the states of a span of S cycles: state
+    (s, 64*w + b) sits in bit b of row (s, w) of the (S, W, n) uint64
+    ``words``, trial 64*w + b at the span's cycle s, and the (S, W)
+    ``suspects`` words mark the states to decide.
 
-    A round runs only on the rows that still hold a live state that has
-    not converged.  Its "still changing" word, the OR over n of what the
-    round flipped, is the fixpoint test: a live state whose bit in it is
-    clear has converged, and a fixpoint stays one, so converged states
-    need no freezing.  A state that a round r < max_rounds leaves all
-    zero is converged too: zero is a fixpoint, which the oracle confirms
-    in round r + 1 <= max_rounds, so that round is skipped.  Bits of
-    states that are not live are rounded along with their row but never
-    read.
+    Each round runs the flip rule (algorithm_a_round_packed) on the rows
+    that still hold an undecided suspect, and decides a state in the
+    first round that
+      * confirms its fixpoint: it fails iff the fixpoint is nonzero;
+      * leaves it zero before round max_rounds: it passes, since zero is
+        a fixpoint that the oracle confirms one round later (zero at the
+        cap round itself is unconfirmed, so a failure);
+      * moves it back to its state of two rounds before: it fails, since
+        a state on a 2-cycle never converges;
+      * is round max_rounds: it fails.
+    Once a trial fails at cycle s, its states at the later cycles of the
+    span are no longer decided.  Bits of the other states are rounded
+    along with their row but never read.
 
-    Returns (words, converged): the (W, n) words after the rounds, and
-    the (W,) words with the bit of every converged live state set.  For
-    live state s these equal the words and converged flags of row s of
-    parallel_bitflip_decode_many.
+    Returns the (S, W) words with a bit set for each suspect that fails.
+    Up to and including each trial's first failing cycle they are the
+    oracle's verdicts; a trial's later bits are not defined.
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
-    cur = np.array(words, dtype=np.uint64)
-    pending = np.array(live, dtype=np.uint64)
-    rows = np.flatnonzero(pending)
+    live = np.array(suspects, dtype=np.uint64)
+    failed = np.zeros_like(live)
+    flat_live, flat_failed = live.reshape(-1), failed.reshape(-1)
+    rows = np.flatnonzero(flat_live)
+    cur = words.reshape(-1, words.shape[-1])[rows]
+    before = None  # the rows' states of one round before cur
     for r in range(1, max_rounds + 1):
         if rows.size == 0:
             break
-        work = cur[rows]
-        nxt = algorithm_a_round_packed(g, work)
-        still = pending[rows] & np.bitwise_or.reduce(nxt ^ work, axis=-1)
-        if r < max_rounds:
-            still &= np.bitwise_or.reduce(nxt, axis=-1)
-        pending[rows] = still
-        cur[rows] = nxt
-        rows = rows[still != 0]
-    return cur, live & ~pending
+        nxt = algorithm_a_round_packed(g, cur)
+        pending = flat_live[rows]
+        moved = np.bitwise_or.reduce(nxt ^ cur, axis=-1)
+        nonzero = np.bitwise_or.reduce(nxt, axis=-1)
+        if r == max_rounds:
+            flat_failed[rows] |= pending & (moved | nonzero)
+            break
+        done = ~(moved & nonzero)  # a fixpoint, or zero
+        if before is not None:
+            done |= ~np.bitwise_or.reduce(nxt ^ before, axis=-1)
+        fail = pending & done & nonzero
+        flat_failed[rows] |= fail
+        flat_live[rows] = pending & ~done
+        if fail.any() and live.shape[0] > 1:
+            live[1:] &= ~np.bitwise_or.accumulate(failed[:-1], axis=0)
+        keep = flat_live[rows] != 0
+        if keep.all():
+            before, cur = cur, nxt
+        else:
+            rows, before, cur = rows[keep], cur[keep], nxt[keep]
+    return failed
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +395,28 @@ def tk_round_packed(g: TannerGraph, copies: np.ndarray,
     if maj_words is not None:
         new ^= maj_words[..., None, :]
     return new
+
+
+def tk_readout_packed(copies: np.ndarray, old: np.ndarray):
+    """The readout of tk_round_packed's (..., gamma, n) copy words, as
+    majority_ties_packed gives it: (readout, ties), a tie keeping the bit
+    of ``old``.
+
+    At even gamma the round leaves every variable's copies all equal or
+    exactly half set: copy j becomes the strict majority of the gamma - 1
+    (odd) estimates other than its own (Gallager's decoder B), so if e
+    of the gamma estimates are set, all copies are set for e > gamma/2,
+    none for e < gamma/2, and at e = gamma/2 exactly the copies whose own
+    estimate is clear.  Complementing all of a variable's copies (a
+    majority or register fault) keeps that.  So the readout needs no
+    count: all copies set, or half of them and the old bit.  An odd
+    gamma, whose copies flip on a tie, is counted (majority_ties_packed).
+    """
+    if copies.shape[-2] % 2:
+        return majority_ties_packed(copies, old)
+    ones = np.bitwise_and.reduce(copies, axis=-2)
+    ties = np.bitwise_or.reduce(copies, axis=-2) & ~ones
+    return ones | (ties & old), ties
 
 
 # ---------------------------------------------------------------------------

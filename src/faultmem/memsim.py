@@ -24,22 +24,23 @@ greedy adversary, which reads the state, draws cycle by cycle.  For
 every decoder the state stays packed from the first cycle to the last,
 64 trials per uint64 word: the plans are scattered into each trial's own
 bit, and the rounds run bit-sliced (the 'tk' bit-copies as gamma planes
-of words, read out by a bit-sliced majority).  The loop itself only
-draws, decays, refreshes and keeps the observed words; the per-trial
-bookkeeping is done once per span of cycles, bounded in bytes and in
-cycles.  A span's flush finds the
-suspects of all its cycles, decodes them bit-sliced in one call, retires
+of words, read out by tk_readout_packed, which needs no count at even
+gamma).  The loop itself only draws, decays, refreshes and keeps the
+observed words; the per-trial bookkeeping is done once per span of
+cycles, bounded in bytes and in cycles.  A span's flush finds the
+suspects of all its cycles, decides them bit-sliced in one call (one
+verdict per state, none past a trial's first failing cycle), retires
 the trials that failed (each at its first failing cycle), checks the
 accounting and takes the corrupt counts as popcounts, in one call.
 Every trial's plans are a pure function of its (root_seed, trial, cycle)
 key, so a single run (``run_memory``) is the one-trial case of the same
 loop and reproduces trial t of ``monte_carlo`` exactly.
 
-The failure test decodes only the suspects whose post-correction state
-changed since the previous cycle.  The decode is a pure function of the
+The failure test decides only the suspects whose post-correction state
+changed since the previous cycle.  The verdict is a pure function of the
 state, and an alive trial's previous state was zero or found inside the
 class, so an unchanged one is inside again: a residual that persists
-through many cycles is decoded once.
+through many cycles is decided once.
 
 A cycle-independent model (repeat, cluster) applies the same plans every
 cycle, so each trial's cycle map is one fixed function of its state and
@@ -51,8 +52,8 @@ which every alive trial has one it repeats each trial's last period over
 the remaining cycles, checks their accounting and stops: the exit
 follows the last failure.  This is exact: a state that recurs repeats
 every later state, so every later observation repeats one already
-taken, and every post word of the period was already decoded and found
-inside the class, so no later cycle fails.
+taken, and every post word of the period was already decided inside
+the class, so no later cycle fails.
 """
 
 from __future__ import annotations
@@ -63,9 +64,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .decoders import (algorithm_a_round_packed, majority_ties_packed,
-                       pack_rows, parallel_bitflip_decode_packed, popcounts,
-                       tk_round_packed, unpack_bits, unpack_rows)
+from .decoders import (algorithm_a_round_packed, pack_rows,
+                       parallel_bitflip_verdict_packed, popcounts,
+                       tk_readout_packed, tk_round_packed, unpack_bits,
+                       unpack_rows)
 from .exceptions import AccountingError, ConfigError
 from .expansion import ExpansionProfile
 from .faults import AdversarialModel, IndependentModel, seed_key, trial_keys
@@ -136,27 +138,24 @@ def detect_cap(profile: ExpansionProfile | None, n: int) -> int:
 
 def _failed_bits(g: TannerGraph, diff: np.ndarray, suspects: np.ndarray,
                  cap: int) -> np.ndarray:
-    """The bits of the (W,) ``suspects`` words whose states lie outside
-    the original's decoding class, given their packed (W, n) differences
-    ``diff`` to the original.  The flip rule reads only the syndrome, so
-    decoding a word and decoding its difference to a codeword flip the
-    same bits: a state fails when reliable decoding of its difference does
-    not converge, or converges to a nonzero word.  Only the rows holding a
-    suspect are decoded, all of them in one bit-sliced call."""
-    rows = np.flatnonzero(suspects)
-    live = suspects[rows]
-    decoded, converged = parallel_bitflip_decode_packed(g, diff[rows], live, cap)
-    failed = np.zeros_like(suspects)
-    failed[rows] = live & (~converged | np.bitwise_or.reduce(decoded, axis=-1))
-    return failed
+    """The bits of the (S, W) ``suspects`` words, S cycles of W trial
+    words, whose states lie outside the original's decoding class, given
+    their packed (S, W, n) differences ``diff`` to the original; exact up
+    to each trial's first failing cycle, which is all a flush reads.  The
+    flip rule reads only the syndrome, so decoding a word and decoding its
+    difference to a codeword flip the same bits: a state fails when
+    reliable decoding of its difference does not converge, or converges
+    to a nonzero word.  All suspects are decided in one bit-sliced call
+    (parallel_bitflip_verdict_packed)."""
+    return parallel_bitflip_verdict_packed(g, diff, suspects, cap)
 
 
 def _detect_word(g: TannerGraph, word: Word, original: Word, cap: int) -> bool:
     """True iff ``word`` lies outside the original's decoding class."""
     if np.array_equal(word, original):
         return False
-    return bool(_failed_bits(g, pack_rows((word ^ original)[None, :]),
-                             np.ones(1, dtype=np.uint64), cap)[0])
+    return bool(_failed_bits(g, pack_rows((word ^ original)[None, None, :]),
+                             np.ones((1, 1), dtype=np.uint64), cap)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -257,7 +256,9 @@ def _simulate(config: RunConfig, keys: np.ndarray, *, record_states: bool = Fals
     alive trials are the bits of the alive words.  Plans are scattered
     into their trials' bits (PlanBatch.packed); a register flip
     complements all copies of a 'tk' register, and a 'tk' readout is the
-    majority of the copies, a tie keeping the previous readout.  The
+    majority of the copies, a tie keeping the previous readout (at even
+    gamma the round leaves a variable's copies all equal or half set, so
+    tk_readout_packed reads it with an AND and an OR).  The
     pre-correction readout needs no majority: the flip keeps a tie of the
     last readout a tie and flips every other majority, so it is the last
     readout with the flipped bits off its exact ties complemented.
@@ -271,9 +272,13 @@ def _simulate(config: RunConfig, keys: np.ndarray, *, record_states: bool = Fals
     1. the suspects of every cycle of the span: the bits of the trials
        alive at the span's start whose post word is nonzero and
        changed since the previous cycle (an unchanged one was zero or
-       found inside the class, so it needs no decode);
-    2. one bit-sliced decode of every (cycle, word) row holding a
-       suspect (_failed_bits);
+       found inside the class, so it needs no verdict);
+    2. one bit-sliced verdict call on the span's (cycle, word) rows
+       holding a suspect (_failed_bits): a suspect is decided in the
+       round that confirms its fixpoint, leaves it zero, returns it to
+       its state of two rounds before (a 2-cycle, which never
+       converges) or reaches the cap, and once a trial fails at one
+       cycle, its later cycles of the span are not decided;
     3. the retirement of the trials that failed, cycle by cycle, so a
        trial's failure cycle is its first failing one, and their bits
        cleared from the alive words;
@@ -285,7 +290,7 @@ def _simulate(config: RunConfig, keys: np.ndarray, *, record_states: bool = Fals
     at most S - 1 cycles past the last failure, or at the periodic exit
     of a cycle-independent model (below).  Counts past a trial's
     failure cycle are set to -1 at the end.  Bits of retired trials keep
-    being refreshed but are never read.  Suspects, decodes and counts
+    being refreshed but are never read.  Suspects, verdicts and counts
     are pure functions of the words, so results do not depend on S.  The
     words are unpacked only for ``record_states`` (each cycle's states
     are recorded before a flush ending on that cycle) and for a
@@ -307,8 +312,8 @@ def _simulate(config: RunConfig, keys: np.ndarray, *, record_states: bool = Fals
     checked, and the loop stops.  This is exact: s_l = s_{l-p} under one
     map gives s_c = s_{c-p} for every c >= l, so the observations of
     cycle c > l are those of cycle c - p >= 1.  Those post words were
-    decoded (or were unchanged from a decoded one) and found inside the
-    class, else the flush retired the trial, so no filled cycle fails;
+    decided (or were unchanged from a decided one) inside the class,
+    else the flush retired the trial, so no filled cycle fails;
     and the check over the filled cycles raises any violation first
     reached there, as running them would.
 
@@ -371,12 +376,12 @@ def _simulate(config: RunConfig, keys: np.ndarray, *, record_states: bool = Fals
             changed[1:] = np.bitwise_or.reduce(post[1:] ^ post[:-1], axis=-1)
             suspects &= changed
         if suspects.any():
-            failed = _failed_bits(g, post.reshape(-1, g.n), suspects.reshape(-1), cap)
+            failed = _failed_bits(g, post, suspects, cap)
             if failed.any():
                 hit = unpack_bits(failed).reshape(pending, -1)[:, :trials]
                 out = hit.any(axis=0)
                 failure_cycle[out] = first + hit.argmax(axis=0)[out]
-                alive[:] &= ~np.bitwise_or.reduce(failed.reshape(pending, -1), axis=0)
+                alive[:] &= ~np.bitwise_or.reduce(failed, axis=0)
         checked[:] = post[-1]
         corrupt[:, :, first - 1:last] = popcounts(observed[:, :pending]) \
             .reshape(2, pending, -1)[:, :, :trials].transpose(0, 2, 1)
@@ -441,7 +446,7 @@ def _simulate(config: RunConfig, keys: np.ndarray, *, record_states: bool = Fals
                 # every other majority
                 pre = state ^ (reg_words if ties is None else reg_words & ~ties)
             copies = tk_round_packed(g, copies, xor_words, maj_words)
-            state, ties = majority_ties_packed(copies, pre)
+            state, ties = tk_readout_packed(copies, pre)
         else:
             if reg_words is not None:
                 state ^= reg_words

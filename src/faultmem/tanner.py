@@ -288,21 +288,23 @@ def _repair(ec, n, gamma, rho, rng, want_girth6, swap_budget):
     variable a*m + b, the initial keys built with numpy.  Each swap
     picks the first edge of a bad key: a doubled edge, else a shared
     pair's first holder, keys taken in order of first touch.  The pair
-    counts are only updated, and only read, under ``want_girth6``.  The
+    counts are only built, updated and read under ``want_girth6``.  The
     holders of a pair come from each check's list of variables, kept in
     step with the swaps.
     """
     E, m = n * gamma, n * gamma // rho
-    # each variable's check pairs (i, j), i < j, in slot order
-    rows, (i, j) = ec.reshape(n, gamma), np.triu_indices(gamma, 1)
-    a, b = rows[:, i].ravel(), rows[:, j].ravel()
     edge_cnt = _Tally(np.arange(E) // gamma * m + ec)
-    pair_cnt = _Tally((np.minimum(a, b) * m + np.maximum(a, b))[a != b])
     members = (np.argsort(ec) // gamma).reshape(m, rho).tolist()
     chk = ec.tolist()
 
     ndup = sum(edge_cnt[k] - 1 for k in edge_cnt.over)
-    n4 = sum(x * (x - 1) // 2 for x in map(pair_cnt.get, pair_cnt.over)) if want_girth6 else 0
+    pair_cnt, n4 = None, 0
+    if want_girth6:
+        # each variable's check pairs (i, j), i < j, in slot order
+        rows, (i, j) = ec.reshape(n, gamma), np.triu_indices(gamma, 1)
+        a, b = rows[:, i].ravel(), rows[:, j].ravel()
+        pair_cnt = _Tally((np.minimum(a, b) * m + np.maximum(a, b))[a != b])
+        n4 = sum(x * (x - 1) // 2 for x in map(pair_cnt.get, pair_cnt.over))
 
     def pairs_of(v, c_val, exclude_slot):
         out = []

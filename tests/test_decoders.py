@@ -8,10 +8,10 @@ from faultmem.decoders import (EdgeMessages, _check_estimates,
                                algorithm_a_round_packed, broadcast_bits,
                                gallager_b_round, majority_ties_packed,
                                pack_rows, parallel_bitflip_decode_many,
-                               parallel_bitflip_decode_packed,
-                               parallel_bitflip_round_many, popcounts,
-                               tk_round_many, tk_round_packed,
-                               unpack_bits, unpack_rows)
+                               parallel_bitflip_round_many,
+                               parallel_bitflip_verdict_packed, popcounts,
+                               tk_readout_packed, tk_round_many,
+                               tk_round_packed, unpack_bits, unpack_rows)
 from faultmem.faults import (PlanBatch, _pairs, draw_adversarial_batch,
                              draw_independent_batch, trial_keys)
 
@@ -365,8 +365,9 @@ def test_packed_decode_equals_decode_many(params, seed, count, max_rounds,
     for t in range(count):
         flips = rng.integers(0, g.n + 1) if t % 2 else rng.integers(0, 3)
         states[t, rng.choice(g.n, flips, replace=False)] = 1
-    expected, _rounds, converged = parallel_bitflip_decode_many(g, states,
-                                                                max_rounds)
+    decoded, _rounds, converged = parallel_bitflip_decode_many(g, states,
+                                                               max_rounds)
+    verdict = ~converged | decoded.any(axis=1)
     if max_rounds == 1 and count >= 63:
         assert not converged.all()
     live_rows = rng.random(count) < live_share
@@ -375,38 +376,97 @@ def test_packed_decode_equals_decode_many(params, seed, count, max_rounds,
     garbage = rng.integers(0, 2**64, size=(live.size, g.n), dtype=np.uint64)
     words = (pack_rows(states) & live[:, None]) | (garbage & ~live[:, None])
     before = words.copy()
-    out, conv = parallel_bitflip_decode_packed(g, words, live, max_rounds)
+    # one cycle of W words: the verdict of every live state
+    failed = parallel_bitflip_verdict_packed(g, words[None], live[None], max_rounds)
     assert np.array_equal(words, before)
-    assert out.dtype == conv.dtype == np.uint64
-    assert out.shape == words.shape and conv.shape == live.shape
-    conv_rows = unpack_bits(conv)
-    assert not conv_rows[count:].any()
-    assert np.array_equal(conv_rows[:count], converged & live_rows)
-    assert np.array_equal(unpack_rows(out, count)[live_rows], expected[live_rows])
+    assert failed.dtype == np.uint64 and failed.shape == (1, live.size)
+    failed_rows = unpack_bits(failed[0])
+    assert not failed_rows[count:].any()
+    assert np.array_equal(failed_rows[:count], verdict & live_rows)
+    # a span of W cycles of one word, trial b's state at cycle s being row
+    # 64 s + b: each trial's first failing cycle is the oracle's
+    failed = parallel_bitflip_verdict_packed(g, words[:, None], live[:, None],
+                                             max_rounds)
+    assert np.array_equal(words, before) and failed.shape == (live.size, 1)
+    hit = unpack_bits(failed[:, 0]).reshape(-1, 64)
+    want = np.zeros(64 * live.size, dtype=bool)
+    want[:count] = verdict & live_rows
+    want = want.reshape(-1, 64)
+    assert np.array_equal(hit.any(axis=0), want.any(axis=0))
+    assert np.array_equal(hit.argmax(axis=0), want.argmax(axis=0))
 
 
-@pytest.mark.parametrize("max_rounds", (1, 2))
-def test_packed_decode_zero_at_the_cap_stays_unconverged(girth6_graph, max_rounds):
-    # the packed decode stops a state once a round leaves it all zero, but
-    # a state that reaches zero only in the last allowed round is not
-    # confirmed by the oracle, so it must stay unconverged; one round more
-    # confirms it
-    g = girth6_graph
+def _weight_two_states(g):
+    """Every pattern of one or two flipped variables, one per row."""
     pairs = [(a, b) for a in range(g.n) for b in range(a, g.n)]
     states = np.zeros((len(pairs), g.n), np.uint8)
     for t, (a, b) in enumerate(pairs):
         states[t, [a, b]] = 1
+    return states
+
+
+@pytest.mark.parametrize("max_rounds", (1, 2))
+def test_packed_decode_zero_at_the_cap_stays_unconverged(girth6_graph, max_rounds):
+    # the verdict passes a state once a round leaves it all zero, but a
+    # state that reaches zero only in the last allowed round is not
+    # confirmed by the oracle, so it must fail; one round more confirms
+    # it, and it passes
+    g = girth6_graph
+    states = _weight_two_states(g)
     words, _rounds, converged = parallel_bitflip_decode_many(g, states, max_rounds)
     at_cap = ~converged & ~words.any(axis=1)
     sooner = converged & ~words.any(axis=1) & states.any(axis=1)
     assert at_cap.any() and (max_rounds == 1 or sooner.any())
-    live = pack_rows(np.ones(len(pairs), dtype=bool))
+    live = pack_rows(np.ones(len(states), dtype=bool))[None]
     for cap in (max_rounds, max_rounds + 1):
-        expected, _rounds, converged = parallel_bitflip_decode_many(g, states, cap)
+        decoded, _rounds, converged = parallel_bitflip_decode_many(g, states, cap)
         assert converged[at_cap].all() == (cap > max_rounds)
-        out, conv = parallel_bitflip_decode_packed(g, pack_rows(states), live, cap)
-        assert np.array_equal(unpack_bits(conv)[:len(pairs)], converged)
-        assert np.array_equal(unpack_rows(out, len(pairs)), expected)
+        failed = unpack_bits(parallel_bitflip_verdict_packed(
+            g, pack_rows(states)[None], live, cap)[0])[:len(states)]
+        assert np.array_equal(failed, ~converged | decoded.any(axis=1))
+        assert failed[at_cap].all() == (cap == max_rounds)
+
+
+@pytest.mark.parametrize("max_rounds", range(3, 9))
+def test_packed_verdict_stops_at_two_cycles(girth6_graph, max_rounds,
+                                            monkeypatch):
+    # weight-2 patterns on the girth-6 (36,3,6) graph: some are restored,
+    # most spread, and some return to their state of two rounds before
+    # without being a fixpoint, so they can never converge.  The verdicts
+    # must be the oracle's, and the rows on a 2-cycle, decided alone, must
+    # stop in the round that closes their cycle, before the cap
+    g = girth6_graph
+    states = _weight_two_states(g)
+    history = [states]
+    for _ in range(max_rounds):
+        history.append(parallel_bitflip_round_many(g, history[-1]))
+    h = np.stack(history)
+    moved = (h[1:] != h[:-1]).any(axis=2)
+    # closes[k]: round k + 2 moved the row back to its state of round k
+    closes = (h[2:] == h[:-2]).all(axis=2) & moved[1:]
+    before_cap = closes[:max_rounds - 2]
+    cycling = before_cap.any(axis=0)
+    assert cycling.any()
+    decoded, _rounds, converged = parallel_bitflip_decode_many(g, states, max_rounds)
+    assert not converged[cycling].any()
+    live = pack_rows(np.ones(len(states), dtype=bool))[None]
+    failed = unpack_bits(parallel_bitflip_verdict_packed(
+        g, pack_rows(states)[None], live, max_rounds)[0])[:len(states)]
+    assert np.array_equal(failed, ~converged | decoded.any(axis=1))
+
+    rounds = [0]
+    real = fm.decoders.algorithm_a_round_packed
+
+    def counted(*args):
+        rounds[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(fm.decoders, "algorithm_a_round_packed", counted)
+    failed = unpack_bits(parallel_bitflip_verdict_packed(
+        g, pack_rows(states)[None], pack_rows(cycling)[None], max_rounds)[0])
+    assert np.array_equal(failed[:len(states)], cycling)
+    last_close = 2 + before_cap.argmax(axis=0)[cycling].max()
+    assert rounds[0] == last_close < max_rounds
 
 
 @settings(max_examples=40)
@@ -734,7 +794,7 @@ def test_packed_tk_round_rows_equal_gallager_b(params, seed, rows, draw):
 @example(params=(16, 7, 8), seed=4, count=1, density=0.3, ragged=False, rounds=1)
 def test_packed_tk_round_equals_uint8_round(params, seed, count, density, ragged,
                                             rounds):
-    # copy j of every variable is plane j of the packed words; the packed
+    # copy j of every variable is plane j of the packed words; the engine's
     # readout keeps the previous readout on a tie, as reference_readout does
     g = fm.build_random_regular(fm.CodeParams(*params), seed % 50)
     rng = np.random.default_rng(seed)
@@ -754,8 +814,34 @@ def test_packed_tk_round_equals_uint8_round(params, seed, count, density, ragged
         assert np.array_equal(unpack_rows(words, count),
                               expected.transpose(0, 2, 1))
         prev = reference_readout(expected, prev)
-        readout = majority_ties_packed(words, readout)[0]
+        readout = tk_readout_packed(words, readout)[0]
         assert np.array_equal(unpack_rows(readout, count), prev)
+
+
+@settings(max_examples=40)
+@given(params=st.sampled_from(((12, 4, 6), (20, 4, 5), (40, 4, 5), (16, 6, 8))),
+       seed=st.integers(0, 2**32), count=st.sampled_from((1, 63, 64, 65, 130)),
+       density=st.floats(0.0, 1.0), ragged=st.booleans())
+# both examples draw XOR and majority faults
+@example(params=(40, 4, 5), seed=3, count=65, density=0.5, ragged=True)
+@example(params=(16, 6, 8), seed=1, count=130, density=0.3, ragged=False)
+def test_tk_readout_at_even_gamma_needs_no_count(params, seed, count, density,
+                                                 ragged):
+    # at even gamma a round leaves every variable's copies all equal or
+    # exactly half set, gate faults included, so the readout of all-set
+    # and half-set copies equals the bit-sliced majority with its ties
+    g = fm.build_random_regular(fm.CodeParams(*params), seed % 50)
+    rng = np.random.default_rng(seed)
+    copies = (rng.random((count, g.n, g.gamma)) < density).astype(np.uint8)
+    prev = pack_rows(rng.integers(0, 2, (count, g.n)).astype(np.uint8))
+    _reg, xor_words, maj_words = random_gate_batch(g, rng, count,
+                                                   ragged).packed(g)
+    words = tk_round_packed(g, tk_words(copies), xor_words, maj_words)
+    ones = tk_copies(words, count).sum(axis=2)
+    assert np.isin(ones, (0, g.gamma // 2, g.gamma)).all()
+    readout, ties = tk_readout_packed(words, prev)
+    want, want_ties = majority_ties_packed(words, prev)
+    assert np.array_equal(readout, want) and np.array_equal(ties, want_ties)
 
 
 def test_tk_initialization_equal_copies(seed7_graph):

@@ -640,10 +640,11 @@ def test_failure_cycle_is_first_failing_post_state(decoder, kind, monkeypatch):
     decoded_diffs = []
 
     def recording(g, diff, suspects, cap):
-        # the rows are (cycle, word) pairs: bit b of row r is state
-        # 64 * r + b, trial 64 * (r % W) + b of a run of W trial words
-        words = len(decoded_diffs) // 64
-        rows = fm.decoders.unpack_rows(diff, 64 * diff.shape[0])
+        # diff is (cycles, W, n): bit b of row (s, w) is trial 64 * w + b
+        # at the span's cycle s, state 64 * (s * W + w) + b of the flat rows
+        words = suspects.shape[1]
+        flat = diff.reshape(-1, g.n)
+        rows = fm.decoders.unpack_rows(flat, 64 * flat.shape[0])
         for s in np.flatnonzero(fm.decoders.unpack_bits(suspects)):
             decoded_diffs[s // 64 % words * 64 + s % 64].add(rows[s].tobytes())
         return real(g, diff, suspects, cap)
@@ -810,6 +811,33 @@ def test_results_do_not_depend_on_the_span(span_cycles, span_bytes, monkeypatch)
     # the accounting cases pass their check and break it, as chosen
     assert [got[name].startswith("cycle ") for name in ("accounting", "accounting-error")] \
         == [False, True]
+
+
+# sha256 of monte_carlo's payload and failure cycles on the (4000,3,6)
+# graph-seed-4000 girth-6 code, 64 trials of 50 cycles under independent
+# rates (1e-3, 1e-5, 1e-5) without a profile (a detector cap of 100
+# rounds), at root seeds 0-2: the detector's 2-cycle exit decides some
+# suspects at every seed, and at seed 2 a trial that fails inside a
+# 32-cycle span has a later suspect cycle that is never decided.  Taken
+# from the detector that decoded every suspect to its fixpoint or the cap.
+_LARGE_DIGESTS = (
+    "8ab972b44d528b49446833b609c053e9603dfb957b58bba4893c4577cfad0743",
+    "352bf115aaffa56708c70535500d030195070bfb58ce133bc5468dec4d90870d",
+    "b367dcc8ac2868b0d5a07cde80dc220b037e92070fdbefcafa7d6a1f27b218cd",
+)
+
+
+def test_large_independent_results_are_pinned():
+    g = fm.build_random_regular(fm.CodeParams(4000, 3, 6), 4000,
+                                reject_4cycles=True)
+    cfg = RunConfig(g, "algorithm_a", independent(1e-3, 1e-5, 1e-5), 50)
+    got = []
+    for root_seed in range(len(_LARGE_DIGESTS)):
+        res = fm.monte_carlo(cfg, 64, root_seed)
+        assert res.failures > 0
+        got.append(hashlib.sha256(json.dumps(
+            [res.to_json_obj(), res.failure_cycle_by_trial]).encode()).hexdigest())
+    assert tuple(got) == _LARGE_DIGESTS
 
 
 # -- periodic exit of cycle-independent models ------------------------------
