@@ -163,7 +163,7 @@ def _at_least(planes: np.ndarray, lo: int, hi: int) -> list:
         x = planes[..., i, :]
         top = i + 1 if i < hi else hi
         stop = i + lo - count if i + lo > count else 0  # j stays above it
-        for j in range(top, stop if stop else 1, -1):
+        for j in range(top, stop or 1, -1):
             if at_least[j] is None:
                 at_least[j] = at_least[j - 1] & x
             else:
